@@ -48,7 +48,7 @@ from .stability import (
     stability_series,
     summarize,
 )
-from .store import SnapshotStore, load_ledger, save_ledger
+from .store import load_ledger, save_ledger
 from .synth import SynthConfig, generate
 from .txgraph import (
     MetricVector,
@@ -65,7 +65,7 @@ __all__ = [
     "AddressTable", "BalanceError", "BalanceSnapshot", "COINBASE",
     "ConvergenceError", "CumulativeCurve", "DistributionSummary", "Edge",
     "EntityClustering", "HHISeries", "Ledger", "LedgerError", "MetricVector",
-    "ParseError", "Ranking", "SnapshotStore", "StabilitySeries", "StoreError",
+    "ParseError", "Ranking", "StabilitySeries", "StoreError",
     "SynthConfig", "Transaction", "TransactionGraph", "build_day_graph",
     "classify", "cluster", "compute_rankings", "compute_snapshots",
     "cumulative_curve", "d_hhi", "d_static", "d_static_series",

@@ -125,23 +125,48 @@ def _raise_negative(ledger: Ledger, day: int, balances: np.ndarray) -> None:
     raise BalanceError(ledger.txids[start], day, "<unknown>")
 
 
-def compute_snapshots(ledger: Ledger) -> Iterator[BalanceSnapshot]:
-    """Yield one BalanceSnapshot per day, day 0 through the last day.
+def _replay(ledger: Ledger) -> Iterator[tuple[int, np.ndarray]]:
+    """The one balance replay: yield (day, balances) after each day, in order.
 
-    Snapshots are produced incrementally; each day applies only that day's
-    transactions to the previous day's state.  A debit that would leave an
-    address negative at a day boundary raises BalanceError naming the txid.
+    The same array is updated in place between yields; callers copy it to
+    keep a day.  A debit that would leave an address negative at a day
+    boundary raises BalanceError naming the txid.
     """
     balances = np.zeros(len(ledger.addresses), dtype=np.int64)
     for day in range(ledger.n_days):
         _apply_day(ledger, day, balances)
-        yield BalanceSnapshot(
-            day=day,
-            balances=balances.copy(),
-            total_supply=ledger.supply_at(day),
-            fees_to_date=ledger.fees_through(day),
-            addresses=ledger.addresses,
-        )
+        yield day, balances
+
+
+def compute_snapshots(ledger: Ledger) -> Iterator[BalanceSnapshot]:
+    """Yield one BalanceSnapshot per day, day 0 through the last day.
+
+    Snapshots are produced incrementally; each day applies only that day's
+    transactions to the previous day's state.
+    """
+    for day, balances in _replay(ledger):
+        yield _snapshot(ledger, day, balances)
+
+
+def _snapshot(ledger: Ledger, day: int, balances: np.ndarray) -> BalanceSnapshot:
+    return BalanceSnapshot(
+        day=day,
+        balances=balances.copy(),
+        total_supply=ledger.supply_at(day),
+        fees_to_date=ledger.fees_through(day),
+        addresses=ledger.addresses,
+    )
+
+
+def snapshot_at(ledger: Ledger, day: int) -> BalanceSnapshot:
+    """The end-of-day snapshot of one day (replays days 0..day, copying
+    only that day's balances)."""
+    if not 0 <= day < ledger.n_days:
+        raise ValueError(f"day {day} outside ledger range")
+    for d, balances in _replay(ledger):
+        if d == day:
+            break
+    return _snapshot(ledger, day, balances)
 
 
 def rank_balances(
@@ -192,27 +217,15 @@ def top_n(snapshot: BalanceSnapshot, n: int) -> Ranking:
 
 def compute_rankings(ledger: Ledger, n: int = TOP_N_DEFAULT) -> list[Ranking]:
     """Daily top-n rankings for the whole ledger (one streaming pass)."""
-    balances = np.zeros(len(ledger.addresses), dtype=np.int64)
-    out = []
-    for day in range(ledger.n_days):
-        _apply_day(ledger, day, balances)
-        out.append(rank_balances(balances, n, ledger.addresses, day))
-    return out
+    return [rank_balances(balances, n, ledger.addresses, day)
+            for day, balances in _replay(ledger)]
 
 
 def proportion(snapshot: BalanceSnapshot, n: int) -> float:
     """Share of total minted supply held by the top-n addresses."""
     if snapshot.total_supply <= 0:
         raise ValueError(f"day {snapshot.day} has no minted supply")
-    ranking = top_n(snapshot, n)
-    return float(int(ranking.balances.sum())) / float(snapshot.total_supply)
-
-
-def proportion_from_ranking(ranking: Ranking, supply: int, n: int | None = None) -> float:
-    if supply <= 0:
-        raise ValueError("no minted supply")
-    bal = ranking.balances if n is None else ranking.balances[:n]
-    return float(int(bal.sum())) / float(supply)
+    return float(proportion_series([top_n(snapshot, n)], [snapshot.total_supply], [n])[0, 0])
 
 
 def proportion_series(
@@ -232,6 +245,12 @@ def proportion_series(
     return out
 
 
+def adjacent_diff(matrix: np.ndarray) -> np.ndarray:
+    """Column j minus column j-1 of a proportion matrix; column 0 is kept
+    as is (its predecessor is the empty top-0 list)."""
+    return np.diff(np.concatenate((np.zeros((len(matrix), 1)), matrix), axis=1))
+
+
 def proportion_diff_series(
     snapshots: Iterable[BalanceSnapshot], step: int = 100, max_n: int = 2000
 ) -> tuple[list[int], list[int], np.ndarray]:
@@ -243,18 +262,10 @@ def proportion_diff_series(
     """
     if step < 1 or max_n < step or max_n % step:
         raise ValueError("step must be >= 1 and divide max_n")
-    xs = list(range(0, max_n, step))
-    days: list[int] = []
-    rows: list[np.ndarray] = []
-    for snap in snapshots:
-        ranking = top_n(snap, max_n)
-        csum = np.zeros(len(xs) + 1)
-        full = np.cumsum(ranking.balances, dtype=np.float64)
-        for j in range(1, len(xs) + 1):
-            take = min(j * step, len(full))
-            csum[j] = full[take - 1] if take else 0.0
-        total = float(snap.total_supply)
-        days.append(snap.day)
-        rows.append(np.diff(csum) / total)
-    matrix = np.vstack(rows) if rows else np.zeros((0, len(xs)))
-    return days, xs, matrix
+    snaps = list(snapshots)
+    matrix = proportion_series(
+        [top_n(s, max_n) for s in snaps],
+        [s.total_supply for s in snaps],
+        range(step, max_n + 1, step),
+    )
+    return [s.day for s in snaps], list(range(0, max_n, step)), adjacent_diff(matrix)

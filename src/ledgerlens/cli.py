@@ -12,7 +12,7 @@ import os
 import sys
 
 from . import __version__
-from .balances import compute_rankings
+from .balances import compute_rankings, snapshot_at
 from .errors import LedgerError
 from .ledger import parse_ledger
 from .lorenz import cumulative_curve, d_static_series
@@ -26,13 +26,7 @@ from .report import (
     write_json,
 )
 from .stability import stability_series, summarize
-from .store import (
-    SNAPSHOT_INTERVAL_DEFAULT,
-    SnapshotStore,
-    load_ledger,
-    load_meta,
-    save_ledger,
-)
+from .store import load_ledger, load_meta, save_ledger
 from .svg import line_chart
 from .synth import SynthConfig, generate
 from .txgraph import dispersion_series, build_day_graph, degree_centrality, pagerank
@@ -142,19 +136,11 @@ def _cmd_ingest(args) -> int:
 def _cmd_snapshot(args) -> int:
     store = _store_dir(args)
     ledger = load_ledger(store)
-    snaps = SnapshotStore.build(ledger, interval=args.interval)
-    snaps.save(store)
-    print(
-        f"snapshot: cached {snaps.n_days} days "
-        f"({len(snaps.checkpoints)} checkpoints, interval {snaps.interval})",
-        file=sys.stderr,
-    )
-    if args.dump_day is not None:
-        snap = snaps.snapshot_at(args.dump_day, ledger.addresses)
-        cfg = config_hash({"cmd": "snapshot", "day": args.dump_day,
-                           "store": load_meta(store)["content_hash"]})
-        funded = sorted(snap.as_dict().items())
-        _emit_csv(args.out, ["address", "balance"], funded, cfg)
+    snap = snapshot_at(ledger, args.dump_day)
+    cfg = config_hash({"cmd": "snapshot", "day": args.dump_day,
+                       "store": load_meta(store)["content_hash"]})
+    funded = sorted(snap.as_dict().items())
+    _emit_csv(args.out, ["address", "balance"], funded, cfg)
     return 0
 
 
@@ -239,7 +225,7 @@ def _cmd_dispersion(args) -> int:
     rankings = compute_rankings(ledger, args.focus)
     series = dispersion_series(
         ledger, rankings, metrics, args.focus,
-        value_weighted=args.value_weighted, jobs=args.jobs,
+        value_weighted=args.value_weighted,
     )
     cfg = config_hash({
         "cmd": "dispersion", "metrics": list(metrics), "focus": args.focus,
@@ -269,7 +255,7 @@ def _cmd_hhi(args) -> int:
     ledger = load_ledger(store)
     series = hhi_series(
         ledger, args.scheme, focus_n=args.focus, method=args.method,
-        seed=args.seed, stride=args.stride, jobs=args.jobs,
+        seed=args.seed, stride=args.stride,
     )
     cfg = config_hash({
         "cmd": "hhi", "scheme": args.scheme, "focus": args.focus,
@@ -312,7 +298,6 @@ def _cmd_report(args) -> int:
         curve_day=args.curve_day,
         method=args.method,
         stride=args.stride,
-        jobs=args.jobs,
         value_weighted=args.value_weighted,
         day_range=args.day_range,
         store_hash=load_meta(store)["content_hash"],
@@ -364,10 +349,9 @@ def _build_parser() -> _Parser:
                    help="alias for --store")
     p.set_defaults(func=_cmd_ingest)
 
-    p = sub.add_parser("snapshot", help="build the balance snapshot cache")
+    p = sub.add_parser("snapshot", help="dump one day's end-of-day balances")
     add_store(p)
-    p.add_argument("--interval", type=int, default=SNAPSHOT_INTERVAL_DEFAULT)
-    p.add_argument("--dump-day", type=int, default=None)
+    p.add_argument("--dump-day", type=int, required=True)
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_snapshot)
 
@@ -407,7 +391,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--metric", choices=("degree", "pagerank", "both"), default="both")
     p.add_argument("--focus", type=int, default=100)
     p.add_argument("--value-weighted", action="store_true")
-    p.add_argument("--jobs", type=int, default=os.cpu_count())
     p.add_argument("--nodes-day", type=int, default=None)
     p.add_argument("--nodes-out", default=None)
     p.add_argument("--out", default="-")
@@ -422,7 +405,6 @@ def _build_parser() -> _Parser:
                    default="label_propagation")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--stride", type=int, default=1)
-    p.add_argument("--jobs", type=int, default=os.cpu_count())
     p.add_argument("--dhhi", default=None,
                    help="also write the dynamic decentralization series (a3 only)")
     p.add_argument("--partition-day", type=int, default=None)
@@ -444,7 +426,6 @@ def _build_parser() -> _Parser:
                    default="label_propagation")
     p.add_argument("--stride", type=int, default=1)
     p.add_argument("--curve-day", type=int, default=None)
-    p.add_argument("--jobs", type=int, default=os.cpu_count())
     p.add_argument("--value-weighted", action="store_true")
     p.add_argument("--no-charts", action="store_true")
     p.set_defaults(func=_cmd_report)

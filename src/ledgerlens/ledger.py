@@ -22,6 +22,10 @@ SECONDS_PER_DAY = 86_400
 # rejected if it appears as a literal address in an input stream.
 COINBASE = "COINBASE"
 
+# Values are stored as int64 base units; every merged value, per-transaction
+# total and the running minted supply must fit.
+MAX_VALUE = 2**63 - 1
+
 
 class AddressTable:
     """Interns opaque address strings to dense integer ids.
@@ -149,7 +153,10 @@ def _merge_side(entries, line: int, side: str) -> list[tuple[str, int]]:
             raise ParseError(line, f"negative value in {side}")
         if value == 0:
             raise ParseError(line, f"zero value in {side}")
-        merged[addr] = merged.get(addr, 0) + value
+        total = merged.get(addr, 0) + value
+        if total > MAX_VALUE:
+            raise ParseError(line, f"{side} value of {addr!r} exceeds 2^63-1")
+        merged[addr] = total
     return list(merged.items())
 
 
@@ -170,7 +177,11 @@ def _validate_record(rec, line: int) -> tuple[str, int, list, list]:
         raise ParseError(line, "transaction has no outputs")
     inputs = _merge_side(raw_in, line, "in")
     outputs = _merge_side(raw_out, line, "out")
-    if inputs and sum(v for _, v in inputs) < sum(v for _, v in outputs):
+    in_total = sum(v for _, v in inputs)
+    out_total = sum(v for _, v in outputs)
+    if in_total > MAX_VALUE or out_total > MAX_VALUE:
+        raise ParseError(line, "transaction total exceeds 2^63-1")
+    if inputs and in_total < out_total:
         raise ParseError(line, "outputs exceed inputs")
     return txid, time, inputs, outputs
 
@@ -418,6 +429,7 @@ def parse_ledger(stream: Iterable[str] | IO[str], epoch: int | None = None) -> L
     sides: list[tuple[list, list]] = []
     out_of_order = 0
     prev_time = None
+    minted = 0
 
     for line_no, line in enumerate(stream, start=1):
         text = line.strip()
@@ -430,6 +442,10 @@ def parse_ledger(stream: Iterable[str] | IO[str], epoch: int | None = None) -> L
         txid, time, inputs, outputs = _validate_record(rec, line_no)
         if txid in seen:
             raise ParseError(line_no, f"duplicate txid {txid!r}")
+        if not inputs:
+            minted += sum(v for _, v in outputs)
+            if minted > MAX_VALUE:
+                raise ParseError(line_no, "minted supply exceeds 2^63-1")
         seen.add(txid)
         if prev_time is not None and time < prev_time:
             out_of_order += 1

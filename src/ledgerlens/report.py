@@ -14,7 +14,7 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .balances import compute_rankings, proportion_series
+from .balances import adjacent_diff, compute_rankings, proportion_series
 from .ledger import Ledger
 from .lorenz import cumulative_curve, d_static_series
 from .market import d_hhi, hhi_series
@@ -85,7 +85,6 @@ def build_report(
     curve_day: int | None = None,
     method: str = "label_propagation",
     stride: int = 1,
-    jobs: int | None = None,
     value_weighted: bool = False,
     day_range: tuple[int, int] | None = None,
     store_hash: str = "",
@@ -166,7 +165,7 @@ def build_report(
     # Adjacent-bucket proportion differences; column j holds the share gap
     # between tops[j] and its predecessor (0 for the first bucket).
     diff_xs = [0] + list(tops[:-1])
-    diff = np.diff(np.concatenate((np.zeros((len(all_days), 1)), prop), axis=1))
+    diff = adjacent_diff(prop)
     write_csv(
         os.path.join(out_dir, "proportion_diff.csv"),
         ["day"] + [f"x{x}" for x in diff_xs],
@@ -179,27 +178,24 @@ def build_report(
         "values": [[float(v) for v in diff[d]] for d in days],
     }
 
-    # Ranking stability.
+    # Ranking stability: each distinct (metric, N, interval) series is built
+    # once and feeds the CSV, the JSON bundle and the charts.
+    stab: dict[tuple[str, int, int], StabilitySeries] = {}
+    for metric in ("spearman", "retention"):
+        for n, interval in [(focus_n, i) for i in intervals] + [(t, 1) for t in tops]:
+            if (metric, n, interval) not in stab:
+                s = stability_series(rankings, n, interval, metric, spearman_mode)
+                s.values = {d: v for d, v in s.values.items() if in_window(d)}
+                stab[(metric, n, interval)] = s
     stability_rows: list[tuple] = []
     summaries: dict[str, dict] = {}
     series_bundle: dict[str, dict] = {}
-    for metric in ("spearman", "retention"):
-        for interval in intervals:
-            s = stability_series(rankings, focus_n, interval, metric, spearman_mode)
-            s.values = {d: v for d, v in s.values.items() if in_window(d)}
-            stability_rows.extend(_series_rows(s))
-            key = f"{metric}_top{focus_n}_interval{interval}"
-            series_bundle[key] = {str(d): v for d, v in s.values.items()}
-            if s.defined():
-                summaries[key] = summarize(s).to_dict()
-        for n in tops:
-            s = stability_series(rankings, n, 1, metric, spearman_mode)
-            s.values = {d: v for d, v in s.values.items() if in_window(d)}
-            stability_rows.extend(_series_rows(s))
-            key = f"{metric}_top{n}_interval1"
-            series_bundle.setdefault(key, {str(d): v for d, v in s.values.items()})
-            if s.defined():
-                summaries.setdefault(key, summarize(s).to_dict())
+    for (metric, n, interval), s in stab.items():
+        stability_rows.extend(_series_rows(s))
+        key = f"{metric}_top{n}_interval{interval}"
+        series_bundle[key] = {str(d): v for d, v in s.values.items()}
+        if s.defined():
+            summaries[key] = summarize(s).to_dict()
     write_csv(
         os.path.join(out_dir, "stability.csv"),
         ["day", "metric", "top", "interval", "value"],
@@ -228,7 +224,7 @@ def build_report(
     # Dispersion of graph centralities.
     disp = dispersion_series(
         ledger, rankings, ("degree", "pagerank"), focus_n,
-        value_weighted=value_weighted, jobs=jobs,
+        value_weighted=value_weighted,
     )
     disp = {
         m: {d: v for d, v in vals.items() if in_window(d)}
@@ -257,7 +253,7 @@ def build_report(
     for scheme in ("a1", "a2", "a3"):
         series = hhi_series(
             ledger, scheme, focus_n=focus_n, method=method,
-            stride=stride, rankings=rankings, jobs=jobs,
+            stride=stride, rankings=rankings,
         )
         if scheme == "a3":
             a3 = series
@@ -293,8 +289,8 @@ def build_report(
         _write_charts(
             out_dir, days, tops, intervals, focus_n,
             prop[days] if days else prop[:0], diff[days] if days else diff[:0],
-            diff_xs, rankings, ds, disp_plot, hhi_bundle, dyn, curve_day,
-            spearman_mode, in_window, svg_meta,
+            diff_xs, stab, rankings, ds, disp_plot, hhi_bundle, dyn, curve_day,
+            svg_meta,
         )
 
     write_json(os.path.join(out_dir, "report.json"), bundle)
@@ -302,9 +298,8 @@ def build_report(
 
 
 def _write_charts(
-    out_dir, days, tops, intervals, focus_n, prop, diff, diff_xs,
-    rankings, ds, disp, hhi_bundle, dyn, curve_day, spearman_mode,
-    in_window, svg_meta,
+    out_dir, days, tops, intervals, focus_n, prop, diff, diff_xs, stab,
+    rankings, ds, disp, hhi_bundle, dyn, curve_day, svg_meta,
 ):
     chart_dir = os.path.join(out_dir, "charts")
     os.makedirs(chart_dir, exist_ok=True)
@@ -325,8 +320,7 @@ def _write_charts(
         by_interval = {}
         interval_groups = []
         for interval in intervals:
-            s = stability_series(rankings, focus_n, interval, metric, spearman_mode)
-            s.values = {d: v for d, v in s.values.items() if in_window(d)}
+            s = stab[(metric, focus_n, interval)]
             xs = sorted(s.values)
             by_interval[f"interval {interval}"] = (
                 xs, [s.values[d] if s.values[d] is not None else float("nan") for d in xs]
@@ -347,8 +341,7 @@ def _write_charts(
         by_top = {}
         top_groups = []
         for n in tops:
-            s = stability_series(rankings, n, 1, metric, spearman_mode)
-            s.values = {d: v for d, v in s.values.items() if in_window(d)}
+            s = stab[(metric, n, 1)]
             xs = sorted(s.values)
             by_top[f"top-{n}"] = (
                 xs, [s.values[d] if s.values[d] is not None else float("nan") for d in xs]

@@ -1,31 +1,29 @@
-"""On-disk store: a versioned binary cache of the parsed ledger plus a
-checkpointed snapshot store, so expensive ingestion runs once and metric
-passes restart cheaply.
+"""On-disk store: a versioned binary cache of the parsed ledger, so
+expensive ingestion runs once and metric passes restart cheaply.
 
 Layout of a store directory::
 
     meta.json       store version, counts, epoch, content hash
     ledger.npz      flat transaction arrays + interned string blobs
-    snapshots.npz   (optional) every k-th full balance vector + daily deltas
 """
 
 import hashlib
 import json
 import os
-from dataclasses import dataclass
+import zipfile
 
 import numpy as np
 
-from .balances import BalanceSnapshot, _apply_day
+# `_apply_day` is not called here; it stays importable under this module's
+# name because the benchmark's tracer (bench/tracer.py) wraps it here.
+from .balances import _apply_day
 from .errors import StoreError
 from .ledger import AddressTable, Ledger
 
 STORE_VERSION = 1
-SNAPSHOT_INTERVAL_DEFAULT = 32
 
 _META = "meta.json"
 _LEDGER = "ledger.npz"
-_SNAPSHOTS = "snapshots.npz"
 
 
 def _pack_strings(items: list[str]) -> np.ndarray:
@@ -105,134 +103,35 @@ def load_ledger(store_dir: str) -> Ledger:
     path = os.path.join(store_dir, _LEDGER)
     if not os.path.exists(path):
         raise StoreError(f"store at {store_dir!r} has no {_LEDGER}")
-    with np.load(path) as z:
-        txids = _unpack_strings(z["txids"])
-        names = _unpack_strings(z["addresses"])
-        table = AddressTable()
-        for name in names[1:]:  # index 0 is always COINBASE
-            table.intern(name)
-        ledger = Ledger(
-            addresses=table,
-            txids=txids,
-            times=z["times"],
-            in_ptr=z["in_ptr"],
-            in_addr=z["in_addr"],
-            in_val=z["in_val"],
-            out_ptr=z["out_ptr"],
-            out_addr=z["out_addr"],
-            out_val=z["out_val"],
-            epoch_start=meta["epoch_start"],
-            out_of_order=meta.get("out_of_order", 0),
-        )
+    try:
+        epoch_start = meta["epoch_start"]
+    except KeyError:
+        raise StoreError(f"store at {store_dir!r} has no epoch_start in {_META}") from None
+    out_of_order = meta.get("out_of_order", 0)
+    # A truncated or damaged file fails in the zip layer, in an array
+    # header or in the string tables.
+    try:
+        with np.load(path) as z:
+            txids = _unpack_strings(z["txids"])
+            names = _unpack_strings(z["addresses"])
+            table = AddressTable()
+            for name in names[1:]:  # index 0 is always COINBASE
+                table.intern(name)
+            ledger = Ledger(
+                addresses=table,
+                txids=txids,
+                times=z["times"],
+                in_ptr=z["in_ptr"],
+                in_addr=z["in_addr"],
+                in_val=z["in_val"],
+                out_ptr=z["out_ptr"],
+                out_addr=z["out_addr"],
+                out_val=z["out_val"],
+                epoch_start=epoch_start,
+                out_of_order=out_of_order,
+            )
+    except (zipfile.BadZipFile, EOFError, KeyError, OSError, ValueError) as exc:
+        raise StoreError(f"store at {store_dir!r} has an unreadable {_LEDGER} ({exc})") from exc
     if content_hash(ledger) != meta["content_hash"]:
         raise StoreError(f"store at {store_dir!r} is corrupt (hash mismatch)")
     return ledger
-
-
-@dataclass
-class SnapshotStore:
-    """Balance history as sparse checkpoints plus daily deltas.
-
-    Every `interval`-th day keeps a full vector; any other day rebuilds by
-    replaying at most interval-1 delta arrays forward from the nearest
-    checkpoint at or below it.
-    """
-
-    interval: int
-    n_days: int
-    n_addresses: int
-    checkpoints: dict[int, np.ndarray]
-    delta_ids: list[np.ndarray]
-    delta_vals: list[np.ndarray]
-    minted_cum: np.ndarray
-    fees_cum: np.ndarray
-
-    @classmethod
-    def build(cls, ledger: Ledger, interval: int = SNAPSHOT_INTERVAL_DEFAULT) -> "SnapshotStore":
-        if interval < 1:
-            raise ValueError("interval must be >= 1")
-        balances = np.zeros(len(ledger.addresses), dtype=np.int64)
-        checkpoints: dict[int, np.ndarray] = {}
-        delta_ids: list[np.ndarray] = []
-        delta_vals: list[np.ndarray] = []
-        for day in range(ledger.n_days):
-            start, stop = ledger.day_range(day)
-            touched = np.unique(np.concatenate((
-                ledger.in_addr[ledger.in_ptr[start]:ledger.in_ptr[stop]],
-                ledger.out_addr[ledger.out_ptr[start]:ledger.out_ptr[stop]],
-            )))
-            before = balances[touched]
-            _apply_day(ledger, day, balances)
-            change = balances[touched] - before
-            nz = change != 0
-            delta_ids.append(touched[nz])
-            delta_vals.append(change[nz])
-            if day % interval == 0:
-                checkpoints[day] = balances.copy()
-        minted = np.cumsum(ledger.minted_by_day) if ledger.n_days else np.zeros(0, dtype=np.int64)
-        fees = np.cumsum(ledger.fees_by_day) if ledger.n_days else np.zeros(0, dtype=np.int64)
-        return cls(
-            interval=interval,
-            n_days=ledger.n_days,
-            n_addresses=len(ledger.addresses),
-            checkpoints=checkpoints,
-            delta_ids=delta_ids,
-            delta_vals=delta_vals,
-            minted_cum=minted,
-            fees_cum=fees,
-        )
-
-    def balances_at(self, day: int) -> np.ndarray:
-        if not 0 <= day < self.n_days:
-            raise ValueError(f"day {day} outside snapshot range")
-        anchor = (day // self.interval) * self.interval
-        balances = self.checkpoints[anchor].copy()
-        for d in range(anchor + 1, day + 1):
-            np.add.at(balances, self.delta_ids[d], self.delta_vals[d])
-        return balances
-
-    def snapshot_at(self, day: int, addresses: AddressTable) -> BalanceSnapshot:
-        return BalanceSnapshot(
-            day=day,
-            balances=self.balances_at(day),
-            total_supply=int(self.minted_cum[day]),
-            fees_to_date=int(self.fees_cum[day]),
-            addresses=addresses,
-        )
-
-    def save(self, store_dir: str) -> None:
-        arrays: dict[str, np.ndarray] = {
-            "meta": np.array([STORE_VERSION, self.interval, self.n_days, self.n_addresses], dtype=np.int64),
-            "checkpoint_days": np.array(sorted(self.checkpoints), dtype=np.int64),
-            "minted_cum": self.minted_cum,
-            "fees_cum": self.fees_cum,
-        }
-        for day, vec in self.checkpoints.items():
-            arrays[f"c{day}"] = vec
-        for day in range(self.n_days):
-            arrays[f"di{day}"] = self.delta_ids[day]
-            arrays[f"dv{day}"] = self.delta_vals[day]
-        np.savez(os.path.join(store_dir, _SNAPSHOTS), **arrays)
-
-    @classmethod
-    def load(cls, store_dir: str) -> "SnapshotStore":
-        path = os.path.join(store_dir, _SNAPSHOTS)
-        if not os.path.exists(path):
-            raise StoreError(f"store at {store_dir!r} has no snapshot cache")
-        with np.load(path) as z:
-            version, interval, n_days, n_addresses = (int(v) for v in z["meta"])
-            if version != STORE_VERSION:
-                raise StoreError(f"snapshot cache version {version} unsupported")
-            checkpoints = {int(d): z[f"c{int(d)}"] for d in z["checkpoint_days"]}
-            delta_ids = [z[f"di{d}"] for d in range(n_days)]
-            delta_vals = [z[f"dv{d}"] for d in range(n_days)]
-            return cls(
-                interval=interval,
-                n_days=n_days,
-                n_addresses=n_addresses,
-                checkpoints=checkpoints,
-                delta_ids=delta_ids,
-                delta_vals=delta_vals,
-                minted_cum=z["minted_cum"],
-                fees_cum=z["fees_cum"],
-            )

@@ -234,24 +234,19 @@ def dispersion_series(
     metrics: Sequence[str] = ("degree", "pagerank"),
     focus_n: int = FOCUS_N,
     value_weighted: bool = False,
-    jobs: int | None = None,
 ) -> dict[str, dict[int, float]]:
     """Daily dispersion of each metric over the focus graph.
 
     The focus set for day d is the previous day's top-`focus_n`; day 0 has
     no predecessor and days whose graph has fewer than two nodes are
-    skipped.  Days are independent and run on a small thread pool.
+    skipped.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
-    ledger.expanded_edges(with_values=value_weighted)  # build cache up front
-
-    def one_day(d: int) -> tuple[int, dict[str, float] | None]:
+    out: dict[str, dict[int, float]] = {m: {} for m in metrics}
+    for d in range(1, min(ledger.n_days, len(rankings))):
         focus = rankings[d - 1].truncated(focus_n)
         graph = build_day_graph(ledger, d, focus, value_weighted=value_weighted)
         if graph.n_nodes < 2:
-            return d, None
-        row: dict[str, float] = {}
+            continue
         for m in metrics:
             if m == "degree":
                 vec = degree_centrality(graph)
@@ -259,19 +254,5 @@ def dispersion_series(
                 vec = pagerank(graph, weighted_by_value=value_weighted)
             else:
                 raise ValueError(f"unknown metric {m!r}")
-            row[m] = dispersion(vec)
-        return d, row
-
-    days = range(1, min(ledger.n_days, len(rankings)))
-    out: dict[str, dict[int, float]] = {m: {} for m in metrics}
-    if jobs is not None and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(one_day, days))
-    else:
-        results = [one_day(d) for d in days]
-    for d, row in results:
-        if row is None:
-            continue
-        for m, v in row.items():
-            out[m][d] = v
+            out[m][d] = dispersion(vec)
     return out

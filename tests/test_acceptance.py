@@ -321,7 +321,7 @@ class TestAcceptance:
                     "--alpha", "0.9", "--out", str(chain)]) == 0
         assert run(["ingest", "-i", str(chain), "--store", store]) == 0
         args = ["report", "--store", store, "--tops", "10,20,40",
-                "--intervals", "1,3", "--focus", "20", "--jobs", "2"]
+                "--intervals", "1,3", "--focus", "20"]
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         assert run(args + ["--out", str(out1)]) == 0
         assert run(args + ["--out", str(out2)]) == 0
@@ -392,7 +392,7 @@ class TestAcceptance:
         t0 = time.perf_counter()
         with open(chain) as fp:
             parsed = parse_ledger(fp)
-        bundle = build_report(parsed, str(tmp_path / "report"), jobs=2)
+        bundle = build_report(parsed, str(tmp_path / "report"))
         elapsed = time.perf_counter() - t0
         report(
             11,

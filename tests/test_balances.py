@@ -9,7 +9,7 @@ from ledgerlens import (
     proportion_diff_series,
     top_n,
 )
-from ledgerlens.balances import proportion_series
+from ledgerlens.balances import proportion_series, snapshot_at
 from conftest import DAY, make_ledger, rec
 
 BTC = 10**8
@@ -47,6 +47,15 @@ class TestSnapshots:
     def test_conservation_every_day(self, simple_ledger):
         for snap in compute_snapshots(simple_ledger):
             assert int(snap.balances.sum()) + snap.fees_to_date == snap.total_supply
+
+    def test_snapshot_at_matches_walk(self, simple_ledger):
+        for snap in compute_snapshots(simple_ledger):
+            one = snapshot_at(simple_ledger, snap.day)
+            assert (one.balances == snap.balances).all()
+            assert (one.total_supply, one.fees_to_date) == (snap.total_supply, snap.fees_to_date)
+        for day in (-1, simple_ledger.n_days):
+            with pytest.raises(ValueError):
+                snapshot_at(simple_ledger, day)
 
     def test_incremental_equals_batch(self, simple_ledger):
         last = snapshots_list(simple_ledger)[-1]

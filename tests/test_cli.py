@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from ledgerlens import compute_snapshots, load_ledger
 from ledgerlens.cli import run
 from conftest import rec
 
@@ -68,8 +69,9 @@ class TestPipeline:
             assert r[3] == "competitive"
 
     def test_snapshot_and_proportions(self, store, tmp_path):
-        assert run(["snapshot", "--store", store]) == 0
-        assert (Path(store) / "snapshots.npz").exists()
+        assert run(["snapshot", "--store", store, "--dump-day", "29",
+                    "--out", str(tmp_path / "snap.csv")]) == 0
+        assert sorted(p.name for p in Path(store).iterdir()) == ["ledger.npz", "meta.json"]
         out = tmp_path / "prop.csv"
         assert run(["proportions", "--store", store, "--tops", "5,10",
                     "--out", str(out)]) == 0
@@ -117,7 +119,7 @@ class TestPipeline:
 class TestReport:
     def test_bundle_and_determinism(self, store, tmp_path):
         args = ["report", "--store", store, "--tops", "5,10,15",
-                "--intervals", "1,2", "--focus", "10", "--jobs", "2"]
+                "--intervals", "1,2", "--focus", "10"]
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
         assert run(args + ["--out", str(out1)]) == 0
         assert run(args + ["--out", str(out2)]) == 0
@@ -132,6 +134,20 @@ class TestReport:
         charts = {p.name for p in (out1 / "charts").iterdir()}
         assert {"proportions.svg", "cumulative_curve.svg", "d_static.svg",
                 "dispersion.svg", "hhi.svg", "d_hhi.svg"} <= charts
+
+    def test_stability_rows_unique(self, store, tmp_path):
+        # Focus 10 at interval 1 is also the tops series for N=10.
+        out = tmp_path / "rep"
+        assert run(["report", "--store", store, "--tops", "5,10,15",
+                    "--intervals", "1,2", "--focus", "10", "--no-charts",
+                    "--out", str(out)]) == 0
+        _, _, rows = read_csv(out / "stability.csv")
+        keys = [tuple(r[:4]) for r in rows]
+        assert len(keys) == len(set(keys))
+        assert {(r[1], r[2], r[3]) for r in rows} == {
+            (m, n, i) for m in ("spearman", "retention")
+            for n, i in (("10", "1"), ("10", "2"), ("5", "1"), ("15", "1"))
+        }
 
     def test_metadata_headers(self, store, tmp_path):
         out = tmp_path / "rep"
@@ -169,6 +185,24 @@ class TestAuxiliaryOutputs:
         _, header, rows = read_csv(out)
         assert header == ["address", "balance"]
         assert all(int(r[1]) > 0 for r in rows)
+
+    def test_snapshot_dump_day_matches_walk(self, store, tmp_path):
+        snaps = list(compute_snapshots(load_ledger(store)))
+        for snap in snaps:
+            out = tmp_path / f"balances{snap.day}.csv"
+            assert run(["snapshot", "--store", store, "--dump-day", str(snap.day),
+                        "--out", str(out)]) == 0
+            _, _, rows = read_csv(out)
+            assert {a: int(b) for a, b in rows} == snap.as_dict()
+            assert [a for a, _ in rows] == sorted(snap.as_dict())
+
+    def test_snapshot_day_out_of_range(self, store, tmp_path):
+        for day in ("30", "-1"):
+            assert run(["snapshot", "--store", store, "--dump-day", day,
+                        "--out", str(tmp_path / "b.csv")]) == 1
+
+    def test_snapshot_requires_dump_day(self, store, tmp_path):
+        assert run(["snapshot", "--store", store, "--out", str(tmp_path / "b.csv")]) == 1
 
     def test_proportions_long_format(self, store, tmp_path):
         out = tmp_path / "long.csv"
@@ -246,6 +280,17 @@ class TestExitCodes:
         bad = tmp_path / "bad.jsonl"
         bad.write_text("this is not json\n")
         assert run(["ingest", "-i", str(bad), "--store", str(tmp_path / "s")]) == 2
+
+    def test_value_beyond_int64_is_data_error(self, tmp_path):
+        big = tmp_path / "big.jsonl"
+        big.write_text(rec("a", 0, [], [["x", 2**63]]) + "\n")
+        assert run(["ingest", "-i", str(big), "--store", str(tmp_path / "s")]) == 2
+
+    def test_truncated_store_is_data_error(self, store, tmp_path):
+        npz = Path(store) / "ledger.npz"
+        data = npz.read_bytes()
+        npz.write_bytes(data[: len(data) // 2])
+        assert run(["dstatic", "--store", store, "--out", str(tmp_path / "d.csv")]) == 2
 
     def test_store_env_fallback(self, store, tmp_path, monkeypatch):
         monkeypatch.setenv("LEDGERLENS_STORE", store)

@@ -134,6 +134,30 @@ class TestParseErrors:
         with pytest.raises(ParseError, match="outputs"):
             make_ledger([rec("a", 0, [], [])])
 
+    def test_value_beyond_int64(self):
+        with pytest.raises(ParseError, match="2\\^63") as err:
+            make_ledger([rec("a", 0, [], [["x", 2**63]])])
+        assert err.value.line == 1
+
+    def test_merged_value_beyond_int64(self):
+        with pytest.raises(ParseError, match="2\\^63"):
+            make_ledger([rec("a", 0, [], [["x", 2**62], ["x", 2**62]])])
+
+    def test_transaction_total_beyond_int64(self):
+        lines = [
+            rec("c", 0, [], [["x", 2**62], ["y", 2**62 - 1]]),
+            rec("p", 1, [["x", 2**62], ["y", 2**62 - 1], ["z", 1]], [["w", 1]]),
+        ]
+        with pytest.raises(ParseError, match="total") as err:
+            make_ledger(lines)
+        assert err.value.line == 2
+
+    def test_minted_supply_beyond_int64(self):
+        lines = [rec(f"c{i}", i, [], [[f"m{i}", 2**62]]) for i in range(3)]
+        with pytest.raises(ParseError, match="minted") as err:
+            make_ledger(lines)
+        assert err.value.line == 2
+
     def test_blank_lines_skipped(self):
         ledger = make_ledger(["", rec("a", 0, [], [["x", 1]]), "  "])
         assert len(ledger) == 1

@@ -254,12 +254,6 @@ class TestHHISeries:
         series = hhi_series(ledger, "a1", stride=3)
         assert sorted(series.values) == [0, 3, 6]
 
-    def test_jobs_do_not_change_results(self):
-        ledger = two_clique_ledger()
-        serial = hhi_series(ledger, "a3")
-        threaded = hhi_series(ledger, "a3", jobs=4)
-        assert serial.values == threaded.values
-
 
 class TestDHHI:
     def test_hand_series(self):

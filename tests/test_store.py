@@ -3,7 +3,6 @@ import json
 import pytest
 
 from ledgerlens import (
-    SnapshotStore,
     StoreError,
     SynthConfig,
     compute_snapshots,
@@ -11,6 +10,7 @@ from ledgerlens import (
     load_ledger,
     save_ledger,
 )
+from ledgerlens.balances import snapshot_at
 from ledgerlens.store import load_meta
 from conftest import make_ledger
 
@@ -53,6 +53,24 @@ class TestLedgerStore:
         with pytest.raises(StoreError, match="corrupt"):
             load_ledger(store)
 
+    def test_truncated_ledger_file(self, ledger, tmp_path):
+        store = tmp_path / "store"
+        save_ledger(ledger, str(store))
+        npz = store / "ledger.npz"
+        data = npz.read_bytes()
+        npz.write_bytes(data[: len(data) // 2])
+        with pytest.raises(StoreError, match="unreadable"):
+            load_ledger(str(store))
+
+    def test_meta_without_epoch_names_meta(self, ledger, tmp_path):
+        store = tmp_path / "store"
+        save_ledger(ledger, str(store))
+        meta = json.loads((store / "meta.json").read_text())
+        del meta["epoch_start"]
+        (store / "meta.json").write_text(json.dumps(meta))
+        with pytest.raises(StoreError, match="epoch_start in meta.json"):
+            load_ledger(str(store))
+
     def test_empty_ledger_roundtrip(self, tmp_path):
         empty = make_ledger([])
         store = str(tmp_path / "store")
@@ -63,33 +81,16 @@ class TestLedgerStore:
 
 class TestSnapshotStore:
     @pytest.mark.parametrize("interval", [1, 3, 32])
-    def test_reconstruction_matches_direct(self, ledger, interval):
-        snaps = SnapshotStore.build(ledger, interval=interval)
-        for snap in compute_snapshots(ledger):
-            rebuilt = snaps.balances_at(snap.day)
-            assert (rebuilt == snap.balances).all()
-
-    def test_snapshot_at_carries_supply_and_fees(self, ledger):
-        snaps = SnapshotStore.build(ledger)
-        direct = list(compute_snapshots(ledger))[-1]
-        snap = snaps.snapshot_at(direct.day, ledger.addresses)
-        assert snap.total_supply == direct.total_supply
-        assert snap.fees_to_date == direct.fees_to_date
-
-    def test_save_load(self, ledger, tmp_path):
+    def test_reconstruction_matches_direct(self, ledger, tmp_path, interval):
+        # Snapshots replayed from a stored ledger, queried every `interval`
+        # days and on the last day, equal the walk of the in-memory ledger.
         store = str(tmp_path / "store")
         save_ledger(ledger, store)
-        snaps = SnapshotStore.build(ledger, interval=4)
-        snaps.save(store)
-        loaded = SnapshotStore.load(store)
-        for day in range(ledger.n_days):
-            assert (loaded.balances_at(day) == snaps.balances_at(day)).all()
-
-    def test_range_check(self, ledger):
-        snaps = SnapshotStore.build(ledger)
-        with pytest.raises(ValueError):
-            snaps.balances_at(ledger.n_days)
-
-    def test_checkpoint_spacing(self, ledger):
-        snaps = SnapshotStore.build(ledger, interval=4)
-        assert sorted(snaps.checkpoints) == [0, 4, 8]
+        loaded = load_ledger(store)
+        direct = list(compute_snapshots(ledger))
+        days = sorted(set(range(0, ledger.n_days, interval)) | {ledger.n_days - 1})
+        for day in days:
+            rebuilt = snapshot_at(loaded, day)
+            assert (rebuilt.balances == direct[day].balances).all()
+            assert rebuilt.total_supply == direct[day].total_supply
+            assert rebuilt.fees_to_date == direct[day].fees_to_date

@@ -218,10 +218,3 @@ class TestDispersionSeries:
         # Day 0 has no predecessor; day 1 graph exists.
         assert 0 not in series["degree"]
         assert 1 in series["degree"]
-
-    def test_jobs_do_not_change_results(self):
-        ledger = two_day_ledger()
-        rankings = compute_rankings(ledger, 100)
-        serial = dispersion_series(ledger, rankings, ("degree", "pagerank"))
-        threaded = dispersion_series(ledger, rankings, ("degree", "pagerank"), jobs=4)
-        assert serial == threaded
