@@ -5,7 +5,7 @@ net batch (only end-of-day state is defined), debiting inputs and crediting
 outputs; fees are the input/output difference and belong to no address.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -61,8 +61,6 @@ class Ranking:
     ids: np.ndarray
     balances: np.ndarray
     addresses: AddressTable | None = None
-    _members: frozenset = field(default=None, repr=False)
-    _tie_ranks: np.ndarray = field(default=None, repr=False)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -72,29 +70,16 @@ class Ranking:
         return [(names[i], int(b)) for i, b in zip(self.ids, self.balances)]
 
     def members(self) -> frozenset:
-        if self._members is None:
-            self._members = frozenset(int(i) for i in self.ids)
-        return self._members
+        return frozenset(int(i) for i in self.ids)
 
     def tie_ranks(self) -> np.ndarray:
         """1-based positions with tied balances averaged (fractional ranks)."""
-        if self._tie_ranks is None:
-            m = len(self.balances)
-            ranks = np.arange(1, m + 1, dtype=np.float64)
-            if m:
-                # Runs of equal balances share the mean of their positions.
-                boundaries = np.flatnonzero(np.diff(self.balances) != 0) + 1
-                starts = np.concatenate(([0], boundaries))
-                stops = np.concatenate((boundaries, [m]))
-                for s, e in zip(starts, stops):
-                    if e - s > 1:
-                        ranks[s:e] = 0.5 * (s + 1 + e)
-            self._tie_ranks = ranks
-        return self._tie_ranks
-
-    def rank_by_id(self) -> dict[int, float]:
-        ranks = self.tie_ranks()
-        return {int(i): float(r) for i, r in zip(self.ids, ranks)}
+        # Runs of equal balances share the mean of their positions: run
+        # [s, e) of 0-based positions gets (s + 1 + e) / 2.
+        boundaries = np.flatnonzero(np.diff(self.balances) != 0) + 1
+        starts = np.concatenate(([0], boundaries))
+        stops = np.concatenate((boundaries, [len(self.balances)]))
+        return np.repeat(0.5 * (starts + 1 + stops), stops - starts)
 
     def truncated(self, n: int) -> "Ranking":
         if n >= len(self.ids):

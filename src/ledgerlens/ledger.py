@@ -25,6 +25,9 @@ COINBASE = "COINBASE"
 # Values are stored as int64 base units; every merged value, per-transaction
 # total and the running minted supply must fit.
 MAX_VALUE = 2**63 - 1
+# Times (and an explicit epoch) are int64 seconds no earlier than the first
+# whole UTC day in int64, so the floored day-0 boundary is an int64 too.
+MIN_TIME = -(2**63 // SECONDS_PER_DAY) * SECONDS_PER_DAY
 
 
 class AddressTable:
@@ -169,6 +172,8 @@ def _validate_record(rec, line: int) -> tuple[str, int, list, list]:
     time = rec.get("time")
     if isinstance(time, bool) or not isinstance(time, int):
         raise ParseError(line, "missing or invalid time")
+    if not MIN_TIME <= time <= MAX_VALUE:
+        raise ParseError(line, f"time {time} outside [{MIN_TIME}, {MAX_VALUE}]")
     raw_in = rec.get("in")
     raw_out = rec.get("out")
     if not isinstance(raw_in, list) or not isinstance(raw_out, list):
@@ -422,6 +427,8 @@ def parse_ledger(stream: Iterable[str] | IO[str], epoch: int | None = None) -> L
     `epoch` optionally fixes the day-0 boundary (a UTC timestamp, floored to
     midnight); by default day 0 is the UTC day of the earliest transaction.
     """
+    if epoch is not None and not MIN_TIME <= epoch <= MAX_VALUE:
+        raise ValueError(f"epoch {epoch} outside [{MIN_TIME}, {MAX_VALUE}]")
     table = AddressTable()
     txids: list[str] = []
     seen: set[str] = set()

@@ -16,7 +16,8 @@ Schemes map addresses to "firms":
 
 Community detection defaults to deterministic weighted label propagation
 (node-id tie-breaking, optional seeded sweep order); greedy modularity
-maximization is available behind ``method="modularity"``.
+maximization is available behind ``method="modularity"``; it needs
+networkx, the optional ``modularity`` extra.
 """
 
 import os
@@ -122,6 +123,21 @@ def label_propagation(
         if lab not in groups or node < groups[lab]:
             groups[lab] = min(groups.get(lab, node), node)
     return {node: groups[labels[node]] for node in adj}
+
+
+def check_method(method: str) -> None:
+    """Reject an unknown detection method, or ``modularity`` when networkx
+    (the ``modularity`` extra) is not installed, before any day is computed."""
+    if method not in METHODS:
+        raise ValueError(f"unknown community detection method {method!r}")
+    if method == "modularity":
+        try:
+            import networkx  # noqa: F401
+        except ImportError:
+            raise ValueError(
+                "--method modularity needs networkx: "
+                "pip install 'ledgerlens[modularity]'"
+            ) from None
 
 
 def _modularity_communities(
@@ -237,11 +253,10 @@ def _detect(
     method: str,
     seed: int,
 ) -> dict[int, int]:
-    if method == "label_propagation":
-        return label_propagation(focus_ids.tolist(), pair_weights, seed=seed)
+    # `method` has passed check_method.
     if method == "modularity":
         return _modularity_communities(focus_ids.tolist(), pair_weights)
-    raise ValueError(f"unknown community detection method {method!r}")
+    return label_propagation(focus_ids.tolist(), pair_weights, seed=seed)
 
 
 def cluster(
@@ -262,6 +277,7 @@ def cluster(
     scheme = scheme.lower()
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
+    check_method(method)
     if snapshot is None:
         snapshot = snapshot_at(ledger, day)
     balances = snapshot.balances
@@ -322,6 +338,7 @@ def hhi_series(
         raise ValueError(f"unknown scheme {scheme!r}")
     if stride < 1:
         raise ValueError("stride must be >= 1")
+    check_method(method)
 
     eval_days = list(range(0, ledger.n_days, stride))
     if ledger.n_days and (ledger.n_days - 1) not in eval_days:

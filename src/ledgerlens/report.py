@@ -17,7 +17,7 @@ from . import __version__
 from .balances import adjacent_diff, compute_rankings, proportion_series
 from .ledger import Ledger
 from .lorenz import cumulative_curve, d_static_series
-from .market import d_hhi, hhi_series
+from .market import check_method, d_hhi, hhi_series
 from .stability import StabilitySeries, stability_series, summarize
 from .svg import box_plot, line_chart
 from .txgraph import dispersion_series
@@ -98,6 +98,7 @@ def build_report(
     inside the window are emitted.  Returns the JSON-serializable bundle
     that was written to report.json.
     """
+    check_method(method)
     os.makedirs(out_dir, exist_ok=True)
     params = {
         "tops": list(tops),

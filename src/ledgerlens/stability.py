@@ -7,6 +7,16 @@ one list are dropped by default (`mode="intersection"`); `mode="penalized"`
 keeps the union and assigns absentees rank len(list)+1.  Pairs with fewer
 than two usable members, or with no rank variance, yield None rather than a
 number.
+
+Both measures run on one array kernel.  A series turns each day's top-N
+list once into its ids in ascending order and their tie ranks, taken on
+the truncated balances (a tie run cut at N averages only the kept
+positions).  A day pair is then a sorted-set operation: `np.intersect1d`
+gives the shared ids and their positions in both lists (intersection
+Spearman, retention), and `np.union1d` with `searchsorted` places both lists
+in their union (penalized Spearman).  The rank vectors reach the Pearson
+step in ascending id order, so every float sum is made in a fixed order.
+`spearman` and `retention` are thin wrappers over the same kernel.
 """
 
 from dataclasses import dataclass
@@ -66,6 +76,49 @@ def _pearson(x: np.ndarray, y: np.ndarray) -> float | None:
     return min(1.0, max(-1.0, r))
 
 
+def _side(ranking: Ranking, n: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """One list of a pair: its ids (truncated to n) in ascending order, and
+    the tie ranks of those ids within the truncated list."""
+    if n is not None:
+        ranking = ranking.truncated(n)
+    order = np.argsort(ranking.ids)
+    return ranking.ids[order], ranking.tie_ranks()[order]
+
+
+def _spearman_pair(
+    a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray], mode: str
+) -> float | None:
+    (a_ids, a_ranks), (b_ids, b_ranks) = a, b
+    if mode == "intersection":
+        common, ia, ib = np.intersect1d(a_ids, b_ids, assume_unique=True,
+                                        return_indices=True)
+        if len(common) < 2:
+            return None
+        x = a_ranks[ia]
+        y = b_ranks[ib]
+    else:
+        universe = np.union1d(a_ids, b_ids)
+        if len(universe) < 2:
+            return None
+        x = np.full(len(universe), float(len(a_ids) + 1))
+        y = np.full(len(universe), float(len(b_ids) + 1))
+        x[np.searchsorted(universe, a_ids)] = a_ranks
+        y[np.searchsorted(universe, b_ids)] = b_ranks
+    return _pearson(x, y)
+
+
+def _retention_pair(a_ids: np.ndarray, b_ids: np.ndarray) -> float:
+    denom = max(len(a_ids), len(b_ids))
+    if denom == 0:
+        return 1.0
+    return len(np.intersect1d(a_ids, b_ids, assume_unique=True)) / denom
+
+
+def _check_mode(mode: str) -> None:
+    if mode not in SPEARMAN_MODES:
+        raise ValueError(f"unknown spearman mode {mode!r}")
+
+
 def spearman(
     rank_a: Ranking, rank_b: Ranking, mode: str = "intersection"
 ) -> float | None:
@@ -75,27 +128,10 @@ def spearman(
     (average ranks on tied balances).  Undefined cases: fewer than two
     shared members, or zero rank variance on either side.
     """
-    if mode not in SPEARMAN_MODES:
-        raise ValueError(f"unknown spearman mode {mode!r}")
+    _check_mode(mode)
     if not len(rank_a) or not len(rank_b):
         raise ValueError("rankings must be non-empty")
-    ra = rank_a.rank_by_id()
-    rb = rank_b.rank_by_id()
-    if mode == "intersection":
-        common = sorted(rank_a.members() & rank_b.members())
-        if len(common) < 2:
-            return None
-        x = np.array([ra[i] for i in common])
-        y = np.array([rb[i] for i in common])
-    else:
-        universe = sorted(rank_a.members() | rank_b.members())
-        if len(universe) < 2:
-            return None
-        pa = float(len(rank_a) + 1)
-        pb = float(len(rank_b) + 1)
-        x = np.array([ra.get(i, pa) for i in universe])
-        y = np.array([rb.get(i, pb) for i in universe])
-    return _pearson(x, y)
+    return _spearman_pair(_side(rank_a), _side(rank_b), mode)
 
 
 def retention(rank_a: Ranking, rank_b: Ranking, n: int) -> float:
@@ -107,12 +143,7 @@ def retention(rank_a: Ranking, rank_b: Ranking, n: int) -> float:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    a = rank_a.truncated(n).members()
-    b = rank_b.truncated(n).members()
-    denom = max(len(a), len(b))
-    if denom == 0:
-        return 1.0
-    return len(a & b) / denom
+    return _retention_pair(_side(rank_a, n)[0], _side(rank_b, n)[0])
 
 
 def stability_series(
@@ -125,23 +156,26 @@ def stability_series(
     """Per-day stability between day d and day d+interval.
 
     The series covers every day d where both endpoints have rankings; an
-    interval longer than the history yields an empty series.
+    interval longer than the history yields an empty series.  A Spearman
+    pair with an empty list is None.
     """
     if interval < 1:
         raise ValueError("interval must be >= 1")
     if metric not in ("spearman", "retention"):
         raise ValueError(f"unknown stability metric {metric!r}")
+    if metric == "spearman":
+        _check_mode(mode)
+    # Each day's side is built once and serves both pairs it belongs to.
+    sides = [_side(r, n) for r in rankings]
     values: dict[int, float | None] = {}
     for d in range(len(rankings) - interval):
-        a = rankings[d].truncated(n)
-        b = rankings[d + interval].truncated(n)
+        a, b = sides[d], sides[d + interval]
         if metric == "retention":
-            values[d] = retention(a, b, n)
+            values[d] = _retention_pair(a[0], b[0])
+        elif not len(a[0]) or not len(b[0]):
+            values[d] = None
         else:
-            if not len(a) or not len(b):
-                values[d] = None
-            else:
-                values[d] = spearman(a, b, mode)
+            values[d] = _spearman_pair(a, b, mode)
     return StabilitySeries(metric, n, interval, values)
 
 

@@ -54,20 +54,14 @@ def content_hash(ledger: Ledger) -> str:
 
 
 def save_ledger(ledger: Ledger, store_dir: str) -> dict:
-    """Write the binary ledger cache and meta.json; returns the meta dict."""
+    """Write the binary ledger cache and meta.json; returns the meta dict.
+
+    Both files are written under temporary names first.  meta.json is then
+    removed, ledger.npz moved into place and meta.json moved in last, so an
+    interrupted save leaves the earlier store or no store (no meta.json),
+    never a meta.json beside a ledger.npz it does not describe.
+    """
     os.makedirs(store_dir, exist_ok=True)
-    np.savez(
-        os.path.join(store_dir, _LEDGER),
-        times=ledger.times,
-        in_ptr=ledger.in_ptr,
-        in_addr=ledger.in_addr,
-        in_val=ledger.in_val,
-        out_ptr=ledger.out_ptr,
-        out_addr=ledger.out_addr,
-        out_val=ledger.out_val,
-        txids=_pack_strings(ledger.txids),
-        addresses=_pack_strings(ledger.addresses.names),
-    )
     meta = {
         "store_version": STORE_VERSION,
         "transactions": len(ledger),
@@ -77,9 +71,33 @@ def save_ledger(ledger: Ledger, store_dir: str) -> dict:
         "out_of_order": ledger.out_of_order,
         "content_hash": content_hash(ledger),
     }
-    with open(os.path.join(store_dir, _META), "w") as fp:
-        json.dump(meta, fp, indent=2, sort_keys=True)
-        fp.write("\n")
+    final = {name: os.path.join(store_dir, name) for name in (_LEDGER, _META)}
+    tmp = {name: os.path.join(store_dir, f".{name}.{os.getpid()}.tmp") for name in final}
+    try:
+        with open(tmp[_LEDGER], "wb") as fp:
+            np.savez(
+                fp,
+                times=ledger.times,
+                in_ptr=ledger.in_ptr,
+                in_addr=ledger.in_addr,
+                in_val=ledger.in_val,
+                out_ptr=ledger.out_ptr,
+                out_addr=ledger.out_addr,
+                out_val=ledger.out_val,
+                txids=_pack_strings(ledger.txids),
+                addresses=_pack_strings(ledger.addresses.names),
+            )
+        with open(tmp[_META], "w") as fp:
+            json.dump(meta, fp, indent=2, sort_keys=True)
+            fp.write("\n")
+        if os.path.exists(final[_META]):
+            os.unlink(final[_META])
+        os.replace(tmp[_LEDGER], final[_LEDGER])
+        os.replace(tmp[_META], final[_META])
+    finally:
+        for path in tmp.values():
+            if os.path.exists(path):
+                os.unlink(path)
     return meta
 
 
@@ -87,8 +105,13 @@ def load_meta(store_dir: str) -> dict:
     path = os.path.join(store_dir, _META)
     if not os.path.exists(path):
         raise StoreError(f"no store at {store_dir!r} (missing {_META})")
-    with open(path) as fp:
-        meta = json.load(fp)
+    try:
+        with open(path, encoding="utf-8") as fp:
+            meta = json.load(fp)
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise StoreError(f"store at {store_dir!r} has an unreadable {_META} ({exc})") from exc
+    if not isinstance(meta, dict):
+        raise StoreError(f"store at {store_dir!r} has an unreadable {_META} (not a JSON object)")
     if meta.get("store_version") != STORE_VERSION:
         raise StoreError(
             f"store version {meta.get('store_version')!r} unsupported "
@@ -132,6 +155,6 @@ def load_ledger(store_dir: str) -> Ledger:
             )
     except (zipfile.BadZipFile, EOFError, KeyError, OSError, ValueError) as exc:
         raise StoreError(f"store at {store_dir!r} has an unreadable {_LEDGER} ({exc})") from exc
-    if content_hash(ledger) != meta["content_hash"]:
+    if content_hash(ledger) != meta.get("content_hash"):
         raise StoreError(f"store at {store_dir!r} is corrupt (hash mismatch)")
     return ledger

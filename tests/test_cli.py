@@ -1,4 +1,5 @@
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -285,6 +286,29 @@ class TestExitCodes:
         big = tmp_path / "big.jsonl"
         big.write_text(rec("a", 0, [], [["x", 2**63]]) + "\n")
         assert run(["ingest", "-i", str(big), "--store", str(tmp_path / "s")]) == 2
+
+    def test_time_beyond_int64_is_data_error(self, tmp_path):
+        big = tmp_path / "late.jsonl"
+        big.write_text(rec("a", 2**63, [], [["x", 5]]) + "\n")
+        assert run(["ingest", "-i", str(big), "--store", str(tmp_path / "s")]) == 2
+
+    def test_truncated_meta_is_data_error(self, store, tmp_path, capsys):
+        meta = Path(store) / "meta.json"
+        meta.write_bytes(meta.read_bytes()[:40])
+        assert run(["dstatic", "--store", store, "--out", str(tmp_path / "d.csv")]) == 2
+        assert "meta.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["hhi", "--scheme", "a2"], ["report"]],
+                             ids=["hhi", "report"])
+    def test_modularity_without_networkx(self, store, tmp_path, monkeypatch, capsys, command):
+        # One line naming the extra, before any output is written.
+        monkeypatch.setitem(sys.modules, "networkx", None)
+        out = tmp_path / "out"
+        assert run(command + ["--store", store, "--method", "modularity",
+                              "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "ledgerlens[modularity]" in err
+        assert not out.exists()
 
     def test_truncated_store_is_data_error(self, store, tmp_path):
         npz = Path(store) / "ledger.npz"

@@ -130,6 +130,23 @@ class TestParseErrors:
                 rec("a", 5, [], [["y", 1]]),
             ])
 
+    @pytest.mark.parametrize("time", [2**63, 10**30, -(2**63), -(2**63) + 1])
+    def test_time_outside_int64_days(self, time):
+        # Times must be int64 and no earlier than the first whole UTC day in
+        # int64, so that the floored day-0 boundary stays an int64.
+        with pytest.raises(ParseError, match="time") as err:
+            make_ledger([rec("c", 0, [], [["x", 1]]), rec("a", time, [], [["y", 5]])])
+        assert err.value.line == 2
+
+    def test_time_bounds_accepted(self):
+        first_day = -(2**63 // DAY) * DAY
+        assert make_ledger([rec("a", 2**63 - 1, [], [["x", 5]])]).n_days == 1
+        assert make_ledger([rec("a", first_day, [], [["x", 5]])]).n_days == 1
+
+    def test_epoch_outside_int64_is_usage_error(self):
+        with pytest.raises(ValueError, match="epoch"):
+            make_ledger([rec("a", 0, [], [["x", 5]])], epoch=-(10**20))
+
     def test_missing_outputs(self):
         with pytest.raises(ParseError, match="outputs"):
             make_ledger([rec("a", 0, [], [])])

@@ -12,6 +12,7 @@ from ledgerlens import (
     summarize,
 )
 from ledgerlens.balances import Ranking
+from ledgerlens.stability import _pearson
 from conftest import make_ledger, rec
 from oracles import average_ranks, pearson_fsum
 
@@ -41,6 +42,130 @@ def oracle_spearman(rank_a, rank_b):
     if len(common) < 2:
         return None
     return pearson_fsum([ra[i] for i in common], [rb[i] for i in common])
+
+
+# Reference stability: the per-pair algorithm on Python sets and {id: rank}
+# dicts that the array kernel replaced.  Same arithmetic (`_pearson` on
+# ascending-id vectors), so the kernel must match it exactly.
+
+def ref_tie_ranks(balances):
+    m = len(balances)
+    ranks = np.arange(1, m + 1, dtype=np.float64)
+    if m:
+        boundaries = np.flatnonzero(np.diff(balances) != 0) + 1
+        starts = np.concatenate(([0], boundaries))
+        stops = np.concatenate((boundaries, [m]))
+        for s, e in zip(starts, stops):
+            if e - s > 1:
+                ranks[s:e] = 0.5 * (s + 1 + e)
+    return ranks
+
+
+def ref_rank_by_id(ranking):
+    return {int(i): float(r) for i, r in zip(ranking.ids, ref_tie_ranks(ranking.balances))}
+
+
+def ref_spearman(rank_a, rank_b, mode):
+    ra = ref_rank_by_id(rank_a)
+    rb = ref_rank_by_id(rank_b)
+    if mode == "intersection":
+        common = sorted(set(ra) & set(rb))
+        if len(common) < 2:
+            return None
+        x = np.array([ra[i] for i in common])
+        y = np.array([rb[i] for i in common])
+    else:
+        universe = sorted(set(ra) | set(rb))
+        if len(universe) < 2:
+            return None
+        pa = float(len(rank_a) + 1)
+        pb = float(len(rank_b) + 1)
+        x = np.array([ra.get(i, pa) for i in universe])
+        y = np.array([rb.get(i, pb) for i in universe])
+    return _pearson(x, y)
+
+
+def ref_series(rankings, n, interval, metric, mode):
+    values = {}
+    for d in range(len(rankings) - interval):
+        a = rankings[d].truncated(n)
+        b = rankings[d + interval].truncated(n)
+        if metric == "retention":
+            ma = {int(i) for i in a.ids}
+            mb = {int(i) for i in b.ids}
+            denom = max(len(ma), len(mb))
+            values[d] = 1.0 if denom == 0 else len(ma & mb) / denom
+        elif not len(a) or not len(b):
+            values[d] = None
+        else:
+            values[d] = ref_spearman(a, b, mode)
+    return values
+
+
+# One day's ranking: distinct ids from a small pool (so lists overlap) with
+# balances from a small range (so tie runs are common and cross the cut).
+day_rankings = st.dictionaries(st.integers(0, 25), st.integers(1, 4), max_size=14)
+
+
+class TestKernelMatchesReference:
+    @given(
+        days=st.lists(day_rankings, min_size=0, max_size=7),
+        n=st.integers(1, 16),
+        interval=st.integers(1, 9),
+        kind=st.sampled_from([("spearman", "intersection"), ("spearman", "penalized"),
+                              ("retention", "intersection")]),
+    )
+    def test_series_equals_reference(self, days, n, interval, kind):
+        metric, mode = kind
+        rankings = [mk_ranking(list(d), list(d.values()), day=i) for i, d in enumerate(days)]
+        got = stability_series(rankings, n, interval, metric, mode)
+        assert got.values == ref_series(rankings, n, interval, metric, mode)
+
+    @given(a=day_rankings, b=day_rankings,
+           mode=st.sampled_from(["intersection", "penalized"]))
+    def test_public_spearman_equals_reference(self, a, b, mode):
+        ra = mk_ranking(list(a), list(a.values()))
+        rb = mk_ranking(list(b), list(b.values()))
+        if not len(ra) or not len(rb):
+            return
+        assert spearman(ra, rb, mode) == ref_spearman(ra, rb, mode)
+
+    def test_tie_run_cut_by_truncation(self):
+        # Day 0 ranks ids 1, 2, 3 as 1, 2, 3.5 in full but 1, 2, 3 in its
+        # top 3; the series ranks the truncated lists: x = [1, 2, 3] against
+        # y = [3, 1, 2] gives exactly -0.5 (full-list ranks would not).
+        day0 = Ranking(0, 4, np.array([1, 2, 3, 4]), np.array([9, 8, 5, 5]))
+        day1 = Ranking(1, 3, np.array([2, 3, 1]), np.array([9, 8, 1]))
+        for mode in ("intersection", "penalized"):
+            got = stability_series([day0, day1], 3, 1, "spearman", mode).values
+            assert got == ref_series([day0, day1], 3, 1, "spearman", mode)
+        assert stability_series([day0, day1], 3, 1, "spearman").values == {0: -0.5}
+
+    def test_empty_and_one_member_lists(self):
+        empty = Ranking(0, 5, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
+        one = mk_ranking([4], [7])
+        rankings = [empty, one, one, empty, empty]
+        for mode in ("intersection", "penalized"):
+            got = stability_series(rankings, 5, 1, "spearman", mode).values
+            assert got == {0: None, 1: None, 2: None, 3: None}
+        assert stability_series(rankings, 5, 1, "retention").values == {
+            0: 0.0, 1: 1.0, 2: 0.0, 3: 1.0}
+
+    def test_interval_longer_than_history(self):
+        rankings = [mk_ranking([1, 2], [5, 3], day=d) for d in range(3)]
+        for metric in ("spearman", "retention"):
+            assert stability_series(rankings, 2, 3, metric).values == {}
+            assert stability_series(rankings, 2, 50, metric).values == {}
+
+    @given(runs=st.lists(st.integers(1, 4), max_size=12))
+    def test_tie_ranks_match_loop(self, runs):
+        # Non-increasing balances built from run lengths: one run per value.
+        balances = np.repeat(np.arange(len(runs), 0, -1), runs).astype(np.int64)
+        ranking = Ranking(0, len(balances), np.arange(len(balances)), balances)
+        got = ranking.tie_ranks()
+        want = ref_tie_ranks(balances)
+        assert got.dtype == np.float64
+        assert got.tolist() == want.tolist()
 
 
 class TestSpearman:

@@ -1,5 +1,7 @@
 import json
+import os
 
+import numpy as np
 import pytest
 
 from ledgerlens import (
@@ -12,7 +14,7 @@ from ledgerlens import (
 )
 from ledgerlens.balances import snapshot_at
 from ledgerlens.store import load_meta
-from conftest import make_ledger
+from conftest import make_ledger, rec
 
 
 @pytest.fixture
@@ -62,6 +64,15 @@ class TestLedgerStore:
         with pytest.raises(StoreError, match="unreadable"):
             load_ledger(str(store))
 
+    def test_meta_without_hash_is_corrupt(self, ledger, tmp_path):
+        store = tmp_path / "store"
+        save_ledger(ledger, str(store))
+        meta = json.loads((store / "meta.json").read_text())
+        del meta["content_hash"]
+        (store / "meta.json").write_text(json.dumps(meta))
+        with pytest.raises(StoreError, match="corrupt"):
+            load_ledger(str(store))
+
     def test_meta_without_epoch_names_meta(self, ledger, tmp_path):
         store = tmp_path / "store"
         save_ledger(ledger, str(store))
@@ -69,6 +80,62 @@ class TestLedgerStore:
         del meta["epoch_start"]
         (store / "meta.json").write_text(json.dumps(meta))
         with pytest.raises(StoreError, match="epoch_start in meta.json"):
+            load_ledger(str(store))
+
+    @pytest.mark.parametrize("content", [None, b"[1, 2]", b"\xff\xfe{"],
+                             ids=["truncated", "not_object", "not_utf8"])
+    def test_unreadable_meta_names_meta(self, ledger, tmp_path, content):
+        # None: meta.json cut to 40 bytes.
+        store = tmp_path / "store"
+        save_ledger(ledger, str(store))
+        meta = store / "meta.json"
+        meta.write_bytes(meta.read_bytes()[:40] if content is None else content)
+        with pytest.raises(StoreError, match="unreadable meta.json"):
+            load_ledger(str(store))
+
+    def test_save_leaves_only_store_files(self, ledger, tmp_path):
+        store = tmp_path / "store"
+        save_ledger(ledger, str(store))
+        save_ledger(ledger, str(store))
+        assert sorted(os.listdir(store)) == ["ledger.npz", "meta.json"]
+
+    def test_interrupted_npz_write_keeps_previous_store(self, ledger, tmp_path, monkeypatch):
+        store = tmp_path / "store"
+        save_ledger(ledger, str(store))
+        before = {name: (store / name).read_bytes() for name in os.listdir(store)}
+        other = make_ledger([rec("c0", 0, [], [["x", 5]])])
+
+        def savez_then_fail(fp, **arrays):
+            fp.write(b"PK\x03\x04 half an archive")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez", savez_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            save_ledger(other, str(store))
+        monkeypatch.undo()
+        assert {name: (store / name).read_bytes() for name in os.listdir(store)} == before
+        assert load_ledger(str(store)).canonical_bytes() == ledger.canonical_bytes()
+
+    def test_interrupted_move_leaves_no_store(self, ledger, tmp_path, monkeypatch):
+        # Interrupted between moving ledger.npz and meta.json into place: the
+        # directory reads as no store, not as the old meta.json beside the
+        # new ledger.npz.
+        store = tmp_path / "store"
+        save_ledger(ledger, str(store))
+        other = make_ledger([rec("c0", 0, [], [["x", 5]])])
+        real_replace = os.replace
+
+        def replace(src, dst):
+            if os.path.basename(dst) == "meta.json":
+                raise KeyboardInterrupt
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace)
+        with pytest.raises(KeyboardInterrupt):
+            save_ledger(other, str(store))
+        monkeypatch.undo()
+        assert os.listdir(store) == ["ledger.npz"]
+        with pytest.raises(StoreError, match="no store"):
             load_ledger(str(store))
 
     def test_empty_ledger_roundtrip(self, tmp_path):
