@@ -253,13 +253,18 @@ def _cmd_dispersion(args) -> int:
 def _cmd_hhi(args) -> int:
     store = _store_dir(args)
     ledger = load_ledger(store)
+    if args.dhhi and args.scheme != "a3":
+        raise ValueError("--dhhi requires --scheme a3")
+    if (args.partition_day is None) != (args.partition_out is None):
+        raise ValueError("--partition-day and --partition-out go together")
+    if args.partition_day is not None and not 0 <= args.partition_day < ledger.n_days:
+        raise ValueError(f"--partition-day {args.partition_day} outside ledger range")
     series = hhi_series(
-        ledger, args.scheme, focus_n=args.focus, method=args.method,
-        seed=args.seed, stride=args.stride,
+        ledger, args.scheme, focus_n=args.focus, method=args.method, seed=args.seed,
     )
     cfg = config_hash({
         "cmd": "hhi", "scheme": args.scheme, "focus": args.focus,
-        "method": args.method, "seed": args.seed, "stride": args.stride,
+        "method": args.method, "seed": args.seed,
         "day_range": list(args.day_range) if args.day_range else None,
         "store": load_meta(store)["content_hash"],
     })
@@ -268,11 +273,9 @@ def _cmd_hhi(args) -> int:
     _emit_csv(args.out, ["day", "scheme", "hhi", "class"],
               _window(rows, args.day_range), cfg)
     if args.dhhi:
-        if args.scheme != "a3":
-            raise ValueError("--dhhi requires --scheme a3")
         _emit_csv(args.dhhi, ["day", "d_hhi"],
                   _window(sorted(d_hhi(series).items()), args.day_range), cfg)
-    if args.partition_out and args.partition_day is not None:
+    if args.partition_day is not None:
         clustering = cluster(ledger, args.partition_day, args.scheme,
                              focus_n=args.focus, method=args.method, seed=args.seed)
         write_json(args.partition_out, {
@@ -297,7 +300,6 @@ def _cmd_report(args) -> int:
         scaling=args.scaling,
         curve_day=args.curve_day,
         method=args.method,
-        stride=args.stride,
         value_weighted=args.value_weighted,
         day_range=args.day_range,
         store_hash=load_meta(store)["content_hash"],
@@ -404,7 +406,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--method", choices=("label_propagation", "modularity"),
                    default="label_propagation")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--stride", type=int, default=1)
     p.add_argument("--dhhi", default=None,
                    help="also write the dynamic decentralization series (a3 only)")
     p.add_argument("--partition-day", type=int, default=None)
@@ -424,7 +425,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--scaling", type=int, choices=(1, 2), default=2)
     p.add_argument("--method", choices=("label_propagation", "modularity"),
                    default="label_propagation")
-    p.add_argument("--stride", type=int, default=1)
     p.add_argument("--curve-day", type=int, default=None)
     p.add_argument("--value-weighted", action="store_true")
     p.add_argument("--no-charts", action="store_true")

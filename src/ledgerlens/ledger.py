@@ -28,6 +28,11 @@ MAX_VALUE = 2**63 - 1
 # Times (and an explicit epoch) are int64 seconds no earlier than the first
 # whole UTC day in int64, so the floored day-0 boundary is an int64 too.
 MIN_TIME = -(2**63 // SECONDS_PER_DAY) * SECONDS_PER_DAY
+# Largest day span (day-0 boundary through the latest transaction) a ledger
+# may cover: about 274 years, against about 6 300 days of Bitcoin history.
+# Per-day arrays are allocated for the whole span, so a wider one is a
+# data error rather than a huge allocation or a wrapped int64 day index.
+MAX_DAYS = 100_000
 
 
 class AddressTable:
@@ -242,9 +247,12 @@ class Ledger:
             epoch_start = int(times[0]) // SECONDS_PER_DAY * SECONDS_PER_DAY
         if int(times[0]) < epoch_start:
             raise LedgerError("transaction precedes the configured epoch")
+        n_days = (int(times[-1]) - epoch_start) // SECONDS_PER_DAY + 1
+        if n_days > MAX_DAYS:
+            raise LedgerError(f"ledger spans {n_days} days, more than {MAX_DAYS}")
         self.epoch_start = epoch_start
         self.days = (times - epoch_start) // SECONDS_PER_DAY
-        self.n_days = int(self.days[-1]) + 1
+        self.n_days = n_days
         # Transaction range per day: tx i belongs to day d iff
         # _day_tx_ptr[d] <= i < _day_tx_ptr[d+1].
         self._day_tx_ptr = np.searchsorted(

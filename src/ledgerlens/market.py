@@ -20,14 +20,16 @@ maximization is available behind ``method="modularity"``; it needs
 networkx, the optional ``modularity`` extra.
 """
 
-import os
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
 # `_apply_day` is not called here; it stays importable under this module's
-# name because the benchmark's tracer (bench/tracer.py) wraps it here.
+# name because the benchmark's tracer (bench/tracer.py) wraps it here.  For
+# the same reason `rank_balances`, `label_propagation` and
+# `_focus_pair_weights` (whose `ledger` and `day` arguments the tracer
+# reads) are called through this module's globals, never bound locally.
 from .balances import BalanceSnapshot, Ranking, _apply_day, _replay, rank_balances, snapshot_at
 from .ledger import Ledger
 
@@ -184,12 +186,6 @@ class EntityClustering:
     entity_ids: np.ndarray
     has_specials: bool = False
 
-    def entity_of(self, address_id: int) -> int:
-        idx = np.flatnonzero(self.address_ids == address_id)
-        if len(idx):
-            return int(self.entity_ids[idx[0]])
-        return V_O_LABEL if self.has_specials else int(address_id)
-
     def entities(self) -> dict[int, list[int]]:
         out: dict[int, list[int]] = {}
         for a, e in zip(self.address_ids, self.entity_ids):
@@ -218,45 +214,67 @@ class EntityClustering:
         return {names[a]: int(e) for a, e in zip(self.address_ids, self.entity_ids)}
 
 
+class _PairIndex:
+    """Undirected edge counts between the addresses of a focus union, by day.
+
+    Built once from the whole ledger: only edges with both endpoints in
+    `focus_ids` are kept, self-pairs are dropped, and each remaining edge is
+    stamped ``pair * n_days + day`` against the sorted unique pair keys.  The
+    cumulative (day 0..t) count of a pair is then two binary searches.
+    """
+
+    def __init__(self, ledger: Ledger, focus_ids: np.ndarray):
+        self.ids = np.unique(focus_ids)
+        self.n_days = ledger.n_days
+        edges = ledger.expanded_edges()
+        lut = np.zeros(len(ledger.addresses), dtype=bool)
+        lut[self.ids] = True
+        keep = lut[edges.src] & lut[edges.dst] & (edges.src != edges.dst)
+        src, dst = edges.src[keep], edges.dst[keep]
+        lo = np.searchsorted(self.ids, np.minimum(src, dst))
+        hi = np.searchsorted(self.ids, np.maximum(src, dst))
+        self.keys, pair = np.unique(lo * len(self.ids) + hi, return_inverse=True)
+        self.stamps = np.sort(pair * self.n_days + edges.day[keep])
+
+
 def _focus_pair_weights(
-    ledger: Ledger, day: int, focus_ids: np.ndarray
+    ledger: Ledger, day: int, focus_ids: np.ndarray, pairs: _PairIndex
 ) -> list[tuple[int, int, float]]:
-    """Multiplicity weights of cumulative (day 0..day) edges between focus
-    addresses, folded to undirected pairs."""
-    edges = ledger.expanded_edges()
-    hi = int(edges.day_ptr[day + 1])
-    src = edges.src[:hi]
-    dst = edges.dst[:hi]
-    lut = np.zeros(len(ledger.addresses), dtype=bool)
-    lut[focus_ids] = True
-    mask = lut[src] & lut[dst]
-    src, dst = src[mask], dst[mask]
-    if not len(src):
+    """Multiplicity weights of cumulative (day 0..day) edges between the
+    sorted `focus_ids`, folded to undirected pairs in ascending (lo, hi)
+    order.  `focus_ids` must lie inside the union `pairs` was built from."""
+    if not len(pairs.keys):
         return []
-    lo = np.minimum(src, dst)
-    hi_ = np.maximum(src, dst)
-    keep = lo != hi_
-    lo, hi_ = lo[keep], hi_[keep]
-    if not len(lo):
-        return []
-    span = int(hi_.max()) + 1
-    packed = lo * span + hi_
-    uniq, counts = np.unique(packed, return_counts=True)
-    return [
-        (int(p // span), int(p % span), float(c)) for p, c in zip(uniq, counts)
-    ]
+    i, j = np.triu_indices(len(focus_ids), 1)
+    pos = np.searchsorted(pairs.ids, focus_ids)
+    key = pos[i] * len(pairs.ids) + pos[j]
+    at = np.minimum(np.searchsorted(pairs.keys, key), len(pairs.keys) - 1)
+    found = pairs.keys[at] == key
+    i, j, base = i[found], j[found], at[found] * pairs.n_days
+    counts = (np.searchsorted(pairs.stamps, base + day, side="right")
+              - np.searchsorted(pairs.stamps, base))
+    nz = counts > 0
+    return list(zip(focus_ids[i[nz]].tolist(), focus_ids[j[nz]].tolist(),
+                    counts[nz].astype(np.float64).tolist()))
 
 
-def _detect(
+def _focus_labels(
+    ledger: Ledger,
+    day: int,
     focus_ids: np.ndarray,
-    pair_weights: list[tuple[int, int, float]],
+    pairs: _PairIndex,
     method: str,
     seed: int,
-) -> dict[int, int]:
-    # `method` has passed check_method.
+) -> list[int]:
+    """Firm label of each of the sorted `focus_ids` on `day`: communities of
+    the cumulative focus graph.  `method` has passed check_method."""
+    pair_weights = _focus_pair_weights(ledger, day, focus_ids, pairs)
+    nodes = focus_ids.tolist()
     if method == "modularity":
-        return _modularity_communities(focus_ids.tolist(), pair_weights)
-    return label_propagation(focus_ids.tolist(), pair_weights, seed=seed)
+        labels = _modularity_communities(nodes, pair_weights)
+    else:
+        labels = label_propagation(nodes, pair_weights, seed=seed)
+    return [labels[i] for i in nodes]
 
 
 def cluster(
@@ -267,7 +285,6 @@ def cluster(
     method: str = "label_propagation",
     seed: int = 0,
     snapshot: BalanceSnapshot | None = None,
-    ranking: Ranking | None = None,
 ) -> EntityClustering:
     """Partition addresses into firms for one day under a scheme.
 
@@ -285,12 +302,10 @@ def cluster(
         funded = np.flatnonzero(balances > 0)
         return EntityClustering(day, scheme, funded, funded.copy())
 
-    if ranking is None:
-        ranking = rank_balances(balances, focus_n, ledger.addresses, day)
-    focus_ids = np.sort(ranking.ids)
-    pair_weights = _focus_pair_weights(ledger, day, focus_ids)
-    labels = _detect(focus_ids, pair_weights, method, seed)
-    focus_entities = np.asarray([labels[int(i)] for i in focus_ids], dtype=np.int64)
+    focus_ids = np.sort(rank_balances(balances, focus_n, ledger.addresses, day).ids)
+    labels = _focus_labels(ledger, day, focus_ids, _PairIndex(ledger, focus_ids),
+                           method, seed)
+    focus_entities = np.asarray(labels, dtype=np.int64)
 
     if scheme == "a3":
         return EntityClustering(day, scheme, focus_ids, focus_entities, has_specials=True)
@@ -319,92 +334,68 @@ def hhi_series(
     focus_n: int = 100,
     method: str = "label_propagation",
     seed: int = 0,
-    stride: int = 1,
     rankings: Sequence[Ranking] | None = None,
 ) -> HHISeries:
     """Daily HHI under one clustering scheme.
 
     Entity holdings are day-end balances; the share base is the total minted
-    supply of the day.  `stride` evaluates every stride-th day (the
-    cumulative-graph scan makes per-day evaluation quadratic in history
-    length).  Days with no minted supply are skipped.  A2/A3 days run on a
-    thread pool with one worker per CPU, which measured faster than a serial
-    loop on a 1000-day store; A1 days are one division each and run serially.
+    supply of the day.  Days with no minted supply are skipped.  A2/A3 look
+    up every day's focus pairs in one pair index over the union of the
+    days' focus sets.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
     scheme = scheme.lower()
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
     check_method(method)
 
-    eval_days = list(range(0, ledger.n_days, stride))
-    if ledger.n_days and (ledger.n_days - 1) not in eval_days:
-        eval_days.append(ledger.n_days - 1)
-
-    # Sequential pass: per-day funded sum of squares plus focus membership.
-    sumsq: dict[int, float] = {}
-    funded_total: dict[int, int] = {}
-    top_ids: dict[int, np.ndarray] = {}
-    top_bal: dict[int, np.ndarray] = {}
-    wanted = set(eval_days)
+    # One walk: per-day funded sum of squares and total, plus the focus
+    # members sorted by id with their balances.
+    walked = []
     for day, balances in _replay(ledger):
-        if day not in wanted:
-            continue
-        funded_vals = balances[balances > 0].astype(np.float64)
-        sumsq[day] = float(np.dot(funded_vals, funded_vals))
-        funded_total[day] = int(balances[balances > 0].sum())
+        funded = balances[balances > 0]
+        funded_vals = funded.astype(np.float64)
+        sumsq = float(np.dot(funded_vals, funded_vals))
+        funded_total = int(funded.sum())
+        ids = bal = None
         if scheme != "a1":
             if rankings is not None:
                 ranking = rankings[day].truncated(focus_n)
             else:
                 ranking = rank_balances(balances, focus_n, ledger.addresses, day)
             order = np.argsort(ranking.ids)
-            top_ids[day] = ranking.ids[order]
-            top_bal[day] = ranking.balances[order]
+            ids, bal = ranking.ids[order], ranking.balances[order]
+        walked.append((day, sumsq, funded_total, ids, bal))
 
-    if scheme != "a1":
-        ledger.expanded_edges()  # build the shared cache before threading
+    if scheme != "a1" and walked:
+        pairs = _PairIndex(ledger, np.concatenate([w[3] for w in walked]))
 
-    def one_day(day: int) -> tuple[int, float | None]:
+    values: dict[int, float] = {}
+    for day, sumsq, funded_total, ids, bal in walked:
         supply = ledger.supply_at(day)
         if supply <= 0:
-            return day, None
+            continue
         c2 = float(supply) * float(supply)
-        if scheme == "a1":
-            return day, 10000.0 * sumsq[day] / c2
-        ids = top_ids[day]
+        if scheme == "a1" or (scheme == "a2" and not len(ids)):
+            # A2 without funded focus addresses degenerates to singletons.
+            values[day] = 10000.0 * sumsq / c2
+            continue
         if not len(ids):
-            # No funded focus addresses: A2 degenerates to singletons, A3 to
-            # V_o holding everything.
-            if scheme == "a2":
-                return day, 10000.0 * sumsq[day] / c2
-            vo = float(funded_total[day])
-            return day, 10000.0 * vo * vo / c2
-        pair_weights = _focus_pair_weights(ledger, day, ids)
-        labels = _detect(ids, pair_weights, method, seed)
+            # A3 without funded focus addresses: V_o holds everything.
+            vo = float(funded_total)
+            values[day] = 10000.0 * vo * vo / c2
+            continue
+        labels = _focus_labels(ledger, day, ids, pairs, method, seed)
         group_sums: dict[int, int] = {}
-        for i, b in zip(ids, top_bal[day]):
-            lab = labels[int(i)]
-            group_sums[lab] = group_sums.get(lab, 0) + int(b)
+        for lab, b in zip(labels, bal.tolist()):
+            group_sums[lab] = group_sums.get(lab, 0) + b
         comm_sq = float(sum(s * s for s in group_sums.values()))
-        top_sq = float(np.dot(top_bal[day].astype(np.float64),
-                              top_bal[day].astype(np.float64)))
+        top_sq = float(np.dot(bal.astype(np.float64), bal.astype(np.float64)))
         if scheme == "a2":
-            total_sq = comm_sq + (sumsq[day] - top_sq)
+            total_sq = comm_sq + (sumsq - top_sq)
         else:
-            vo = float(funded_total[day] - int(top_bal[day].sum()))
+            vo = float(funded_total - int(bal.sum()))
             total_sq = comm_sq + vo * vo
-        return day, 10000.0 * total_sq / c2
-
-    if scheme == "a1":
-        results = [one_day(d) for d in eval_days]
-    else:
-        with ThreadPoolExecutor(max_workers=os.cpu_count()) as pool:
-            results = list(pool.map(one_day, eval_days))
-    values = {d: v for d, v in results if v is not None}
+        values[day] = 10000.0 * total_sq / c2
     return HHISeries(scheme, values)
 
 

@@ -84,7 +84,6 @@ def build_report(
     scaling: int = 2,
     curve_day: int | None = None,
     method: str = "label_propagation",
-    stride: int = 1,
     value_weighted: bool = False,
     day_range: tuple[int, int] | None = None,
     store_hash: str = "",
@@ -108,7 +107,6 @@ def build_report(
         "scaling": scaling,
         "curve_day": curve_day,
         "method": method,
-        "stride": stride,
         "value_weighted": value_weighted,
         "day_range": list(day_range) if day_range else None,
         "store": store_hash,
@@ -252,10 +250,8 @@ def build_report(
     hhi_bundle: dict[str, dict] = {}
     a3 = None
     for scheme in ("a1", "a2", "a3"):
-        series = hhi_series(
-            ledger, scheme, focus_n=focus_n, method=method,
-            stride=stride, rankings=rankings,
-        )
+        series = hhi_series(ledger, scheme, focus_n=focus_n, method=method,
+                            rankings=rankings)
         if scheme == "a3":
             a3 = series
         classes = series.classes()

@@ -292,6 +292,35 @@ class TestExitCodes:
         big.write_text(rec("a", 2**63, [], [["x", 5]]) + "\n")
         assert run(["ingest", "-i", str(big), "--store", str(tmp_path / "s")]) == 2
 
+    @pytest.mark.parametrize("first,last", [(0, 9 * 10**18),
+                                            (-9223372036854720000, 2**63 - 1)])
+    def test_day_span_beyond_limit_is_data_error(self, tmp_path, first, last):
+        wide = tmp_path / "wide.jsonl"
+        wide.write_text(rec("a", first, [], [["x", 5]]) + "\n"
+                        + rec("b", last, [], [["y", 5]]) + "\n")
+        assert run(["ingest", "-i", str(wide), "--store", str(tmp_path / "s")]) == 2
+        assert not (tmp_path / "s").exists()
+
+    def test_epoch_far_before_first_tx_is_data_error(self, tmp_path):
+        src = tmp_path / "c.jsonl"
+        src.write_text(rec("a", 0, [], [["x", 5]]) + "\n")
+        assert run(["ingest", "-i", str(src), "--store", str(tmp_path / "s"),
+                    "--epoch", "-9223372036854720000"]) == 2
+
+    @pytest.mark.parametrize("extra", [
+        ["--partition-out", "part.json"],
+        ["--partition-day", "5"],
+        ["--partition-day", "5000", "--partition-out", "part.json"],
+        ["--partition-day", "-1", "--partition-out", "part.json"],
+        ["--scheme", "a1", "--dhhi", "dhhi.csv"],
+    ])
+    def test_hhi_bad_flags_write_nothing(self, store, tmp_path, monkeypatch, extra):
+        monkeypatch.chdir(tmp_path)
+        assert run(["hhi", "--store", store, "--scheme", "a3",
+                    "--out", "hhi.csv", *extra]) == 1
+        assert not any((tmp_path / f).exists()
+                       for f in ("hhi.csv", "part.json", "dhhi.csv"))
+
     def test_truncated_meta_is_data_error(self, store, tmp_path, capsys):
         meta = Path(store) / "meta.json"
         meta.write_bytes(meta.read_bytes()[:40])

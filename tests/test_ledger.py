@@ -12,6 +12,7 @@ from ledgerlens import (
     expand_edges,
     parse_ledger,
 )
+from ledgerlens.ledger import MAX_DAYS, MIN_TIME
 from conftest import DAY, make_ledger, rec
 from oracles import brute_force_pairs
 
@@ -91,6 +92,28 @@ class TestParse:
     def test_epoch_after_first_tx_rejected(self):
         with pytest.raises(LedgerError):
             make_ledger([rec("a", 0, [], [["x", 1]])], epoch=DAY)
+
+
+class TestDaySpan:
+    @pytest.mark.parametrize("first,last", [
+        (0, 9 * 10**18),            # 1.04e14 days of per-day arrays
+        (MIN_TIME, 2**63 - 1),      # span beyond int64 seconds
+        (0, MAX_DAYS * DAY),        # one day too many
+    ])
+    def test_span_beyond_max_days_rejected(self, first, last):
+        with pytest.raises(LedgerError, match="days"):
+            make_ledger([rec("a", first, [], [["x", 5]]),
+                         rec("b", last, [], [["y", 5]])])
+
+    def test_epoch_far_before_first_tx_rejected(self):
+        with pytest.raises(LedgerError, match="days"):
+            make_ledger([rec("a", 0, [], [["x", 5]])], epoch=MIN_TIME)
+
+    def test_max_days_accepted(self):
+        ledger = make_ledger([rec("a", 0, [], [["x", 5]]),
+                              rec("b", MAX_DAYS * DAY - 1, [], [["y", 5]])])
+        assert ledger.n_days == MAX_DAYS
+        assert ledger.supply_at(MAX_DAYS - 1) == 10
 
 
 class TestParseErrors:

@@ -6,6 +6,7 @@ from ledgerlens import (
     SynthConfig,
     classify,
     cluster,
+    compute_rankings,
     compute_snapshots,
     d_hhi,
     generate,
@@ -13,7 +14,13 @@ from ledgerlens import (
     hhi_series,
     label_propagation,
 )
-from ledgerlens.market import V_C_LABEL, V_O_LABEL, HHISeries
+from ledgerlens.market import (
+    V_C_LABEL,
+    V_O_LABEL,
+    HHISeries,
+    _focus_pair_weights,
+    _PairIndex,
+)
 from conftest import DAY, make_ledger, rec
 from oracles import connected_components
 
@@ -153,6 +160,81 @@ def star_ledger():
     return make_ledger(lines)
 
 
+def reference_pair_weights(ledger, day, focus_ids):
+    """The former day-0 rescan: mask every edge of days 0..day to the focus
+    set, fold to undirected pairs, drop self-pairs and count with np.unique."""
+    edges = ledger.expanded_edges()
+    hi = int(edges.day_ptr[day + 1])
+    src = edges.src[:hi]
+    dst = edges.dst[:hi]
+    lut = np.zeros(len(ledger.addresses), dtype=bool)
+    lut[focus_ids] = True
+    mask = lut[src] & lut[dst]
+    src, dst = src[mask], dst[mask]
+    if not len(src):
+        return []
+    lo = np.minimum(src, dst)
+    hi_ = np.maximum(src, dst)
+    keep = lo != hi_
+    lo, hi_ = lo[keep], hi_[keep]
+    if not len(lo):
+        return []
+    span = int(hi_.max()) + 1
+    packed = lo * span + hi_
+    uniq, counts = np.unique(packed, return_counts=True)
+    return [
+        (int(p // span), int(p % span), float(c)) for p, c in zip(uniq, counts)
+    ]
+
+
+ACTIVE = [f"a{i}" for i in range(6)]
+
+
+@st.composite
+def pair_ledgers(draw):
+    """A few days of payments among six addresses, self-loops included; two
+    idle addresses only ever receive the day-0 coinbase."""
+    outs = [[x, 1000] for x in ACTIVE + ["idle0", "idle1"]]
+    lines = [rec("c0", 0, [], outs)]
+    n_days = draw(st.integers(1, 4))
+    side = st.lists(st.sampled_from(ACTIVE), min_size=1, max_size=3, unique=True)
+    for t in range(draw(st.integers(0, 12))):
+        day = draw(st.integers(0, n_days - 1))
+        ins, outs = draw(side), draw(side)
+        lines.append(rec(f"t{t}", day * DAY + t + 1,
+                         [[a, 10] for a in ins], [[b, 1] for b in outs]))
+    return make_ledger(lines)
+
+
+class TestFocusPairWeights:
+    @given(pair_ledgers(), st.data())
+    def test_index_matches_rescan(self, ledger, data):
+        ids = st.sampled_from(range(len(ledger.addresses)))
+        union = data.draw(st.lists(ids, unique=True), "union")
+        subset = (data.draw(st.lists(st.sampled_from(union), unique=True), "subset")
+                  if union else [])
+        pairs = _PairIndex(ledger, np.asarray(union, dtype=np.int64))
+        for day in range(ledger.n_days):
+            for focus in (union, subset):
+                focus_ids = np.sort(np.asarray(focus, dtype=np.int64))
+                assert (_focus_pair_weights(ledger, day, focus_ids, pairs)
+                        == reference_pair_weights(ledger, day, focus_ids))
+
+    def test_self_loops_and_idle_ids(self):
+        ledger = make_ledger([
+            rec("c0", 0, [], [["a", 100], ["b", 100], ["idle", 100]]),
+            rec("t1", DAY, [["a", 10]], [["a", 5], ["b", 5]]),
+            rec("t2", 2 * DAY, [["b", 10]], [["b", 5]]),
+        ])
+        ids = np.asarray(sorted(ledger.addresses.id_of(x) for x in ("a", "b", "idle")))
+        pairs = _PairIndex(ledger, ids)
+        a, b = ledger.addresses.id_of("a"), ledger.addresses.id_of("b")
+        assert _focus_pair_weights(ledger, 0, ids, pairs) == []
+        assert _focus_pair_weights(ledger, 2, ids, pairs) == [(a, b, 1.0)]
+        assert _focus_pair_weights(ledger, 2, ids[:1], pairs) == []
+        assert _focus_pair_weights(ledger, 2, ids[:0], pairs) == []
+
+
 class TestCluster:
     def test_a1_identity(self):
         ledger = make_ledger([rec("c0", 0, [], [["a", 5], ["b", 3], ["c", 1]])])
@@ -249,10 +331,28 @@ class TestHHISeries:
         series = hhi_series(ledger, "a1")
         assert series.classes() == {0: "highly_concentrated"}
 
-    def test_stride_keeps_last_day(self):
-        ledger = equal_wealth_ledger(n=5, days=7)
-        series = hhi_series(ledger, "a1", stride=3)
-        assert sorted(series.values) == [0, 3, 6]
+    @pytest.mark.parametrize("scheme", ["a2", "a3"])
+    @pytest.mark.parametrize("ranked", [False, True])
+    def test_series_matches_cluster_holdings(self, scheme, ranked):
+        # The series and `cluster` share one partition path: every day's
+        # value equals the HHI of the clustering's firm holdings.
+        for seed in (1, 2):
+            cfg = SynthConfig(seed=seed, days=10, txs_per_day=40, pool=30,
+                              regime="preferential", alpha=1.0,
+                              initial_supply=10**9, reward=10**6)
+            ledger = generate(cfg)
+            focus_n = 8
+            rankings = compute_rankings(ledger, focus_n) if ranked else None
+            series = hhi_series(ledger, scheme, focus_n=focus_n, rankings=rankings)
+            snaps = list(compute_snapshots(ledger))
+            funded_days = [d for d in range(ledger.n_days) if ledger.supply_at(d) > 0]
+            assert sorted(series.values) == funded_days
+            for day in funded_days:
+                clustering = cluster(ledger, day, scheme, focus_n=focus_n,
+                                     snapshot=snaps[day])
+                expected = hhi(clustering.holdings(snaps[day]).values(),
+                               ledger.supply_at(day))
+                assert series.values[day] == pytest.approx(expected, rel=1e-9)
 
 
 class TestDHHI:
