@@ -9,9 +9,6 @@ from .balances import (
     Ranking,
     compute_rankings,
     compute_snapshots,
-    proportion,
-    proportion_diff_series,
-    top_n,
 )
 from .errors import (
     BalanceError,
@@ -71,7 +68,6 @@ __all__ = [
     "cumulative_curve", "d_hhi", "d_static", "d_static_series",
     "degree_centrality", "dispersion", "dispersion_series", "expand_edges",
     "generate", "hhi", "hhi_series", "label_propagation", "load_ledger",
-    "pagerank", "parse_ledger", "proportion", "proportion_diff_series",
-    "retention", "save_ledger", "spearman", "stability_series", "summarize",
-    "top_n",
+    "pagerank", "parse_ledger", "retention", "save_ledger", "spearman",
+    "stability_series", "summarize",
 ]

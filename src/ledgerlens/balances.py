@@ -6,7 +6,7 @@ outputs; fees are the input/output difference and belong to no address.
 """
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -31,11 +31,6 @@ class BalanceSnapshot:
     total_supply: int
     fees_to_date: int
     addresses: AddressTable
-
-    def balance_of(self, addr: str) -> int:
-        if addr not in self.addresses:
-            return 0
-        return int(self.balances[self.addresses.id_of(addr)])
 
     def as_dict(self) -> dict[str, int]:
         """Funded addresses only, as an address -> balance map."""
@@ -155,7 +150,7 @@ def snapshot_at(ledger: Ledger, day: int) -> BalanceSnapshot:
 
 
 def rank_balances(
-    balances: np.ndarray, n: int, addresses: AddressTable | None, day: int
+    balances: np.ndarray, n: int, addresses: AddressTable, day: int
 ) -> Ranking:
     """Build the top-n ranking of a balance vector.
 
@@ -164,6 +159,7 @@ def rank_balances(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    names = addresses.names
     funded = np.flatnonzero(balances > 0)
     vals = balances[funded]
     if len(funded) > n:
@@ -174,43 +170,22 @@ def rank_balances(
         above = funded[vals > threshold]
         need = n - len(above)
         if need > 0:
-            tied = funded[vals == threshold]
-            if addresses is not None:
-                names = addresses.names
-                tied = sorted(tied, key=lambda i: names[i])
-            else:
-                tied = sorted(tied)
+            tied = sorted(funded[vals == threshold], key=lambda i: names[i])
             chosen = np.concatenate((above, np.asarray(tied[:need], dtype=np.int64)))
         else:
             chosen = above
     else:
         chosen = funded
     chosen_vals = balances[chosen]
-    if addresses is not None:
-        names = addresses.names
-        order = sorted(range(len(chosen)), key=lambda j: (-chosen_vals[j], names[chosen[j]]))
-    else:
-        order = sorted(range(len(chosen)), key=lambda j: (-chosen_vals[j], chosen[j]))
+    order = sorted(range(len(chosen)), key=lambda j: (-chosen_vals[j], names[chosen[j]]))
     order = np.asarray(order, dtype=np.int64)
     return Ranking(day, n, chosen[order], chosen_vals[order], addresses)
-
-
-def top_n(snapshot: BalanceSnapshot, n: int) -> Ranking:
-    """The n largest balances of a snapshot, descending."""
-    return rank_balances(snapshot.balances, n, snapshot.addresses, snapshot.day)
 
 
 def compute_rankings(ledger: Ledger, n: int = TOP_N_DEFAULT) -> list[Ranking]:
     """Daily top-n rankings for the whole ledger (one streaming pass)."""
     return [rank_balances(balances, n, ledger.addresses, day)
             for day, balances in _replay(ledger)]
-
-
-def proportion(snapshot: BalanceSnapshot, n: int) -> float:
-    """Share of total minted supply held by the top-n addresses."""
-    if snapshot.total_supply <= 0:
-        raise ValueError(f"day {snapshot.day} has no minted supply")
-    return float(proportion_series([top_n(snapshot, n)], [snapshot.total_supply], [n])[0, 0])
 
 
 def proportion_series(
@@ -235,22 +210,3 @@ def adjacent_diff(matrix: np.ndarray) -> np.ndarray:
     as is (its predecessor is the empty top-0 list)."""
     return np.diff(np.concatenate((np.zeros((len(matrix), 1)), matrix), axis=1))
 
-
-def proportion_diff_series(
-    snapshots: Iterable[BalanceSnapshot], step: int = 100, max_n: int = 2000
-) -> tuple[list[int], list[int], np.ndarray]:
-    """Per-day differences proportion(x+step) - proportion(x) for x in
-    {0, step, ..., max_n-step}.
-
-    Returns (days, xs, matrix) with one matrix row per day.  The x=0 column
-    equals the plain top-step proportion.
-    """
-    if step < 1 or max_n < step or max_n % step:
-        raise ValueError("step must be >= 1 and divide max_n")
-    snaps = list(snapshots)
-    matrix = proportion_series(
-        [top_n(s, max_n) for s in snaps],
-        [s.total_supply for s in snaps],
-        range(step, max_n + 1, step),
-    )
-    return [s.day for s in snaps], list(range(0, max_n, step)), adjacent_diff(matrix)

@@ -21,6 +21,7 @@ from .report import (
     DEFAULT_INTERVALS,
     DEFAULT_TOPS,
     build_report,
+    check_curve_day,
     config_hash,
     write_csv,
     write_json,
@@ -198,6 +199,11 @@ def _cmd_stability(args) -> int:
 def _cmd_dstatic(args) -> int:
     store = _store_dir(args)
     ledger = load_ledger(store)
+    if args.svg:
+        curve_day = args.curve_day if args.curve_day is not None else ledger.n_days - 1
+        check_curve_day(curve_day, ledger.n_days)
+    elif args.curve_day is not None:
+        raise ValueError("--curve-day needs --svg")
     rankings = compute_rankings(ledger, args.top)
     series = d_static_series(rankings, args.top, args.scaling)
     cfg = config_hash({"cmd": "dstatic", "top": args.top, "scaling": args.scaling,
@@ -206,14 +212,13 @@ def _cmd_dstatic(args) -> int:
     _emit_csv(args.out, ["day", "d_static"],
               _window(sorted(series.values.items()), args.day_range), cfg)
     if args.svg:
-        day = args.curve_day if args.curve_day is not None else ledger.n_days - 1
-        curve = cumulative_curve(rankings[day], args.top)
+        curve = cumulative_curve(rankings[curve_day], args.top)
         xs = list(range(1, curve.n + 1))
         line_chart(
             {"actual": (xs, curve.c_real.tolist()),
              "equal": (xs, curve.c_equal.tolist())},
             args.svg,
-            f"Cumulative top-N wealth share (day {day})", "rank", "share",
+            f"Cumulative top-N wealth share (day {curve_day})", "rank", "share",
         )
     return 0
 
@@ -221,6 +226,10 @@ def _cmd_dstatic(args) -> int:
 def _cmd_dispersion(args) -> int:
     store = _store_dir(args)
     ledger = load_ledger(store)
+    if (args.nodes_day is None) != (args.nodes_out is None):
+        raise ValueError("--nodes-day and --nodes-out go together")
+    if args.nodes_day is not None and not 1 <= args.nodes_day < ledger.n_days:
+        raise ValueError(f"--nodes-day {args.nodes_day} has no focus graph")
     metrics = ("degree", "pagerank") if args.metric == "both" else (args.metric,)
     rankings = compute_rankings(ledger, args.focus)
     series = dispersion_series(
@@ -236,10 +245,8 @@ def _cmd_dispersion(args) -> int:
     rows = [(d, m, v) for m in sorted(series) for d, v in sorted(series[m].items())]
     _emit_csv(args.out, ["day", "metric", "dispersion"],
               _window(rows, args.day_range), cfg)
-    if args.nodes_out and args.nodes_day is not None:
+    if args.nodes_day is not None:
         d = args.nodes_day
-        if not 1 <= d < ledger.n_days:
-            raise ValueError(f"--nodes-day {d} has no focus graph")
         graph = build_day_graph(ledger, d, rankings[d - 1].truncated(args.focus),
                                 value_weighted=args.value_weighted)
         deg = degree_centrality(graph).as_dict(ledger.addresses)
@@ -273,8 +280,9 @@ def _cmd_hhi(args) -> int:
     _emit_csv(args.out, ["day", "scheme", "hhi", "class"],
               _window(rows, args.day_range), cfg)
     if args.dhhi:
+        dyn = d_hhi(series) if series.values else {}
         _emit_csv(args.dhhi, ["day", "d_hhi"],
-                  _window(sorted(d_hhi(series).items()), args.day_range), cfg)
+                  _window(sorted(dyn.items()), args.day_range), cfg)
     if args.partition_day is not None:
         clustering = cluster(ledger, args.partition_day, args.scheme,
                              focus_n=args.focus, method=args.method, seed=args.seed)

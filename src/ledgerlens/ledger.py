@@ -60,9 +60,6 @@ class AddressTable:
     def id_of(self, name: str) -> int:
         return self._index[name]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._index
-
     def __len__(self) -> int:
         return len(self.names)
 

@@ -9,10 +9,11 @@ Schemes map addresses to "firms":
   focus addresses without such edges, and all other funded addresses, are
   singleton firms.
 * A3 - like A2, but coinbase is the single pseudo-firm V_c and every
-  non-top-100 address is folded into the single pseudo-firm V_o.  The two
-  aggregate pseudo-nodes hold fixed labels during detection and cast no
-  votes, so focus addresses never merge through them; a focus address whose
-  only counterparty is coinbase therefore stays a singleton firm.
+  non-top-100 address is folded into the single pseudo-firm V_o.  V_c and
+  V_o never enter community detection, which sees only the edges between
+  focus addresses, so focus addresses never merge through them; a focus
+  address whose only counterparty is coinbase therefore stays a singleton
+  firm.
 
 Community detection defaults to deterministic weighted label propagation
 (node-id tie-breaking, optional seeded sweep order); greedy modularity
@@ -30,7 +31,7 @@ import numpy as np
 # the same reason `rank_balances`, `label_propagation` and
 # `_focus_pair_weights` (whose `ledger` and `day` arguments the tracer
 # reads) are called through this module's globals, never bound locally.
-from .balances import BalanceSnapshot, Ranking, _apply_day, _replay, rank_balances, snapshot_at
+from .balances import BalanceSnapshot, _apply_day, _replay, rank_balances, snapshot_at
 from .ledger import Ledger
 
 V_C_LABEL = -1  # coinbase pseudo-firm
@@ -73,58 +74,60 @@ def classify(value: float) -> str:
 def label_propagation(
     nodes: Sequence[int],
     edges: Iterable[tuple[int, int, float]],
-    pinned: Iterable[int] = (),
     seed: int = 0,
     max_rounds: int = 100,
 ) -> dict[int, int]:
     """Deterministic weighted label propagation.
 
     Each node starts with its own id as label and repeatedly adopts the
-    heaviest label among its neighbors, smallest label winning ties.  Pinned
-    nodes keep their labels and cast no votes.  Sweep order is ascending
-    node id, or a deterministic permutation of it when ``seed`` is nonzero.
-    Labels are canonicalized to the smallest member id before returning.
+    heaviest label among its neighbors, smallest label winning ties;
+    self-loops cast no vote.  Sweep order is ascending node id, or a
+    deterministic permutation of it when ``seed`` is nonzero.  Labels are
+    canonicalized to the smallest member id before returning.
     """
-    pinned = set(int(p) for p in pinned)
-    adj: dict[int, list[tuple[int, float]]] = {int(v): [] for v in nodes}
+    # Nodes are positions in the sorted unique ids, so the smallest label
+    # is also the smallest position.
+    ids = sorted({int(v) for v in nodes})
+    pos = {v: p for p, v in enumerate(ids)}
+    nbrs: list[list[tuple[int, float]]] = [[] for _ in ids]
     for u, v, w in edges:
-        u, v = int(u), int(v)
-        if u == v:
-            continue
-        adj[u].append((v, float(w)))
-        adj[v].append((u, float(w)))
-    labels = {v: v for v in adj}
-    order = sorted(v for v in adj if v not in pinned)
+        p, q = pos[int(u)], pos[int(v)]
+        if p != q:
+            w = float(w)
+            nbrs[p].append((q, w))
+            nbrs[q].append((p, w))
+    order = range(len(ids))
     if seed:
         rng = np.random.Generator(np.random.Philox(key=seed))
-        order = [order[i] for i in rng.permutation(len(order))]
+        order = rng.permutation(len(ids)).tolist()
+    # Drop edgeless nodes (they get no votes) only after the permutation,
+    # which spans every node.
+    order = [p for p in order if nbrs[p]]
+    labels = list(range(len(ids)))
 
     for _ in range(max_rounds):
         changed = False
-        for node in order:
+        for p in order:
             votes: dict[int, float] = {}
-            for nb, w in adj[node]:
-                if nb in pinned:
-                    continue
-                lab = labels[nb]
+            for q, w in nbrs[p]:
+                lab = labels[q]
                 votes[lab] = votes.get(lab, 0.0) + w
-            if not votes:
-                continue
-            top = max(votes.values())
-            best = min(lab for lab, w in votes.items() if w == top)
-            if best != labels[node]:
-                labels[node] = best
+            items = iter(votes.items())
+            best, top = next(items)
+            for lab, w in items:
+                if w > top or (w == top and lab < best):
+                    best, top = lab, w
+            if best != labels[p]:
+                labels[p] = best
                 changed = True
         if not changed:
             break
 
     # Canonical label = smallest member id of each group.
-    groups: dict[int, int] = {}
-    for node in sorted(adj):
-        lab = labels[node]
-        if lab not in groups or node < groups[lab]:
-            groups[lab] = min(groups.get(lab, node), node)
-    return {node: groups[labels[node]] for node in adj}
+    root: dict[int, int] = {}
+    for p, lab in enumerate(labels):
+        root.setdefault(lab, p)
+    return {v: ids[root[labels[p]]] for p, v in enumerate(ids)}
 
 
 def check_method(method: str) -> None:
@@ -145,27 +148,21 @@ def check_method(method: str) -> None:
 def _modularity_communities(
     nodes: Sequence[int], edges: list[tuple[int, int, float]]
 ) -> dict[int, int]:
+    """Greedy modularity communities of sorted unique `nodes` joined by
+    unique ``lo < hi`` weighted pairs, labelled by smallest member id."""
     import networkx as nx
 
     if not edges:
         return {int(v): int(v) for v in nodes}
     g = nx.Graph()
-    g.add_nodes_from(sorted(int(v) for v in nodes))
-    for u, v, w in edges:
-        if u == v:
-            continue
-        if g.has_edge(u, v):
-            g[u][v]["weight"] += w
-        else:
-            g.add_edge(u, v, weight=w)
+    g.add_nodes_from(nodes)
+    g.add_weighted_edges_from(edges)
     comms = nx.algorithms.community.greedy_modularity_communities(g, weight="weight")
     out: dict[int, int] = {}
     for comm in comms:
         root = min(comm)
         for v in comm:
             out[int(v)] = int(root)
-    for v in nodes:
-        out.setdefault(int(v), int(v))
     return out
 
 
@@ -185,15 +182,6 @@ class EntityClustering:
     address_ids: np.ndarray
     entity_ids: np.ndarray
     has_specials: bool = False
-
-    def entities(self) -> dict[int, list[int]]:
-        out: dict[int, list[int]] = {}
-        for a, e in zip(self.address_ids, self.entity_ids):
-            out.setdefault(int(e), []).append(int(a))
-        if self.has_specials:
-            out.setdefault(V_C_LABEL, [])
-            out.setdefault(V_O_LABEL, [])
-        return out
 
     def holdings(self, snapshot: BalanceSnapshot) -> dict[int, int]:
         """Aggregate member balances per firm (V_c holds 0; V_o holds the
@@ -334,7 +322,6 @@ def hhi_series(
     focus_n: int = 100,
     method: str = "label_propagation",
     seed: int = 0,
-    rankings: Sequence[Ranking] | None = None,
 ) -> HHISeries:
     """Daily HHI under one clustering scheme.
 
@@ -358,10 +345,7 @@ def hhi_series(
         funded_total = int(funded.sum())
         ids = bal = None
         if scheme != "a1":
-            if rankings is not None:
-                ranking = rankings[day].truncated(focus_n)
-            else:
-                ranking = rank_balances(balances, focus_n, ledger.addresses, day)
+            ranking = rank_balances(balances, focus_n, ledger.addresses, day)
             order = np.argsort(ranking.ids)
             ids, bal = ranking.ids[order], ranking.balances[order]
         walked.append((day, sumsq, funded_total, ids, bal))

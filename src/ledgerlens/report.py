@@ -34,6 +34,12 @@ def config_hash(params: dict) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
+def check_curve_day(day: int, n_days: int) -> None:
+    """Reject a cumulative-curve day that is not a day of the ledger."""
+    if not 0 <= day < n_days:
+        raise ValueError(f"curve day {day} is not a day of the ledger ({n_days} days)")
+
+
 def _meta_lines(cfg_hash: str) -> list[str]:
     return [
         f"# ledgerlens {__version__}",
@@ -95,9 +101,12 @@ def build_report(
     from day 0 (balances and cumulative graphs need the full prefix, and the
     dynamic-degree normalization spans the whole history), but only days
     inside the window are emitted.  Returns the JSON-serializable bundle
-    that was written to report.json.
+    that was written to report.json.  An unknown `method` or a `curve_day`
+    outside the ledger is rejected before anything is written.
     """
     check_method(method)
+    if curve_day is not None:
+        check_curve_day(curve_day, ledger.n_days)
     os.makedirs(out_dir, exist_ok=True)
     params = {
         "tops": list(tops),
@@ -250,8 +259,7 @@ def build_report(
     hhi_bundle: dict[str, dict] = {}
     a3 = None
     for scheme in ("a1", "a2", "a3"):
-        series = hhi_series(ledger, scheme, focus_n=focus_n, method=method,
-                            rankings=rankings)
+        series = hhi_series(ledger, scheme, focus_n=focus_n, method=method)
         if scheme == "a3":
             a3 = series
         classes = series.classes()
@@ -358,7 +366,6 @@ def _write_charts(
 
     if rankings:
         day = curve_day if curve_day is not None else len(rankings) - 1
-        day = max(0, min(day, len(rankings) - 1))
         if len(rankings[day]):
             curve = cumulative_curve(rankings[day], max(tops))
             xs = list(range(1, curve.n + 1))

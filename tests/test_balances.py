@@ -1,15 +1,8 @@
 import numpy as np
 import pytest
 
-from ledgerlens import (
-    BalanceError,
-    compute_rankings,
-    compute_snapshots,
-    proportion,
-    proportion_diff_series,
-    top_n,
-)
-from ledgerlens.balances import proportion_series, snapshot_at
+from ledgerlens import BalanceError, compute_rankings, compute_snapshots
+from ledgerlens.balances import adjacent_diff, proportion_series, rank_balances, snapshot_at
 from conftest import DAY, make_ledger, rec
 
 BTC = 10**8
@@ -17,6 +10,21 @@ BTC = 10**8
 
 def snapshots_list(ledger):
     return list(compute_snapshots(ledger))
+
+
+def top(snap, n):
+    return rank_balances(snap.balances, n, snap.addresses, snap.day)
+
+
+def share(snap, n):
+    """Top-n share of the day's minted supply, through proportion_series."""
+    return float(proportion_series([top(snap, n)], [snap.total_supply], [n])[0, 0])
+
+
+def diffs(snap, step, max_n):
+    """Adjacent top-bucket share differences at x = 0, step, ..., max_n - step."""
+    tops = range(step, max_n + 1, step)
+    return adjacent_diff(proportion_series([top(snap, max_n)], [snap.total_supply], tops))
 
 
 class TestSnapshots:
@@ -91,12 +99,12 @@ class TestTopN:
         ledger = make_ledger([
             rec("c0", 0, [], [["A", 5], ["B", 3], ["C", 1]]),
         ])
-        ranking = top_n(snapshots_list(ledger)[0], 2)
+        ranking = top(snapshots_list(ledger)[0], 2)
         assert ranking.entries() == [("A", 5), ("B", 3)]
 
     def test_n_larger_than_funded(self):
         ledger = make_ledger([rec("c0", 0, [], [["A", 5], ["B", 3]])])
-        ranking = top_n(snapshots_list(ledger)[0], 10)
+        ranking = top(snapshots_list(ledger)[0], 10)
         assert ranking.entries() == [("A", 5), ("B", 3)]
 
     def test_tie_breaks_by_address(self):
@@ -104,7 +112,7 @@ class TestTopN:
             rec("c0", 0, [], [["zed", 5], ["amy", 5], ["bob", 3]]),
         ])
         snap = snapshots_list(ledger)[0]
-        ranking = top_n(snap, 3)
+        ranking = top(snap, 3)
         oracle = sorted(snap.as_dict().items(), key=lambda kv: (-kv[1], kv[0]))
         assert ranking.entries() == oracle
 
@@ -112,7 +120,7 @@ class TestTopN:
         ledger = make_ledger([
             rec("c0", 0, [], [["d", 5], ["c", 5], ["b", 5], ["a", 9]]),
         ])
-        ranking = top_n(snapshots_list(ledger)[0], 2)
+        ranking = top(snapshots_list(ledger)[0], 2)
         assert ranking.entries() == [("a", 9), ("b", 5)]
 
     def test_zero_balances_excluded(self):
@@ -120,39 +128,39 @@ class TestTopN:
             rec("c0", 0, [], [["A", 5], ["B", 3]]),
             rec("p1", DAY, [["B", 3]], [["A", 3]]),
         ])
-        ranking = top_n(snapshots_list(ledger)[-1], 10)
+        ranking = top(snapshots_list(ledger)[-1], 10)
         assert [a for a, _ in ranking.entries()] == ["A"]
 
     def test_tie_ranks_average(self):
         ledger = make_ledger([
             rec("c0", 0, [], [["A", 5], ["B", 5], ["C", 3]]),
         ])
-        ranking = top_n(snapshots_list(ledger)[0], 3)
+        ranking = top(snapshots_list(ledger)[0], 3)
         assert ranking.tie_ranks().tolist() == [1.5, 1.5, 3.0]
 
 
 class TestProportion:
     def test_single_holder_everything(self):
         ledger = make_ledger([rec("c0", 0, [], [["A", 1000]])])
-        assert proportion(snapshots_list(ledger)[0], 100) == 1.0
+        assert share(snapshots_list(ledger)[0], 100) == 1.0
 
     def test_equal_holders_symmetry(self):
         outs = [[f"h{i:04d}", 10] for i in range(2000)]
         ledger = make_ledger([rec("c0", 0, [], outs)])
-        assert proportion(snapshots_list(ledger)[0], 100) == pytest.approx(0.05)
+        assert share(snapshots_list(ledger)[0], 100) == pytest.approx(0.05)
 
     def test_no_supply_is_error(self):
+        # A day before any minting has no share base: its row is NaN.
         ledger = make_ledger([rec("c0", 2 * DAY, [], [["A", 10]])], epoch=0)
         snaps = snapshots_list(ledger)
         assert snaps[0].total_supply == 0
-        with pytest.raises(ValueError):
-            proportion(snaps[0], 10)
+        assert np.isnan(share(snaps[0], 10))
 
     def test_monotone_in_n_and_reaches_one(self):
         outs = [[f"h{i}", (i + 1) * 7] for i in range(50)]
         ledger = make_ledger([rec("c0", 0, [], outs)])
         snap = snapshots_list(ledger)[0]
-        values = [proportion(snap, n) for n in range(1, 60)]
+        values = [share(snap, n) for n in range(1, 60)]
         assert all(b >= a for a, b in zip(values, values[1:]))
         assert values[-1] == 1.0  # n >= funded count, no fees
 
@@ -161,51 +169,40 @@ class TestProportionDiffs:
     def test_first_column_equals_top_step(self):
         outs = [[f"h{i:03d}", 100 - i] for i in range(40)]
         ledger = make_ledger([rec("c0", 0, [], outs)])
-        days, xs, matrix = proportion_diff_series(
-            compute_snapshots(ledger), step=10, max_n=40
-        )
         snap = snapshots_list(ledger)[0]
-        assert days == [0]
-        assert xs == [0, 10, 20, 30]
-        assert matrix[0, 0] == pytest.approx(proportion(snap, 10))
+        matrix = diffs(snap, 10, 40)
+        assert matrix.shape == (1, 4)
+        assert matrix[0, 0] == pytest.approx(share(snap, 10))
 
     def test_uniform_rows_equal(self):
         outs = [[f"h{i:03d}", 5] for i in range(40)]
         ledger = make_ledger([rec("c0", 0, [], outs)])
-        _, _, matrix = proportion_diff_series(
-            compute_snapshots(ledger), step=10, max_n=40
-        )
+        matrix = diffs(snapshots_list(ledger)[0], 10, 40)
         assert np.allclose(matrix[0], matrix[0, 0])
 
     def test_geometric_strictly_decreasing_and_closed_form(self):
         n = 40
         outs = [[f"h{i:03d}", 2 ** (n - i)] for i in range(1, n + 1)]
         ledger = make_ledger([rec("c0", 0, [], outs)])
-        days, xs, matrix = proportion_diff_series(
-            compute_snapshots(ledger), step=10, max_n=n
-        )
-        row = matrix[0]
+        row = diffs(snapshots_list(ledger)[0], 10, n)[0]
         assert all(row[j] > row[j + 1] for j in range(len(row) - 1))
         total = 2 ** n - 1
-        for j, x in enumerate(xs):
+        for j, x in enumerate(range(0, n, 10)):
             expected = ((2 ** n - 2 ** (n - (x + 10))) - (2 ** n - 2 ** (n - x))) / total
             assert row[j] == pytest.approx(expected, rel=1e-12)
-
-    def test_step_must_divide(self):
-        with pytest.raises(ValueError):
-            proportion_diff_series(iter(()), step=3, max_n=10)
 
 
 class TestRankingsPass:
     def test_matches_snapshot_path(self, simple_ledger):
         rankings = compute_rankings(simple_ledger, 5)
         for snap, ranking in zip(compute_snapshots(simple_ledger), rankings):
-            assert ranking.entries() == top_n(snap, 5).entries()
+            assert ranking.entries() == top(snap, 5).entries()
 
     def test_proportion_series_matches_pointwise(self, simple_ledger):
         rankings = compute_rankings(simple_ledger, 5)
         supplies = [simple_ledger.supply_at(d) for d in range(simple_ledger.n_days)]
         matrix = proportion_series(rankings, supplies, [1, 2, 5])
         for d, snap in enumerate(compute_snapshots(simple_ledger)):
+            held = sorted(snap.as_dict().values(), reverse=True)
             for j, n in enumerate([1, 2, 5]):
-                assert matrix[d, j] == pytest.approx(proportion(snap, n))
+                assert matrix[d, j] == pytest.approx(sum(held[:n]) / snap.total_supply)

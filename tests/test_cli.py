@@ -249,16 +249,36 @@ class TestAuxiliaryOutputs:
         assert [int(r[0]) for r in rows] == [3]  # earlier days have no supply
 
 
+@pytest.fixture
+def empty_store(tmp_path):
+    """A store ingested from an empty export: no days at all."""
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    store = str(tmp_path / "store")
+    assert run(["ingest", "-i", str(empty), "--store", store]) == 0
+    return store
+
+
 class TestEmptyLedger:
-    def test_full_pipeline_on_empty_input(self, tmp_path):
-        empty = tmp_path / "empty.jsonl"
-        empty.write_text("")
-        store = str(tmp_path / "store")
-        assert run(["ingest", "-i", str(empty), "--store", store]) == 0
-        assert run(["report", "--store", store, "--tops", "5", "--intervals",
+    def test_full_pipeline_on_empty_input(self, empty_store, tmp_path):
+        assert run(["report", "--store", empty_store, "--tops", "5", "--intervals",
                     "1", "--focus", "5", "--out", str(tmp_path / "rep")]) == 0
         _, _, rows = read_csv(tmp_path / "rep" / "d_static.csv")
         assert rows == []
+
+    def test_hhi_dhhi_writes_empty_series(self, empty_store, tmp_path):
+        # As in `report`: an empty A3 series gives an empty d_hhi CSV.
+        dhhi = tmp_path / "dhhi.csv"
+        assert run(["hhi", "--store", empty_store, "--scheme", "a3",
+                    "--out", str(tmp_path / "hhi.csv"), "--dhhi", str(dhhi)]) == 0
+        _, header, rows = read_csv(dhhi)
+        assert header == ["day", "d_hhi"] and rows == []
+
+    def test_dstatic_svg_has_no_day_to_chart(self, empty_store, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run(["dstatic", "--store", empty_store, "--out", "d.csv",
+                    "--svg", "c.svg"]) == 1
+        assert not (tmp_path / "d.csv").exists() and not (tmp_path / "c.svg").exists()
 
 
 class TestExitCodes:
@@ -320,6 +340,35 @@ class TestExitCodes:
                     "--out", "hhi.csv", *extra]) == 1
         assert not any((tmp_path / f).exists()
                        for f in ("hhi.csv", "part.json", "dhhi.csv"))
+
+    @pytest.mark.parametrize("extra", [
+        ["--svg", "c.svg", "--curve-day", "30"],
+        ["--svg", "c.svg", "--curve-day", "5000"],
+        ["--svg", "c.svg", "--curve-day", "-3"],
+        ["--curve-day", "5"],
+    ])
+    def test_dstatic_bad_curve_day_writes_nothing(self, store, tmp_path, monkeypatch, extra):
+        monkeypatch.chdir(tmp_path)
+        assert run(["dstatic", "--store", store, "--out", "d.csv", *extra]) == 1
+        assert not (tmp_path / "d.csv").exists() and not (tmp_path / "c.svg").exists()
+
+    @pytest.mark.parametrize("day", ["30", "-3"])
+    def test_report_bad_curve_day_writes_nothing(self, store, tmp_path, day):
+        out = tmp_path / "rep"
+        assert run(["report", "--store", store, "--out", str(out), "--curve-day", day]) == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("extra", [
+        ["--nodes-day", "3"],
+        ["--nodes-out", "nodes.csv"],
+        ["--nodes-day", "30", "--nodes-out", "nodes.csv"],
+        ["--nodes-day", "0", "--nodes-out", "nodes.csv"],
+    ])
+    def test_dispersion_bad_node_flags_write_nothing(self, store, tmp_path, monkeypatch,
+                                                     extra):
+        monkeypatch.chdir(tmp_path)
+        assert run(["dispersion", "--store", store, "--out", "disp.csv", *extra]) == 1
+        assert not (tmp_path / "disp.csv").exists() and not (tmp_path / "nodes.csv").exists()
 
     def test_truncated_meta_is_data_error(self, store, tmp_path, capsys):
         meta = Path(store) / "meta.json"

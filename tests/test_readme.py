@@ -1,5 +1,7 @@
-"""README guard: documented commands parse and the library example runs."""
+"""README guard: documented commands parse, the library example runs and the
+package exports match its imports."""
 
+import ast
 import re
 import shlex
 from pathlib import Path
@@ -43,3 +45,19 @@ def test_library_example_runs(tmp_path, monkeypatch, capsys):
                 "--pool", "25", "--out", "chain.jsonl"]) == 0
     exec(compile(code, "README.md", "exec"), {})
     assert capsys.readouterr().out.strip()
+
+
+def test_exports_match_imports():
+    # Every name in __all__ resolves, and every public name __init__ imports
+    # is exported, so a trimmed API cannot leave a dangling export.
+    import ledgerlens
+
+    source = Path(ledgerlens.__file__).read_text()
+    imported = {
+        alias.asname or alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert all(hasattr(ledgerlens, name) for name in ledgerlens.__all__)
+    assert {n for n in imported if not n.startswith("_")} <= set(ledgerlens.__all__)

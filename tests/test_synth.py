@@ -9,8 +9,8 @@ from ledgerlens import (
     compute_snapshots,
     generate,
     parse_ledger,
-    proportion,
 )
+from ledgerlens.balances import proportion_series
 from ledgerlens.lorenz import d_static_series
 
 
@@ -87,9 +87,11 @@ class TestRegimes:
         cfg = SynthConfig(seed=1, days=40, txs_per_day=400, pool=400,
                           regime="uniform", initial_supply=10**12, reward=0,
                           amount_frac=0.05)
-        snaps = list(compute_snapshots(generate(cfg)))
-        share = proportion(snaps[-1], 100)
-        target = 100 / snaps[-1].funded_count
+        ledger = generate(cfg)
+        last = list(compute_snapshots(ledger))[-1]
+        ranking = compute_rankings(ledger, 100)[-1]
+        share = proportion_series([ranking], [last.total_supply], [100])[0, 0]
+        target = 100 / last.funded_count
         assert abs(share - target) < 0.6 * target
 
     def test_preferential_concentrates_vs_uniform_alpha(self):
