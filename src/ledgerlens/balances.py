@@ -154,32 +154,24 @@ def rank_balances(
 ) -> Ranking:
     """Build the top-n ranking of a balance vector.
 
-    Order is descending balance, then ascending address string.  Only funded
-    (positive) balances participate.
+    Order is descending balance, then ascending address string in Python
+    code-point order.  Only funded (positive) balances participate.  When
+    more than n are funded, `np.partition` finds the n-th largest balance
+    and every id at or above it is kept, so the whole tie group at the cut
+    competes on its names.  One `np.lexsort` on (balance, name position)
+    then orders the kept ids; the name positions come from
+    `addresses.name_rank`, built once per table.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    names = addresses.names
     funded = np.flatnonzero(balances > 0)
     vals = balances[funded]
     if len(funded) > n:
-        # Partition on balance, then resolve the boundary tie group by
-        # address string so the cut is deterministic.
-        part = np.argpartition(vals, len(vals) - n)[len(vals) - n:]
-        threshold = vals[part].min()
-        above = funded[vals > threshold]
-        need = n - len(above)
-        if need > 0:
-            tied = sorted(funded[vals == threshold], key=lambda i: names[i])
-            chosen = np.concatenate((above, np.asarray(tied[:need], dtype=np.int64)))
-        else:
-            chosen = above
-    else:
-        chosen = funded
-    chosen_vals = balances[chosen]
-    order = sorted(range(len(chosen)), key=lambda j: (-chosen_vals[j], names[chosen[j]]))
-    order = np.asarray(order, dtype=np.int64)
-    return Ranking(day, n, chosen[order], chosen_vals[order], addresses)
+        threshold = np.partition(vals, len(vals) - n)[len(vals) - n]
+        keep = vals >= threshold
+        funded, vals = funded[keep], vals[keep]
+    order = np.lexsort((addresses.name_rank[funded], -vals))[:n]
+    return Ranking(day, n, funded[order], vals[order], addresses)
 
 
 def compute_rankings(ledger: Ledger, n: int = TOP_N_DEFAULT) -> list[Ranking]:

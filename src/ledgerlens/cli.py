@@ -22,6 +22,7 @@ from .report import (
     DEFAULT_TOPS,
     build_report,
     check_curve_day,
+    check_tops,
     config_hash,
     write_csv,
     write_json,
@@ -45,6 +46,15 @@ class _Parser(argparse.ArgumentParser):
 
 def _int_list(text: str) -> list[int]:
     return [int(t) for t in text.split(",") if t.strip()]
+
+
+def _tops(text: str) -> list[int]:
+    tops = _int_list(text)
+    try:
+        check_tops(tops)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+    return tops
 
 
 def _day_range(text: str) -> tuple[int, int]:
@@ -280,9 +290,8 @@ def _cmd_hhi(args) -> int:
     _emit_csv(args.out, ["day", "scheme", "hhi", "class"],
               _window(rows, args.day_range), cfg)
     if args.dhhi:
-        dyn = d_hhi(series) if series.values else {}
         _emit_csv(args.dhhi, ["day", "d_hhi"],
-                  _window(sorted(dyn.items()), args.day_range), cfg)
+                  _window(sorted(d_hhi(series).items()), args.day_range), cfg)
     if args.partition_day is not None:
         clustering = cluster(ledger, args.partition_day, args.scheme,
                              focus_n=args.focus, method=args.method, seed=args.seed)
@@ -368,7 +377,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("proportions", help="daily top-N supply proportions")
     add_store(p)
     add_day_range(p)
-    p.add_argument("--tops", type=_int_list, default=list(DEFAULT_TOPS))
+    p.add_argument("--tops", type=_tops, default=list(DEFAULT_TOPS))
     p.add_argument("--long", action="store_true", help="emit day,n,proportion rows")
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_proportions)
@@ -425,7 +434,7 @@ def _build_parser() -> _Parser:
     add_store(p)
     add_day_range(p)
     p.add_argument("--out", "-o", required=True, help="output directory")
-    p.add_argument("--tops", type=_int_list, default=list(DEFAULT_TOPS))
+    p.add_argument("--tops", type=_tops, default=list(DEFAULT_TOPS))
     p.add_argument("--intervals", type=_int_list, default=list(DEFAULT_INTERVALS))
     p.add_argument("--focus", type=int, default=100)
     p.add_argument("--mode", choices=("intersection", "penalized"),

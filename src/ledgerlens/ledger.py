@@ -43,11 +43,12 @@ class AddressTable:
     same numbering.
     """
 
-    __slots__ = ("names", "_index")
+    __slots__ = ("names", "_index", "_name_rank")
 
     def __init__(self):
         self.names: list[str] = [COINBASE]
         self._index: dict[str, int] = {COINBASE: 0}
+        self._name_rank: np.ndarray | None = None
 
     def intern(self, name: str) -> int:
         idx = self._index.get(name)
@@ -62,6 +63,22 @@ class AddressTable:
 
     def __len__(self) -> int:
         return len(self.names)
+
+    @property
+    def name_rank(self) -> np.ndarray:
+        """Position of each id's name in Python `sorted(names)` order.
+
+        Built on first use and rebuilt whenever `intern` has grown the table
+        since.  The sort is Python's code-point order on `str`; a numpy 'U'
+        array would drop trailing NULs and treat "a" and "a\\x00" as equal.
+        """
+        rank = self._name_rank
+        if rank is None or len(rank) != len(self.names):
+            order = sorted(range(len(self.names)), key=self.names.__getitem__)
+            rank = np.empty(len(order), dtype=np.int64)
+            rank[order] = np.arange(len(order), dtype=np.int64)
+            self._name_rank = rank
+        return rank
 
 
 @dataclass(frozen=True)
@@ -141,6 +158,18 @@ def expand_edges(tx: Transaction, day: int = 0) -> list[Edge]:
     return [Edge(a, b, txid, day) for a in ins for b in outs]
 
 
+def _encodes(text: str) -> bool:
+    """Whether `text` encodes to UTF-8: False when it holds a lone surrogate
+    (JSON's "\\ud800" escape decodes to one), which no output file can hold."""
+    if text.isascii():
+        return True
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def _merge_side(entries, line: int, side: str) -> list[tuple[str, int]]:
     """Validate one `in`/`out` list and merge duplicate addresses."""
     merged: dict[str, int] = {}
@@ -150,6 +179,8 @@ def _merge_side(entries, line: int, side: str) -> list[tuple[str, int]]:
         addr, value = item
         if not isinstance(addr, str) or not addr:
             raise ParseError(line, f"{side} address must be a non-empty string")
+        if not _encodes(addr):
+            raise ParseError(line, f"{side} address is not valid Unicode (lone surrogate)")
         if addr == COINBASE:
             raise ParseError(line, f"reserved address {COINBASE!r} in {side}")
         if isinstance(value, bool) or not isinstance(value, int):
@@ -171,6 +202,8 @@ def _validate_record(rec, line: int) -> tuple[str, int, list, list]:
     txid = rec.get("txid")
     if not isinstance(txid, str) or not txid:
         raise ParseError(line, "missing or invalid txid")
+    if not _encodes(txid):
+        raise ParseError(line, "txid is not valid Unicode (lone surrogate)")
     time = rec.get("time")
     if isinstance(time, bool) or not isinstance(time, int):
         raise ParseError(line, "missing or invalid time")

@@ -387,11 +387,12 @@ def d_hhi(series: HHISeries) -> dict[int, float]:
     """Dynamic decentralization degree: 1 minus the min-max-normalized HHI.
 
     Normalization spans the whole available series, so the series maximum
-    maps to 0 and the minimum to 1.  A constant series is defined as all 1.
+    maps to 0 and the minimum to 1.  A constant series is defined as all 1,
+    and an empty one gives an empty map.
     """
-    if not series.values:
-        raise ValueError("empty series")
     vals = series.values
+    if not vals:
+        return {}
     lo = min(vals.values())
     hi = max(vals.values())
     if hi == lo:

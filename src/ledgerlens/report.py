@@ -34,6 +34,12 @@ def config_hash(params: dict) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
+def check_tops(tops: Sequence[int]) -> None:
+    """Reject an empty top-N list or any N below 1."""
+    if not tops or min(tops) < 1:
+        raise ValueError(f"tops must be positive integers, got {list(tops)}")
+
+
 def check_curve_day(day: int, n_days: int) -> None:
     """Reject a cumulative-curve day that is not a day of the ledger."""
     if not 0 <= day < n_days:
@@ -102,9 +108,11 @@ def build_report(
     dynamic-degree normalization spans the whole history), but only days
     inside the window are emitted.  Returns the JSON-serializable bundle
     that was written to report.json.  An unknown `method` or a `curve_day`
-    outside the ledger is rejected before anything is written.
+    outside the ledger, or a `tops` list that `check_tops` refuses, is
+    rejected before anything is written.
     """
     check_method(method)
+    check_tops(tops)
     if curve_day is not None:
         check_curve_day(curve_day, ledger.n_days)
     os.makedirs(out_dir, exist_ok=True)
@@ -257,7 +265,6 @@ def build_report(
     # windowing.
     hhi_rows: list[tuple] = []
     hhi_bundle: dict[str, dict] = {}
-    a3 = None
     for scheme in ("a1", "a2", "a3"):
         series = hhi_series(ledger, scheme, focus_n=focus_n, method=method)
         if scheme == "a3":
@@ -279,8 +286,7 @@ def build_report(
     )
     bundle["hhi"] = hhi_bundle
 
-    dyn = d_hhi(a3) if a3 is not None and a3.values else {}
-    dyn = {d: v for d, v in dyn.items() if in_window(d)}
+    dyn = {d: v for d, v in d_hhi(a3).items() if in_window(d)}
     write_csv(
         os.path.join(out_dir, "d_hhi.csv"),
         ["day", "d_hhi"],

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from ledgerlens import BalanceError, compute_rankings, compute_snapshots
-from ledgerlens.balances import adjacent_diff, proportion_series, rank_balances, snapshot_at
+from ledgerlens.balances import (
+    Ranking, adjacent_diff, proportion_series, rank_balances, snapshot_at,
+)
+from ledgerlens.ledger import AddressTable
 from conftest import DAY, make_ledger, rec
 
 BTC = 10**8
@@ -137,6 +141,102 @@ class TestTopN:
         ])
         ranking = top(snapshots_list(ledger)[0], 3)
         assert ranking.tie_ranks().tolist() == [1.5, 1.5, 3.0]
+
+
+def reference_rank_balances(balances, n, addresses, day):
+    """The ranking as first written, with Python sorts on address strings:
+    the oracle for the vectorized `rank_balances`."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    names = addresses.names
+    funded = np.flatnonzero(balances > 0)
+    vals = balances[funded]
+    if len(funded) > n:
+        part = np.argpartition(vals, len(vals) - n)[len(vals) - n:]
+        threshold = vals[part].min()
+        above = funded[vals > threshold]
+        need = n - len(above)
+        if need > 0:
+            tied = sorted(funded[vals == threshold], key=lambda i: names[i])
+            chosen = np.concatenate((above, np.asarray(tied[:need], dtype=np.int64)))
+        else:
+            chosen = above
+    else:
+        chosen = funded
+    chosen_vals = balances[chosen]
+    order = sorted(range(len(chosen)), key=lambda j: (-chosen_vals[j], names[chosen[j]]))
+    order = np.asarray(order, dtype=np.int64)
+    return Ranking(day, n, chosen[order], chosen_vals[order], addresses)
+
+
+def assert_same_ranking(balances, n, table):
+    got = rank_balances(balances, n, table, 3)
+    want = reference_rank_balances(balances, n, table, 3)
+    for a, b in ((got.ids, want.ids), (got.balances, want.balances)):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b)
+    assert (got.day, got.n) == (want.day, want.n)
+
+
+def table_of(names):
+    table = AddressTable()
+    for name in names:
+        table.intern(name)
+    return table
+
+
+# Few characters, so names share prefixes; NUL and non-ASCII code points make
+# string order differ from both id order and numpy 'U' order.
+NAME_CHARS = st.sampled_from(["a", "b", "Z", "\x00", "\x7f", "\xe9", "\u4e2d", "\U0001f600"])
+
+
+@st.composite
+def ranking_inputs(draw):
+    names = draw(st.lists(st.text(NAME_CHARS, min_size=1, max_size=4),
+                          min_size=1, max_size=40, unique=True))
+    table = table_of(names)
+    # Mostly tiny values, so tie groups straddle the cut; zeros are unfunded.
+    value = st.one_of(st.integers(0, 3), st.integers(1, 2**62))
+    balances = np.asarray(draw(st.lists(value, min_size=len(table), max_size=len(table))),
+                          dtype=np.int64)
+    return balances, draw(st.integers(1, len(table) + 2)), table
+
+
+class TestRankKernel:
+    @given(ranking_inputs())
+    def test_matches_reference(self, case):
+        balances, n, table = case
+        funded = int((balances > 0).sum())
+        for k in {n, funded - 1, funded, funded + 1}:
+            if k >= 1:
+                assert_same_ranking(balances, k, table)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_ties_across_cut_by_code_point(self, n):
+        # "a\x00" is interned before "a" but sorts after it; numpy 'U'
+        # strings would call the two equal.
+        table = table_of(["b", "a\x00", "\xe9", "a", "Z"])
+        balances = np.array([0, 7, 7, 7, 7, 9], dtype=np.int64)
+        assert_same_ranking(balances, n, table)
+        ranking = rank_balances(balances, 5, table, 0)
+        assert ranking.entries() == [("Z", 9), ("a", 7), ("a\x00", 7), ("b", 7), ("\xe9", 7)]
+
+    @pytest.mark.parametrize("n", [1, 3, 10])
+    def test_all_zero(self, n):
+        table = table_of(["a", "b"])
+        balances = np.zeros(len(table), dtype=np.int64)
+        assert_same_ranking(balances, n, table)
+        assert len(rank_balances(balances, n, table, 0)) == 0
+
+    def test_name_rank_refreshes_after_intern(self):
+        table = table_of(["b", "c"])
+        balances = np.array([0, 5, 5], dtype=np.int64)
+        assert rank_balances(balances, 1, table, 0).entries() == [("b", 5)]
+        table.intern("\x00")
+        balances = np.append(balances, 5)
+        assert len(table.name_rank) == len(table)
+        assert_same_ranking(balances, 1, table)
+        assert rank_balances(balances, 1, table, 0).entries() == [("\x00", 5)]
 
 
 class TestProportion:

@@ -321,6 +321,21 @@ class TestExitCodes:
         assert run(["ingest", "-i", str(wide), "--store", str(tmp_path / "s")]) == 2
         assert not (tmp_path / "s").exists()
 
+    def test_lone_surrogate_address_is_data_error(self, tmp_path, capsys):
+        src = tmp_path / "s.jsonl"
+        src.write_text(rec("a", 0, [], [["\ud800x", 5]]) + "\n")
+        assert run(["ingest", "-i", str(src), "--store", str(tmp_path / "s")]) == 2
+        assert "line 1" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("tops", ["5,-3", "0", ",", ""])
+    def test_bad_tops_write_nothing(self, store, tmp_path, monkeypatch, capsys, tops):
+        monkeypatch.chdir(tmp_path)
+        assert run(["proportions", "--store", store, "--tops", tops, "--out", "p.csv"]) == 1
+        assert run(["report", "--store", store, "--tops", tops, "--out", "rep"]) == 1
+        assert "tops must be positive" in capsys.readouterr().err
+        assert not (tmp_path / "p.csv").exists() and not (tmp_path / "rep").exists()
+
     def test_epoch_far_before_first_tx_is_data_error(self, tmp_path):
         src = tmp_path / "c.jsonl"
         src.write_text(rec("a", 0, [], [["x", 5]]) + "\n")

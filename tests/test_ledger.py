@@ -198,6 +198,24 @@ class TestParseErrors:
             make_ledger(lines)
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("line", [
+        rec("\ud800x", 0, [], [["x", 1]]),
+        rec("a", 0, [], [["x\udfff", 1]]),
+        rec("a", 0, [["x\udc80", 1]], [["y", 1]]),
+    ])
+    def test_lone_surrogate_rejected(self, line):
+        # json.loads turns a lone "\ud800" escape into a str that cannot be
+        # written out as UTF-8, so ingest refuses it with the line number.
+        with pytest.raises(ParseError, match="surrogate") as err:
+            make_ledger([rec("c", 0, [], [["x", 1]]), line])
+        assert err.value.line == 2
+
+    def test_non_ascii_names_accepted(self):
+        # A surrogate pair escape is one valid astral code point.
+        ledger = make_ledger([rec("t\ud83d\ude00", 0, [], [["\xe9", 1], ["\u4e2d", 2]])])
+        assert ledger.txids == ["t\U0001f600"]
+        assert ledger.addresses.names[1:] == ["\xe9", "\u4e2d"]
+
     def test_blank_lines_skipped(self):
         ledger = make_ledger(["", rec("a", 0, [], [["x", 1]]), "  "])
         assert len(ledger) == 1

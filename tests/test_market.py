@@ -429,6 +429,5 @@ class TestDHHI:
         series = HHISeries("a3", {0: 500.0, 1: 500.0})
         assert d_hhi(series) == {0: 1.0, 1: 1.0}
 
-    def test_empty_error(self):
-        with pytest.raises(ValueError):
-            d_hhi(HHISeries("a3", {}))
+    def test_empty_series_empty_map(self):
+        assert d_hhi(HHISeries("a3", {})) == {}
