@@ -15,22 +15,32 @@ from . import __version__
 from .balances import compute_rankings, snapshot_at
 from .errors import LedgerError
 from .ledger import parse_ledger
-from .lorenz import cumulative_curve, d_static_series
-from .market import SCHEMES, cluster, d_hhi, hhi_series
+from .lorenz import SCALINGS, d_static_series
+from .market import METHODS, SCHEMES, cluster, d_hhi, hhi_series
 from .report import (
     DEFAULT_INTERVALS,
     DEFAULT_TOPS,
     build_report,
+    check_counts,
     check_curve_day,
-    check_tops,
     config_hash,
+    curve_chart,
+    day_table,
+    dispersion_table,
+    hhi_table,
+    open_output,
+    proportions_long_table,
+    proportions_table,
+    window,
     write_csv,
     write_json,
 )
-from .stability import stability_series, summarize
+from .stability import SPEARMAN_MODES, stability_series, summarize
 from .store import load_ledger, load_meta, save_ledger
-from .svg import line_chart
-from .synth import SynthConfig, generate
+# `line_chart` is not called here; it stays importable under this module's
+# name because the benchmark's tracer (bench/tracer.py) wraps it here.
+from .svg import line_chart  # noqa: F401
+from .synth import REGIMES, SynthConfig, generate
 from .txgraph import dispersion_series, build_day_graph, degree_centrality, pagerank
 
 STORE_ENV = "LEDGERLENS_STORE"
@@ -44,17 +54,25 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(t) for t in text.split(",") if t.strip()]
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
 
 
-def _tops(text: str) -> list[int]:
-    tops = _int_list(text)
-    try:
-        check_tops(tops)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
-    return tops
+def _counts(name: str):
+    """Argument type of a comma-separated list of positive counts."""
+
+    def parse(text: str) -> list[int]:
+        values = [int(t) for t in text.split(",") if t.strip()]
+        try:
+            check_counts(name, values)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from exc
+        return values
+
+    return parse
 
 
 def _day_range(text: str) -> tuple[int, int]:
@@ -65,13 +83,6 @@ def _day_range(text: str) -> tuple[int, int]:
     return lo_i, hi_i
 
 
-def _window(rows, day_range, key=lambda row: row[0]):
-    if day_range is None:
-        return list(rows)
-    lo, hi = day_range
-    return [row for row in rows if lo <= key(row) <= hi]
-
-
 def _store_dir(args) -> str:
     store = args.store or os.environ.get(STORE_ENV)
     if not store:
@@ -79,23 +90,19 @@ def _store_dir(args) -> str:
     return store
 
 
-def _open_out(path: str):
-    if path == "-":
-        return sys.stdout, False
-    return open(path, "w"), True
+def _open_store(args):
+    """The ledger of the command's store and the store's content hash."""
+    store = _store_dir(args)
+    return load_ledger(store), load_meta(store)["content_hash"]
 
 
-def _emit_csv(path: str, columns, rows, cfg: str) -> None:
-    if path == "-":
-        from .report import _cell, _meta_lines
-
-        for line in _meta_lines(cfg):
-            sys.stdout.write(line + "\n")
-        sys.stdout.write(",".join(columns) + "\n")
-        for row in rows:
-            sys.stdout.write(",".join(_cell(v) for v in row) + "\n")
-    else:
-        write_csv(path, columns, rows, cfg)
+def _config(cmd: str, args, store_hash: str, **params) -> str:
+    """Config hash of one command: its parameters, its output window (for
+    the commands that take one) and the store's content hash."""
+    params.update(cmd=cmd, store=store_hash)
+    if "day_range" in args:
+        params["day_range"] = list(args.day_range) if args.day_range else None
+    return config_hash(params)
 
 
 def _cmd_synth(args) -> int:
@@ -115,22 +122,20 @@ def _cmd_synth(args) -> int:
         amount_frac=args.amount_frac,
     )
     ledger = generate(cfg)
-    out, close = _open_out(args.out)
-    try:
+    with open_output(args.out) as out:
         ledger.serialize(out)
-    finally:
-        if close:
-            out.close()
     print(f"synth: {len(ledger)} transactions over {ledger.n_days} days", file=sys.stderr)
     return 0
 
 
 def _cmd_ingest(args) -> int:
     store = _store_dir(args)
+    # Bytes in: parse_ledger decodes each line as strict UTF-8 itself, so a
+    # bad byte is a ParseError with its line number whatever the locale.
     if args.input == "-":
-        ledger = parse_ledger(sys.stdin, epoch=args.epoch)
+        ledger = parse_ledger(sys.stdin.buffer, epoch=args.epoch)
     else:
-        with open(args.input) as fp:
+        with open(args.input, "rb") as fp:
             ledger = parse_ledger(fp, epoch=args.epoch)
     meta = save_ledger(ledger, store)
     if ledger.out_of_order:
@@ -145,59 +150,36 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_snapshot(args) -> int:
-    store = _store_dir(args)
-    ledger = load_ledger(store)
+    ledger, store_hash = _open_store(args)
     snap = snapshot_at(ledger, args.dump_day)
-    cfg = config_hash({"cmd": "snapshot", "day": args.dump_day,
-                       "store": load_meta(store)["content_hash"]})
-    funded = sorted(snap.as_dict().items())
-    _emit_csv(args.out, ["address", "balance"], funded, cfg)
+    cfg = _config("snapshot", args, store_hash, day=args.dump_day)
+    write_csv(args.out, ["address", "balance"], sorted(snap.as_dict().items()), cfg)
     return 0
 
 
 def _cmd_proportions(args) -> int:
-    store = _store_dir(args)
-    ledger = load_ledger(store)
+    ledger, store_hash = _open_store(args)
     tops = args.tops
     rankings = compute_rankings(ledger, max(tops))
     from .balances import proportion_series
 
     supplies = [ledger.supply_at(d) for d in range(ledger.n_days)]
     matrix = proportion_series(rankings, supplies, tops)
-    cfg = config_hash({"cmd": "proportions", "tops": tops,
-                       "day_range": list(args.day_range) if args.day_range else None,
-                       "store": load_meta(store)["content_hash"]})
-    if args.long:
-        rows = [
-            (d, n, float(matrix[d, j]))
-            for d in range(ledger.n_days)
-            for j, n in enumerate(tops)
-        ]
-        _emit_csv(args.out, ["day", "n", "proportion"],
-                  _window(rows, args.day_range), cfg)
-    else:
-        rows = [
-            (d, *[float(matrix[d, j]) for j in range(len(tops))])
-            for d in range(ledger.n_days)
-        ]
-        _emit_csv(args.out, ["day"] + [f"p{n}" for n in tops],
-                  _window(rows, args.day_range), cfg)
+    cfg = _config("proportions", args, store_hash, tops=tops)
+    days = list(window(dict.fromkeys(range(ledger.n_days)), args.day_range))
+    table = proportions_long_table if args.long else proportions_table
+    write_csv(args.out, *table(matrix, tops, days), cfg)
     return 0
 
 
 def _cmd_stability(args) -> int:
-    store = _store_dir(args)
-    ledger = load_ledger(store)
+    ledger, store_hash = _open_store(args)
     rankings = compute_rankings(ledger, args.top)
     series = stability_series(rankings, args.top, args.interval, args.metric, args.mode)
-    cfg = config_hash({
-        "cmd": "stability", "metric": args.metric, "top": args.top,
-        "interval": args.interval, "mode": args.mode,
-        "day_range": list(args.day_range) if args.day_range else None,
-        "store": load_meta(store)["content_hash"],
-    })
-    series.values = dict(_window(sorted(series.values.items()), args.day_range))
-    _emit_csv(args.out, ["day", "value"], sorted(series.values.items()), cfg)
+    cfg = _config("stability", args, store_hash, metric=args.metric, top=args.top,
+                  interval=args.interval, mode=args.mode)
+    series.values = window(series.values, args.day_range)
+    write_csv(args.out, *day_table("value", series.values), cfg)
     if args.summary:
         write_json(args.summary, {
             "meta": {"config_hash": cfg},
@@ -207,8 +189,7 @@ def _cmd_stability(args) -> int:
 
 
 def _cmd_dstatic(args) -> int:
-    store = _store_dir(args)
-    ledger = load_ledger(store)
+    ledger, store_hash = _open_store(args)
     if args.svg:
         curve_day = args.curve_day if args.curve_day is not None else ledger.n_days - 1
         check_curve_day(curve_day, ledger.n_days)
@@ -216,26 +197,15 @@ def _cmd_dstatic(args) -> int:
         raise ValueError("--curve-day needs --svg")
     rankings = compute_rankings(ledger, args.top)
     series = d_static_series(rankings, args.top, args.scaling)
-    cfg = config_hash({"cmd": "dstatic", "top": args.top, "scaling": args.scaling,
-                       "day_range": list(args.day_range) if args.day_range else None,
-                       "store": load_meta(store)["content_hash"]})
-    _emit_csv(args.out, ["day", "d_static"],
-              _window(sorted(series.values.items()), args.day_range), cfg)
+    cfg = _config("dstatic", args, store_hash, top=args.top, scaling=args.scaling)
+    write_csv(args.out, *day_table("d_static", window(series.values, args.day_range)), cfg)
     if args.svg:
-        curve = cumulative_curve(rankings[curve_day], args.top)
-        xs = list(range(1, curve.n + 1))
-        line_chart(
-            {"actual": (xs, curve.c_real.tolist()),
-             "equal": (xs, curve.c_equal.tolist())},
-            args.svg,
-            f"Cumulative top-N wealth share (day {curve_day})", "rank", "share",
-        )
+        curve_chart(args.svg, rankings[curve_day], args.top, cfg)
     return 0
 
 
 def _cmd_dispersion(args) -> int:
-    store = _store_dir(args)
-    ledger = load_ledger(store)
+    ledger, store_hash = _open_store(args)
     if (args.nodes_day is None) != (args.nodes_out is None):
         raise ValueError("--nodes-day and --nodes-out go together")
     if args.nodes_day is not None and not 1 <= args.nodes_day < ledger.n_days:
@@ -246,15 +216,10 @@ def _cmd_dispersion(args) -> int:
         ledger, rankings, metrics, args.focus,
         value_weighted=args.value_weighted,
     )
-    cfg = config_hash({
-        "cmd": "dispersion", "metrics": list(metrics), "focus": args.focus,
-        "value_weighted": args.value_weighted,
-        "day_range": list(args.day_range) if args.day_range else None,
-        "store": load_meta(store)["content_hash"],
-    })
-    rows = [(d, m, v) for m in sorted(series) for d, v in sorted(series[m].items())]
-    _emit_csv(args.out, ["day", "metric", "dispersion"],
-              _window(rows, args.day_range), cfg)
+    cfg = _config("dispersion", args, store_hash, metrics=list(metrics), focus=args.focus,
+                  value_weighted=args.value_weighted)
+    series = {m: window(vals, args.day_range) for m, vals in series.items()}
+    write_csv(args.out, *dispersion_table(series), cfg)
     if args.nodes_day is not None:
         d = args.nodes_day
         graph = build_day_graph(ledger, d, rankings[d - 1].truncated(args.focus),
@@ -263,13 +228,12 @@ def _cmd_dispersion(args) -> int:
         pr = pagerank(graph, weighted_by_value=args.value_weighted)
         pr = pr.as_dict(ledger.addresses)
         rows = [(d, a, deg[a], pr[a]) for a in sorted(deg)]
-        _emit_csv(args.nodes_out, ["day", "address", "degree", "pagerank"], rows, cfg)
+        write_csv(args.nodes_out, ["day", "address", "degree", "pagerank"], rows, cfg)
     return 0
 
 
 def _cmd_hhi(args) -> int:
-    store = _store_dir(args)
-    ledger = load_ledger(store)
+    ledger, store_hash = _open_store(args)
     if args.dhhi and args.scheme != "a3":
         raise ValueError("--dhhi requires --scheme a3")
     if (args.partition_day is None) != (args.partition_out is None):
@@ -279,19 +243,12 @@ def _cmd_hhi(args) -> int:
     series = hhi_series(
         ledger, args.scheme, focus_n=args.focus, method=args.method, seed=args.seed,
     )
-    cfg = config_hash({
-        "cmd": "hhi", "scheme": args.scheme, "focus": args.focus,
-        "method": args.method, "seed": args.seed,
-        "day_range": list(args.day_range) if args.day_range else None,
-        "store": load_meta(store)["content_hash"],
-    })
-    classes = series.classes()
-    rows = [(d, args.scheme, v, classes[d]) for d, v in sorted(series.values.items())]
-    _emit_csv(args.out, ["day", "scheme", "hhi", "class"],
-              _window(rows, args.day_range), cfg)
+    cfg = _config("hhi", args, store_hash, scheme=args.scheme, focus=args.focus,
+                  method=args.method, seed=args.seed)
+    write_csv(args.out, *hhi_table({args.scheme: window(series.values, args.day_range)}),
+              cfg)
     if args.dhhi:
-        _emit_csv(args.dhhi, ["day", "d_hhi"],
-                  _window(sorted(d_hhi(series).items()), args.day_range), cfg)
+        write_csv(args.dhhi, *day_table("d_hhi", window(d_hhi(series), args.day_range)), cfg)
     if args.partition_day is not None:
         clustering = cluster(ledger, args.partition_day, args.scheme,
                              focus_n=args.focus, method=args.method, seed=args.seed)
@@ -305,8 +262,7 @@ def _cmd_hhi(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    store = _store_dir(args)
-    ledger = load_ledger(store)
+    ledger, store_hash = _open_store(args)
     build_report(
         ledger,
         args.out,
@@ -319,7 +275,7 @@ def _cmd_report(args) -> int:
         method=args.method,
         value_weighted=args.value_weighted,
         day_range=args.day_range,
-        store_hash=load_meta(store)["content_hash"],
+        store_hash=store_hash,
         charts=not args.no_charts,
     )
     print(f"report: bundle written to {args.out}", file=sys.stderr)
@@ -346,8 +302,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--txs-per-day", type=int, default=100)
     p.add_argument("--pool", type=int, default=200)
     p.add_argument("--growth", type=float, default=0.0)
-    p.add_argument("--regime", choices=("uniform", "preferential", "hub", "churn"),
-                   default="uniform")
+    p.add_argument("--regime", choices=REGIMES, default="uniform")
     p.add_argument("--alpha", type=float, default=0.0)
     p.add_argument("--hubs", type=int, default=5)
     p.add_argument("--churn-rate", type=float, default=0.1)
@@ -377,7 +332,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("proportions", help="daily top-N supply proportions")
     add_store(p)
     add_day_range(p)
-    p.add_argument("--tops", type=_tops, default=list(DEFAULT_TOPS))
+    p.add_argument("--tops", type=_counts("tops"), default=list(DEFAULT_TOPS))
     p.add_argument("--long", action="store_true", help="emit day,n,proportion rows")
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_proportions)
@@ -386,10 +341,9 @@ def _build_parser() -> _Parser:
     add_store(p)
     add_day_range(p)
     p.add_argument("--metric", choices=("spearman", "retention"), default="spearman")
-    p.add_argument("--top", type=int, default=100)
-    p.add_argument("--interval", type=int, default=1)
-    p.add_argument("--mode", choices=("intersection", "penalized"),
-                   default="intersection")
+    p.add_argument("--top", type=_count, default=100)
+    p.add_argument("--interval", type=_count, default=1)
+    p.add_argument("--mode", choices=SPEARMAN_MODES, default="intersection")
     p.add_argument("--summary", default=None, help="also write a summary JSON here")
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_stability)
@@ -397,8 +351,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("dstatic", help="static decentralization degree series")
     add_store(p)
     add_day_range(p)
-    p.add_argument("--top", type=int, default=2000)
-    p.add_argument("--scaling", type=int, choices=(1, 2), default=2)
+    p.add_argument("--top", type=_count, default=2000)
+    p.add_argument("--scaling", type=int, choices=SCALINGS, default=2)
     p.add_argument("--curve-day", type=int, default=None)
     p.add_argument("--svg", default=None, help="write the cumulative curve chart here")
     p.add_argument("--out", default="-")
@@ -408,7 +362,7 @@ def _build_parser() -> _Parser:
     add_store(p)
     add_day_range(p)
     p.add_argument("--metric", choices=("degree", "pagerank", "both"), default="both")
-    p.add_argument("--focus", type=int, default=100)
+    p.add_argument("--focus", type=_count, default=100)
     p.add_argument("--value-weighted", action="store_true")
     p.add_argument("--nodes-day", type=int, default=None)
     p.add_argument("--nodes-out", default=None)
@@ -419,9 +373,8 @@ def _build_parser() -> _Parser:
     add_store(p)
     add_day_range(p)
     p.add_argument("--scheme", choices=SCHEMES, default="a1")
-    p.add_argument("--focus", type=int, default=100)
-    p.add_argument("--method", choices=("label_propagation", "modularity"),
-                   default="label_propagation")
+    p.add_argument("--focus", type=_count, default=100)
+    p.add_argument("--method", choices=METHODS, default="label_propagation")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dhhi", default=None,
                    help="also write the dynamic decentralization series (a3 only)")
@@ -434,14 +387,13 @@ def _build_parser() -> _Parser:
     add_store(p)
     add_day_range(p)
     p.add_argument("--out", "-o", required=True, help="output directory")
-    p.add_argument("--tops", type=_tops, default=list(DEFAULT_TOPS))
-    p.add_argument("--intervals", type=_int_list, default=list(DEFAULT_INTERVALS))
-    p.add_argument("--focus", type=int, default=100)
-    p.add_argument("--mode", choices=("intersection", "penalized"),
-                   default="intersection")
-    p.add_argument("--scaling", type=int, choices=(1, 2), default=2)
-    p.add_argument("--method", choices=("label_propagation", "modularity"),
-                   default="label_propagation")
+    p.add_argument("--tops", type=_counts("tops"), default=list(DEFAULT_TOPS))
+    p.add_argument("--intervals", type=_counts("intervals"),
+                   default=list(DEFAULT_INTERVALS))
+    p.add_argument("--focus", type=_count, default=100)
+    p.add_argument("--mode", choices=SPEARMAN_MODES, default="intersection")
+    p.add_argument("--scaling", type=int, choices=SCALINGS, default=2)
+    p.add_argument("--method", choices=METHODS, default="label_propagation")
     p.add_argument("--curve-day", type=int, default=None)
     p.add_argument("--value-weighted", action="store_true")
     p.add_argument("--no-charts", action="store_true")

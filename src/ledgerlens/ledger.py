@@ -453,14 +453,18 @@ class Ledger:
         return EdgeArrays(src, dst, day, day_ptr, values)
 
 
-def parse_ledger(stream: Iterable[str] | IO[str], epoch: int | None = None) -> Ledger:
+def parse_ledger(
+    stream: Iterable[str] | Iterable[bytes] | IO[str] | IO[bytes],
+    epoch: int | None = None,
+) -> Ledger:
     """Parse a JSON-lines transaction stream into a validated Ledger.
 
     Each line holds one record: ``{"txid": str, "time": int, "in": [[addr,
     value], ...], "out": [[addr, value], ...]}`` with integer base-unit
     values.  Coinbase records have an empty ``in`` list.  Malformed lines
-    raise ParseError with their line number.  Records out of timestamp order
-    are accepted, counted on ``Ledger.out_of_order``, and re-sorted.
+    raise ParseError with their line number; so does a line of a binary
+    stream that is not valid UTF-8.  Records out of timestamp order are
+    accepted, counted on ``Ledger.out_of_order``, and re-sorted.
 
     `epoch` optionally fixes the day-0 boundary (a UTC timestamp, floored to
     midnight); by default day 0 is the UTC day of the earliest transaction.
@@ -477,6 +481,14 @@ def parse_ledger(stream: Iterable[str] | IO[str], epoch: int | None = None) -> L
     minted = 0
 
     for line_no, line in enumerate(stream, start=1):
+        if isinstance(line, bytes):
+            try:
+                line = line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                bad = exc.object[exc.start]
+                raise ParseError(
+                    line_no, f"not valid UTF-8 (byte {bad:#04x} at column {exc.start + 1})"
+                ) from exc
         text = line.strip()
         if not text:
             continue

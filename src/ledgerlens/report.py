@@ -6,18 +6,21 @@ an identical store always reproduce identical files.  Wall-clock time never
 enters an output.
 """
 
+import contextlib
 import hashlib
 import json
+import math
 import os
+import sys
 from typing import Sequence
 
 import numpy as np
 
 from . import __version__
-from .balances import adjacent_diff, compute_rankings, proportion_series
+from .balances import Ranking, adjacent_diff, compute_rankings, proportion_series
 from .ledger import Ledger
 from .lorenz import cumulative_curve, d_static_series
-from .market import check_method, d_hhi, hhi_series
+from .market import check_method, classify, d_hhi, hhi_series
 from .stability import StabilitySeries, stability_series, summarize
 from .svg import box_plot, line_chart
 from .txgraph import dispersion_series
@@ -34,10 +37,11 @@ def config_hash(params: dict) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:16]
 
 
-def check_tops(tops: Sequence[int]) -> None:
-    """Reject an empty top-N list or any N below 1."""
-    if not tops or min(tops) < 1:
-        raise ValueError(f"tops must be positive integers, got {list(tops)}")
+def check_counts(name: str, values: Sequence[int]) -> None:
+    """Reject an empty list of counts (top-N sizes, intervals, focus sizes)
+    or any count below 1; `name` names the option in the message."""
+    if not values or min(values) < 1:
+        raise ValueError(f"{name} must be positive integers, got {list(values)}")
 
 
 def check_curve_day(day: int, n_days: int) -> None:
@@ -46,12 +50,11 @@ def check_curve_day(day: int, n_days: int) -> None:
         raise ValueError(f"curve day {day} is not a day of the ledger ({n_days} days)")
 
 
-def _meta_lines(cfg_hash: str) -> list[str]:
-    return [
-        f"# ledgerlens {__version__}",
-        f"# format: {FORMAT_VERSION}",
-        f"# config: {cfg_hash}",
-    ]
+def window(values: dict, day_range: tuple[int, int] | None) -> dict:
+    """The entries of a day-keyed map inside the inclusive `day_range`
+    (all of them when it is None), in day order."""
+    lo, hi = day_range if day_range is not None else (-math.inf, math.inf)
+    return {d: v for d, v in sorted(values.items()) if lo <= d <= hi}
 
 
 def _cell(v) -> str:
@@ -64,10 +67,16 @@ def _cell(v) -> str:
     return str(v)
 
 
+def open_output(path: str):
+    """Context manager for a text output file; `-` is standard output."""
+    return contextlib.nullcontext(sys.stdout) if path == "-" else open(path, "w")
+
+
 def write_csv(path: str, columns: Sequence[str], rows, cfg_hash: str) -> None:
-    with open(path, "w") as fp:
-        for line in _meta_lines(cfg_hash):
-            fp.write(line + "\n")
+    """Write a CSV (`-` for standard output) under the metadata header."""
+    with open_output(path) as fp:
+        fp.write(f"# ledgerlens {__version__}\n# format: {FORMAT_VERSION}\n"
+                 f"# config: {cfg_hash}\n")
         fp.write(",".join(columns) + "\n")
         for row in rows:
             fp.write(",".join(_cell(v) for v in row) + "\n")
@@ -77,6 +86,51 @@ def write_json(path: str, payload: dict) -> None:
     with open(path, "w") as fp:
         json.dump(payload, fp, indent=2, sort_keys=True)
         fp.write("\n")
+
+
+def day_table(column: str, values: dict) -> tuple[list[str], list[tuple]]:
+    """A `day,<column>` table of a day-keyed map, in map order."""
+    return ["day", column], list(values.items())
+
+
+def proportions_table(prop: np.ndarray, tops: Sequence[int], days: Sequence[int]):
+    """Wide top-N proportions: one row per day, one `p<N>` column per N."""
+    return (["day"] + [f"p{n}" for n in tops],
+            [(d, *[float(prop[d, j]) for j in range(len(tops))]) for d in days])
+
+
+def proportions_long_table(prop: np.ndarray, tops: Sequence[int], days: Sequence[int]):
+    """Long top-N proportions: one `day,n,proportion` row per day and N."""
+    return (["day", "n", "proportion"],
+            [(d, n, float(prop[d, j])) for d in days for j, n in enumerate(tops)])
+
+
+def dispersion_table(disp: dict[str, dict[int, float]]):
+    """`day,metric,dispersion` rows of day-ordered maps, metrics sorted."""
+    return (["day", "metric", "dispersion"],
+            [(d, m, v) for m in sorted(disp) for d, v in disp[m].items()])
+
+
+def hhi_table(hhi: dict[str, dict[int, float]]):
+    """`day,scheme,hhi,class` rows of day-ordered maps, scheme by scheme."""
+    return (["day", "scheme", "hhi", "class"],
+            [(d, scheme, v, classify(v)) for scheme, vals in hhi.items()
+             for d, v in vals.items()])
+
+
+def _svg_meta(cfg_hash: str) -> str:
+    return f"ledgerlens {__version__} format={FORMAT_VERSION} config={cfg_hash}"
+
+
+def curve_chart(path: str, ranking: Ranking, top: int, cfg_hash: str) -> None:
+    """Chart of one day's cumulative top-N wealth share against equality."""
+    curve = cumulative_curve(ranking, top)
+    xs = list(range(1, curve.n + 1))
+    line_chart(
+        {"actual": (xs, curve.c_real.tolist()), "equal": (xs, curve.c_equal.tolist())},
+        path, f"Cumulative top-N wealth share (day {ranking.day})", "rank", "share",
+        meta=_svg_meta(cfg_hash),
+    )
 
 
 def _series_rows(series: StabilitySeries) -> list[tuple]:
@@ -107,12 +161,14 @@ def build_report(
     from day 0 (balances and cumulative graphs need the full prefix, and the
     dynamic-degree normalization spans the whole history), but only days
     inside the window are emitted.  Returns the JSON-serializable bundle
-    that was written to report.json.  An unknown `method` or a `curve_day`
-    outside the ledger, or a `tops` list that `check_tops` refuses, is
-    rejected before anything is written.
+    that was written to report.json.  An unknown `method`, a `curve_day`
+    outside the ledger, or `tops`, `intervals` or `focus_n` that
+    `check_counts` refuses, is rejected before anything is written.
     """
     check_method(method)
-    check_tops(tops)
+    check_counts("tops", tops)
+    check_counts("intervals", intervals)
+    check_counts("focus", [focus_n])
     if curve_day is not None:
         check_curve_day(curve_day, ledger.n_days)
     os.makedirs(out_dir, exist_ok=True)
@@ -130,14 +186,11 @@ def build_report(
     }
     cfg = config_hash(params)
 
-    def in_window(d: int) -> bool:
-        return day_range is None or day_range[0] <= d <= day_range[1]
-
     max_top = max(max(tops), focus_n)
     rankings = compute_rankings(ledger, max_top)
-    all_days = list(range(ledger.n_days))
+    all_days = range(ledger.n_days)
     supplies = [ledger.supply_at(d) for d in all_days]
-    days = [d for d in all_days if in_window(d)]
+    days = list(window(dict.fromkeys(all_days), day_range))
 
     bundle: dict = {
         "meta": {
@@ -155,23 +208,14 @@ def build_report(
             "hhi_focus_anchor": "evaluation-day top-N",
         }
     }
-    svg_meta = f"ledgerlens {__version__} format={FORMAT_VERSION} config={cfg}"
 
     # Top-N supply proportions (matrix rows cover the full history; emission
     # is windowed).
     prop = proportion_series(rankings, supplies, tops)
-    write_csv(
-        os.path.join(out_dir, "proportions.csv"),
-        ["day"] + [f"p{n}" for n in tops],
-        [(d, *[float(prop[d, j]) for j in range(len(tops))]) for d in days],
-        cfg,
-    )
-    write_csv(
-        os.path.join(out_dir, "proportions_long.csv"),
-        ["day", "n", "proportion"],
-        [(d, n, float(prop[d, j])) for d in days for j, n in enumerate(tops)],
-        cfg,
-    )
+    write_csv(os.path.join(out_dir, "proportions.csv"),
+              *proportions_table(prop, tops, days), cfg)
+    write_csv(os.path.join(out_dir, "proportions_long.csv"),
+              *proportions_long_table(prop, tops, days), cfg)
     bundle["proportions"] = {
         "tops": list(tops),
         "days": days,
@@ -201,7 +245,7 @@ def build_report(
         for n, interval in [(focus_n, i) for i in intervals] + [(t, 1) for t in tops]:
             if (metric, n, interval) not in stab:
                 s = stability_series(rankings, n, interval, metric, spearman_mode)
-                s.values = {d: v for d, v in s.values.items() if in_window(d)}
+                s.values = window(s.values, day_range)
                 stab[(metric, n, interval)] = s
     stability_rows: list[tuple] = []
     summaries: dict[str, dict] = {}
@@ -223,18 +267,12 @@ def build_report(
     bundle["stability"] = {"series": series_bundle, "summaries": summaries}
 
     # Static decentralization degree.
-    ds = d_static_series(rankings, max(tops), scaling)
-    ds.values = {d: v for d, v in ds.values.items() if in_window(d)}
-    write_csv(
-        os.path.join(out_dir, "d_static.csv"),
-        ["day", "d_static"],
-        sorted(ds.values.items()),
-        cfg,
-    )
+    ds = window(d_static_series(rankings, max(tops), scaling).values, day_range)
+    write_csv(os.path.join(out_dir, "d_static.csv"), *day_table("d_static", ds), cfg)
     bundle["d_static"] = {
         "scaling": scaling,
         "top": max(tops),
-        "values": {str(d): v for d, v in sorted(ds.values.items())},
+        "values": {str(d): v for d, v in ds.items()},
     }
 
     # Dispersion of graph centralities.
@@ -242,66 +280,32 @@ def build_report(
         ledger, rankings, ("degree", "pagerank"), focus_n,
         value_weighted=value_weighted,
     )
-    disp = {
-        m: {d: v for d, v in vals.items() if in_window(d)}
-        for m, vals in disp.items()
-    }
-    write_csv(
-        os.path.join(out_dir, "dispersion.csv"),
-        ["day", "metric", "dispersion"],
-        [
-            (d, m, v)
-            for m in sorted(disp)
-            for d, v in sorted(disp[m].items())
-        ],
-        cfg,
-    )
+    disp = {m: window(vals, day_range) for m, vals in disp.items()}
+    write_csv(os.path.join(out_dir, "dispersion.csv"), *dispersion_table(disp), cfg)
     bundle["dispersion"] = {
-        m: {str(d): v for d, v in sorted(vals.items())} for m, vals in disp.items()
+        m: {str(d): v for d, v in vals.items()} for m, vals in disp.items()
     }
 
     # HHI under the three clustering schemes, plus the dynamic degree.  The
     # dynamic degree normalizes over the full computed series before
     # windowing.
-    hhi_rows: list[tuple] = []
-    hhi_bundle: dict[str, dict] = {}
-    for scheme in ("a1", "a2", "a3"):
-        series = hhi_series(ledger, scheme, focus_n=focus_n, method=method)
-        if scheme == "a3":
-            a3 = series
-        classes = series.classes()
-        hhi_rows.extend(
-            (d, scheme, v, classes[d])
-            for d, v in sorted(series.values.items())
-            if in_window(d)
-        )
-        hhi_bundle[scheme] = {
-            str(d): v for d, v in sorted(series.values.items()) if in_window(d)
-        }
-    write_csv(
-        os.path.join(out_dir, "hhi.csv"),
-        ["day", "scheme", "hhi", "class"],
-        hhi_rows,
-        cfg,
-    )
-    bundle["hhi"] = hhi_bundle
+    hhi = {scheme: hhi_series(ledger, scheme, focus_n=focus_n, method=method)
+           for scheme in ("a1", "a2", "a3")}
+    hhi_values = {scheme: window(s.values, day_range) for scheme, s in hhi.items()}
+    write_csv(os.path.join(out_dir, "hhi.csv"), *hhi_table(hhi_values), cfg)
+    bundle["hhi"] = {
+        scheme: {str(d): v for d, v in vals.items()} for scheme, vals in hhi_values.items()
+    }
 
-    dyn = {d: v for d, v in d_hhi(a3).items() if in_window(d)}
-    write_csv(
-        os.path.join(out_dir, "d_hhi.csv"),
-        ["day", "d_hhi"],
-        sorted(dyn.items()),
-        cfg,
-    )
-    bundle["d_hhi"] = {str(d): v for d, v in sorted(dyn.items())}
+    dyn = window(d_hhi(hhi["a3"]), day_range)
+    write_csv(os.path.join(out_dir, "d_hhi.csv"), *day_table("d_hhi", dyn), cfg)
+    bundle["d_hhi"] = {str(d): v for d, v in dyn.items()}
 
     if charts:
-        disp_plot = {m: dict(sorted(vals.items())) for m, vals in disp.items()}
         _write_charts(
             out_dir, days, tops, intervals, focus_n,
             prop[days] if days else prop[:0], diff[days] if days else diff[:0],
-            diff_xs, stab, rankings, ds, disp_plot, hhi_bundle, dyn, curve_day,
-            svg_meta,
+            diff_xs, stab, rankings, ds, disp, hhi_values, dyn, curve_day, cfg,
         )
 
     write_json(os.path.join(out_dir, "report.json"), bundle)
@@ -310,10 +314,14 @@ def build_report(
 
 def _write_charts(
     out_dir, days, tops, intervals, focus_n, prop, diff, diff_xs, stab,
-    rankings, ds, disp, hhi_bundle, dyn, curve_day, svg_meta,
+    rankings, ds, disp, hhi_values, dyn, curve_day, cfg,
 ):
     chart_dir = os.path.join(out_dir, "charts")
     os.makedirs(chart_dir, exist_ok=True)
+    svg_meta = _svg_meta(cfg)
+
+    def day_lines(series: dict[str, dict]) -> dict:
+        return {label: (list(vals), list(vals.values())) for label, vals in series.items()}
 
     line_chart(
         {f"top-{n}": (days, prop[:, j].tolist()) for j, n in enumerate(tops)},
@@ -327,93 +335,52 @@ def _write_charts(
         meta=svg_meta,
     )
 
+    # Stability by interval at the focus size, and one-day stability by
+    # list size: (file stem, [(line label, box label, N, interval)], line
+    # title, box title, box x label).
+    panels = (
+        ("intervals", [(f"interval {i}", str(i), focus_n, i) for i in intervals],
+         f"Top-{focus_n} {{}} by day interval",
+         f"Top-{focus_n} {{}} distribution by interval", "interval (days)"),
+        ("tops", [(f"top-{n}", str(n), n, 1) for n in tops],
+         "One-day {} by list size", "One-day {} distribution by list size", "top-N"),
+    )
     for metric in ("spearman", "retention"):
-        by_interval = {}
-        interval_groups = []
-        for interval in intervals:
-            s = stab[(metric, focus_n, interval)]
-            xs = sorted(s.values)
-            by_interval[f"interval {interval}"] = (
-                xs, [s.values[d] if s.values[d] is not None else float("nan") for d in xs]
-            )
-            interval_groups.append((str(interval), s.defined()))
-        line_chart(
-            by_interval,
-            os.path.join(chart_dir, f"{metric}_intervals.svg"),
-            f"Top-{focus_n} {metric} by day interval", "day", metric,
-            meta=svg_meta,
-        )
-        box_plot(
-            interval_groups,
-            os.path.join(chart_dir, f"{metric}_intervals_box.svg"),
-            f"Top-{focus_n} {metric} distribution by interval",
-            "interval (days)", metric, meta=svg_meta,
-        )
-        by_top = {}
-        top_groups = []
-        for n in tops:
-            s = stab[(metric, n, 1)]
-            xs = sorted(s.values)
-            by_top[f"top-{n}"] = (
-                xs, [s.values[d] if s.values[d] is not None else float("nan") for d in xs]
-            )
-            top_groups.append((str(n), s.defined()))
-        line_chart(
-            by_top,
-            os.path.join(chart_dir, f"{metric}_tops.svg"),
-            f"One-day {metric} by list size", "day", metric, meta=svg_meta,
-        )
-        box_plot(
-            top_groups,
-            os.path.join(chart_dir, f"{metric}_tops_box.svg"),
-            f"One-day {metric} distribution by list size", "top-N", metric,
-            meta=svg_meta,
-        )
+        for stem, members, title, box_title, box_x in panels:
+            lines, groups = {}, []
+            for label, group, n, interval in members:
+                s = stab[(metric, n, interval)]
+                lines[label] = (list(s.values), [float("nan") if v is None else v
+                                                 for v in s.values.values()])
+                groups.append((group, s.defined()))
+            line_chart(lines, os.path.join(chart_dir, f"{metric}_{stem}.svg"),
+                       title.format(metric), "day", metric, meta=svg_meta)
+            box_plot(groups, os.path.join(chart_dir, f"{metric}_{stem}_box.svg"),
+                     box_title.format(metric), box_x, metric, meta=svg_meta)
 
     if rankings:
         day = curve_day if curve_day is not None else len(rankings) - 1
         if len(rankings[day]):
-            curve = cumulative_curve(rankings[day], max(tops))
-            xs = list(range(1, curve.n + 1))
-            line_chart(
-                {
-                    "actual": (xs, curve.c_real.tolist()),
-                    "equal": (xs, curve.c_equal.tolist()),
-                },
-                os.path.join(chart_dir, "cumulative_curve.svg"),
-                f"Cumulative top-N wealth share (day {day})", "rank", "share",
-                meta=svg_meta,
-            )
-    xs = sorted(ds.values)
+            curve_chart(os.path.join(chart_dir, "cumulative_curve.svg"),
+                        rankings[day], max(tops), cfg)
     line_chart(
-        {"d_static": (xs, [ds.values[d] for d in xs])},
+        day_lines({"d_static": ds}),
         os.path.join(chart_dir, "d_static.svg"),
         "Static decentralization degree", "day", "d_static", meta=svg_meta,
     )
-
     line_chart(
-        {
-            m: (sorted(vals), [vals[d] for d in sorted(vals)])
-            for m, vals in disp.items()
-        },
+        day_lines(disp),
         os.path.join(chart_dir, "dispersion.svg"),
         "Centrality dispersion of the focus graph", "day", "dispersion",
         meta=svg_meta,
     )
-
     line_chart(
-        {
-            scheme.upper(): (
-                [int(d) for d in sorted(vals, key=int)],
-                [vals[d] for d in sorted(vals, key=int)],
-            )
-            for scheme, vals in hhi_bundle.items()
-        },
+        day_lines({scheme.upper(): vals for scheme, vals in hhi_values.items()}),
         os.path.join(chart_dir, "hhi.svg"),
         "HHI by clustering scheme", "day", "HHI", meta=svg_meta,
     )
     line_chart(
-        {"d_hhi": (sorted(dyn), [dyn[d] for d in sorted(dyn)])},
+        day_lines({"d_hhi": dyn}),
         os.path.join(chart_dir, "d_hhi.svg"),
         "Dynamic decentralization degree", "day", "d_hhi", meta=svg_meta,
     )

@@ -31,8 +31,6 @@ class TransactionGraph:
     dst: np.ndarray
     counts: np.ndarray
     weights: np.ndarray | None
-    focus: frozenset
-    addresses: AddressTable | None = None
 
     @property
     def n_nodes(self) -> int:
@@ -48,8 +46,6 @@ class TransactionGraph:
         pairs: Iterable[tuple[int, int]],
         counts: Iterable[int] | None = None,
         day: int = 0,
-        focus: Iterable[int] = (),
-        addresses: AddressTable | None = None,
         nodes: Iterable[int] | None = None,
     ) -> "TransactionGraph":
         """Build a graph straight from (src, dst) pairs; parallel duplicates
@@ -63,9 +59,7 @@ class TransactionGraph:
             if counts is not None
             else np.ones(len(src), dtype=np.int64)
         )
-        graph = _aggregate(
-            day, src, dst, cnt, None, frozenset(int(f) for f in focus), addresses
-        )
+        graph = _aggregate(day, src, dst, cnt, None)
         if nodes is not None:
             extra = np.asarray(sorted(set(int(v) for v in nodes)), dtype=np.int64)
             graph.nodes = np.unique(np.concatenate((graph.nodes, extra)))
@@ -93,8 +87,6 @@ def _aggregate(
     dst: np.ndarray,
     cnt: np.ndarray,
     val: np.ndarray | None,
-    focus: frozenset,
-    addresses: AddressTable | None,
 ) -> TransactionGraph:
     keep = src != dst
     src, dst, cnt = src[keep], dst[keep], cnt[keep]
@@ -103,8 +95,7 @@ def _aggregate(
     if len(src) == 0:
         z = np.zeros(0, dtype=np.int64)
         return TransactionGraph(day, z, z.copy(), z.copy(), z.copy(),
-                                np.zeros(0) if val is not None else None,
-                                focus, addresses)
+                                np.zeros(0) if val is not None else None)
     hi = int(max(src.max(), dst.max())) + 1
     packed = src * hi + dst
     uniq, inverse = np.unique(packed, return_inverse=True)
@@ -117,7 +108,7 @@ def _aggregate(
     u_src = uniq // hi
     u_dst = uniq % hi
     nodes = np.unique(np.concatenate((u_src, u_dst)))
-    return TransactionGraph(day, nodes, u_src, u_dst, counts, weights, focus, addresses)
+    return TransactionGraph(day, nodes, u_src, u_dst, counts, weights)
 
 
 def build_day_graph(
@@ -133,23 +124,19 @@ def build_day_graph(
     exists.  Self-loops are dropped; parallel edges become counts.
     """
     if isinstance(focus, Ranking):
-        focus_ids = focus.members()
+        focus_ids = focus.ids
     else:
-        focus_ids = frozenset(int(f) for f in focus)
+        focus_ids = np.fromiter((int(f) for f in focus), dtype=np.int64)
     edges = ledger.expanded_edges(with_values=value_weighted)
     lo, hi = int(edges.day_ptr[day]), int(edges.day_ptr[day + 1])
     src = edges.src[lo:hi]
     dst = edges.dst[lo:hi]
     lut = np.zeros(len(ledger.addresses), dtype=bool)
-    if focus_ids:
-        lut[np.fromiter(focus_ids, dtype=np.int64, count=len(focus_ids))] = True
+    lut[focus_ids] = True
     keep = lut[src] | lut[dst]
     val = edges.values[lo:hi][keep] if value_weighted else None
     src, dst = src[keep], dst[keep]
-    return _aggregate(
-        day, src, dst, np.ones(len(src), dtype=np.int64), val, focus_ids,
-        ledger.addresses,
-    )
+    return _aggregate(day, src, dst, np.ones(len(src), dtype=np.int64), val)
 
 
 def degree_centrality(graph: TransactionGraph) -> MetricVector:

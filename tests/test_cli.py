@@ -1,17 +1,23 @@
+import io
 import json
 import sys
 from pathlib import Path
 
 import pytest
 
-from ledgerlens import compute_snapshots, load_ledger
+from ledgerlens import compute_snapshots, load_ledger, parse_ledger, save_ledger
 from ledgerlens.cli import run
+from ledgerlens.report import build_report
 from conftest import rec
 
 
 def read_csv(path):
     """Returns (meta_lines, header, rows)."""
-    lines = Path(path).read_text().splitlines()
+    return parse_csv(Path(path).read_text())
+
+
+def parse_csv(text):
+    lines = text.splitlines()
     meta = [l for l in lines if l.startswith("#")]
     body = [l for l in lines if not l.startswith("#")]
     return meta, body[0].split(","), [l.split(",") for l in body[1:]]
@@ -178,6 +184,9 @@ class TestAuxiliaryOutputs:
                     "--curve-day", "10"]) == 0
         text = svg.read_text()
         assert text.startswith("<svg") and "polyline" in text
+        meta, _, _ = read_csv(tmp_path / "d.csv")
+        cfg = next(l.split(": ")[1] for l in meta if l.startswith("# config:"))
+        assert f"<!-- ledgerlens 0.1.0 format=1 config={cfg} -->" in text.splitlines()
 
     def test_snapshot_dump_day(self, store, tmp_path):
         out = tmp_path / "balances.csv"
@@ -336,6 +345,63 @@ class TestExitCodes:
         assert "tops must be positive" in capsys.readouterr().err
         assert not (tmp_path / "p.csv").exists() and not (tmp_path / "rep").exists()
 
+    @pytest.mark.parametrize("command", [
+        ["report", "--intervals", "0", "--out", "rep"],
+        ["report", "--intervals", "1,-5", "--out", "rep"],
+        ["report", "--intervals", ",", "--out", "rep"],
+        ["report", "--focus", "0", "--out", "rep"],
+        ["hhi", "--scheme", "a1", "--focus", "0", "--out", "hhi.csv"],
+        ["dispersion", "--focus", "-2", "--out", "disp.csv"],
+        ["stability", "--top", "0", "--out", "s.csv"],
+        ["stability", "--interval", "0", "--out", "s.csv"],
+        ["dstatic", "--top", "0", "--out", "d.csv"],
+    ])
+    def test_bad_counts_write_nothing(self, store, tmp_path, monkeypatch, command):
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        assert run([*command, "--store", store]) == 1
+        assert not any(work.iterdir())
+
+    @pytest.mark.parametrize("counts", [{"intervals": [0]}, {"intervals": []},
+                                        {"focus_n": 0}])
+    def test_report_library_checks_counts_first(self, store, tmp_path, counts):
+        out = tmp_path / "rep"
+        with pytest.raises(ValueError, match="must be positive"):
+            build_report(load_ledger(store), str(out), **counts)
+        assert not out.exists()
+
+    def test_invalid_utf8_is_data_error(self, tmp_path, monkeypatch, capsys):
+        # Byte 0xff inside an address on line 2, from a file and from stdin.
+        data = (rec("a", 0, [], [["x", 5]]) + "\n"
+                + rec("b", 1, [], [["yZ", 5]]) + "\n").encode().replace(b"Z", b"\xff")
+        src = tmp_path / "bad.jsonl"
+        src.write_bytes(data)
+        assert run(["ingest", "-i", str(src), "--store", str(tmp_path / "s1")]) == 2
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+        assert run(["ingest", "--store", str(tmp_path / "s2")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and err[0] == err[1]
+        assert "line 2: not valid UTF-8 (byte 0xff" in err[0]
+        assert not (tmp_path / "s1").exists() and not (tmp_path / "s2").exists()
+
+    def test_utf8_export_same_store_from_file_and_stdin(self, tmp_path, monkeypatch):
+        lines = [{"txid": "a", "time": 0, "in": [], "out": [["caf\u00e9", 5]]},
+                 {"txid": "b\u2028", "time": 9, "in": [["caf\u00e9", 5]],
+                  "out": [["\U0001f600", 4]]}]
+        data = "".join(json.dumps(l, ensure_ascii=False) + "\r\n" for l in lines).encode()
+        src = tmp_path / "ok.jsonl"
+        src.write_bytes(data)
+        assert run(["ingest", "-i", str(src), "--store", str(tmp_path / "s1")]) == 0
+        monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+        assert run(["ingest", "--store", str(tmp_path / "s2")]) == 0
+        # The same store as the library's text path writes.
+        s1, s2, s3 = tmp_path / "s1", tmp_path / "s2", tmp_path / "s3"
+        save_ledger(parse_ledger(io.StringIO(data.decode())), str(s3))
+        for name in ("meta.json", "ledger.npz"):
+            assert len({(s / name).read_bytes() for s in (s1, s2, s3)}) == 1
+        assert load_ledger(str(s1)).addresses.names[1:] == ["caf\u00e9", "\U0001f600"]
+
     def test_epoch_far_before_first_tx_is_data_error(self, tmp_path):
         src = tmp_path / "c.jsonl"
         src.write_text(rec("a", 0, [], [["x", 5]]) + "\n")
@@ -435,3 +501,48 @@ class TestDayRange:
     def test_invalid_range_is_usage_error(self, store, tmp_path):
         assert run(["dstatic", "--store", store, "--day-range", "9:5",
                     "--out", str(tmp_path / "d.csv")]) == 1
+
+
+class TestOnePathPerTable:
+    """Each single-metric command emits the same data rows as the matching
+    `report` file at the same parameters; only the `# config` lines differ."""
+
+    @pytest.mark.parametrize("day_range", [[], ["--day-range", "6:17"]],
+                             ids=["all-days", "window"])
+    def test_commands_match_report(self, store, tmp_path, capsys, day_range):
+        rep = tmp_path / "rep"
+        assert run(["report", "--store", store, "--tops", "5,10,20", "--intervals", "1,3",
+                    "--focus", "10", "--no-charts", "--out", str(rep), *day_range]) == 0
+
+        def rows(args, flag="--out"):
+            assert run([*args, "--store", store, *day_range, flag, "-"]) == 0
+            _, header, body = parse_csv(capsys.readouterr().out)
+            return header, body
+
+        def report_rows(name, keep=lambda row: True):
+            _, header, body = read_csv(rep / name)
+            return header, [r for r in body if keep(r)]
+
+        assert rows(["proportions", "--tops", "5,10,20"]) == report_rows("proportions.csv")
+        assert (rows(["proportions", "--tops", "5,10,20", "--long"])
+                == report_rows("proportions_long.csv"))
+        assert rows(["dstatic", "--top", "20"]) == report_rows("d_static.csv")
+        assert rows(["dispersion", "--focus", "10"]) == report_rows("dispersion.csv")
+        for scheme in ("a1", "a2", "a3"):
+            assert (rows(["hhi", "--scheme", scheme, "--focus", "10"])
+                    == report_rows("hhi.csv", lambda r, s=scheme: r[1] == s))
+        assert rows(["hhi", "--scheme", "a3", "--focus", "10",
+                     "--out", str(tmp_path / "a3.csv")], "--dhhi") == report_rows("d_hhi.csv")
+        header, body = rows(["stability", "--metric", "retention", "--top", "10",
+                             "--interval", "3"])
+        _, stab = report_rows("stability.csv", lambda r: r[1:4] == ["retention", "10", "3"])
+        assert header == ["day", "value"] and body == [[r[0], r[4]] for r in stab]
+        assert body and (not day_range or {int(r[0]) for r in body} <= set(range(6, 18)))
+
+        # A file output holds the same bytes as standard output.
+        out = tmp_path / "d.csv"
+        assert run(["dstatic", "--top", "20", "--store", store, *day_range,
+                    "--out", str(out)]) == 0
+        assert run(["dstatic", "--top", "20", "--store", store, *day_range,
+                    "--out", "-"]) == 0
+        assert capsys.readouterr().out == out.read_text()
