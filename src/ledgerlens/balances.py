@@ -5,7 +5,7 @@ net batch (only end-of-day state is defined), debiting inputs and crediting
 outputs; fees are the input/output difference and belong to no address.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -49,6 +49,8 @@ class Ranking:
 
     Ties are broken by ascending address string so rankings are reproducible
     regardless of ingestion order.  Zero balances never appear.
+    `funded_total` and `funded_sq` are the sum and the float64 id-order dot
+    product of every funded balance of the day, ranked or not.
     """
 
     day: int
@@ -56,6 +58,8 @@ class Ranking:
     ids: np.ndarray
     balances: np.ndarray
     addresses: AddressTable | None = None
+    funded_total: int = 0
+    funded_sq: float = 0.0
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -79,7 +83,7 @@ class Ranking:
     def truncated(self, n: int) -> "Ranking":
         if n >= len(self.ids):
             return self
-        return Ranking(self.day, n, self.ids[:n], self.balances[:n], self.addresses)
+        return replace(self, n=n, ids=self.ids[:n], balances=self.balances[:n])
 
 
 def _apply_day(ledger: Ledger, day: int, balances: np.ndarray) -> None:
@@ -166,12 +170,14 @@ def rank_balances(
         raise ValueError("n must be >= 1")
     funded = np.flatnonzero(balances > 0)
     vals = balances[funded]
+    as_float = vals.astype(np.float64)
+    funded_total, funded_sq = int(vals.sum()), float(np.dot(as_float, as_float))
     if len(funded) > n:
         threshold = np.partition(vals, len(vals) - n)[len(vals) - n]
         keep = vals >= threshold
         funded, vals = funded[keep], vals[keep]
     order = np.lexsort((addresses.name_rank[funded], -vals))[:n]
-    return Ranking(day, n, funded[order], vals[order], addresses)
+    return Ranking(day, n, funded[order], vals[order], addresses, funded_total, funded_sq)
 
 
 def compute_rankings(ledger: Ledger, n: int = TOP_N_DEFAULT) -> list[Ranking]:

@@ -75,12 +75,32 @@ def _counts(name: str):
     return parse
 
 
+def _seed(text: str) -> int:
+    """A Philox key: an integer in [0, 2**128)."""
+    value = int(text)
+    if not 0 <= value < 2**128:
+        raise argparse.ArgumentTypeError(f"must be in [0, 2**128), got {value}")
+    return value
+
+
 def _day_range(text: str) -> tuple[int, int]:
     lo, _, hi = text.partition(":")
     lo_i, hi_i = int(lo), int(hi)
     if lo_i < 0 or hi_i < lo_i:
         raise argparse.ArgumentTypeError("day range must be START:END with 0 <= START <= END")
     return lo_i, hi_i
+
+
+# The options that name one output file each; `-` is standard output.
+_OUTPUTS = ("out", "summary", "nodes_out", "dhhi", "partition_out")
+
+
+def _check_stdout(args) -> None:
+    """Reject a command line that sends two outputs to standard output."""
+    to_stdout = [f"--{o.replace('_', '-')}" for o in _OUTPUTS if getattr(args, o, None) == "-"]
+    if len(to_stdout) > 1:
+        raise ValueError(f"{', '.join(to_stdout)} all go to standard output (-); "
+                         "give all but one a file")
 
 
 def _store_dir(args) -> str:
@@ -196,6 +216,8 @@ def _cmd_dstatic(args) -> int:
     elif args.curve_day is not None:
         raise ValueError("--curve-day needs --svg")
     rankings = compute_rankings(ledger, args.top)
+    if args.svg and not len(rankings[curve_day]):
+        raise ValueError(f"curve day {curve_day} has no funded address to chart")
     series = d_static_series(rankings, args.top, args.scaling)
     cfg = _config("dstatic", args, store_hash, top=args.top, scaling=args.scaling)
     write_csv(args.out, *day_table("d_static", window(series.values, args.day_range)), cfg)
@@ -240,9 +262,9 @@ def _cmd_hhi(args) -> int:
         raise ValueError("--partition-day and --partition-out go together")
     if args.partition_day is not None and not 0 <= args.partition_day < ledger.n_days:
         raise ValueError(f"--partition-day {args.partition_day} outside ledger range")
-    series = hhi_series(
-        ledger, args.scheme, focus_n=args.focus, method=args.method, seed=args.seed,
-    )
+    rankings = compute_rankings(ledger, args.focus)
+    series = hhi_series(ledger, args.scheme, rankings, focus_n=args.focus,
+                        method=args.method, seed=args.seed)
     cfg = _config("hhi", args, store_hash, scheme=args.scheme, focus=args.focus,
                   method=args.method, seed=args.seed)
     write_csv(args.out, *hhi_table({args.scheme: window(series.values, args.day_range)}),
@@ -375,7 +397,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--scheme", choices=SCHEMES, default="a1")
     p.add_argument("--focus", type=_count, default=100)
     p.add_argument("--method", choices=METHODS, default="label_propagation")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--dhhi", default=None,
                    help="also write the dynamic decentralization series (a3 only)")
     p.add_argument("--partition-day", type=int, default=None)
@@ -412,6 +434,7 @@ def run(argv: list[str] | None = None) -> int:
     if getattr(args, "store_alias", None) and not args.store:
         args.store = args.store_alias
     try:
+        _check_stdout(args)
         return args.func(args)
     except ValueError as exc:
         print(f"ledgerlens: {exc}", file=sys.stderr)

@@ -31,7 +31,7 @@ import numpy as np
 # the same reason `rank_balances`, `label_propagation` and
 # `_focus_pair_weights` (whose `ledger` and `day` arguments the tracer
 # reads) are called through this module's globals, never bound locally.
-from .balances import BalanceSnapshot, _apply_day, _replay, rank_balances, snapshot_at
+from .balances import BalanceSnapshot, Ranking, _apply_day, rank_balances, snapshot_at
 from .ledger import Ledger
 
 V_C_LABEL = -1  # coinbase pseudo-firm
@@ -319,13 +319,17 @@ class HHISeries:
 def hhi_series(
     ledger: Ledger,
     scheme: str,
+    rankings: Sequence[Ranking],
     focus_n: int = 100,
     method: str = "label_propagation",
     seed: int = 0,
 ) -> HHISeries:
-    """Daily HHI under one clustering scheme.
+    """Daily HHI under one clustering scheme, read from the day rankings.
 
-    Entity holdings are day-end balances; the share base is the total minted
+    `rankings` holds one ranking per day of the ledger, each at least
+    `focus_n` deep (as `compute_rankings(ledger, n)` gives for any
+    ``n >= focus_n``); a day's focus set is its top `focus_n`.  Entity
+    holdings are day-end balances; the share base is the total minted
     supply of the day.  Days with no minted supply are skipped.  A2/A3 look
     up every day's focus pairs in one pair index over the union of the
     days' focus sets.
@@ -334,39 +338,34 @@ def hhi_series(
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     check_method(method)
+    if len(rankings) != ledger.n_days:
+        raise ValueError(f"hhi_series needs one ranking per day ({ledger.n_days}), "
+                         f"got {len(rankings)}")
+    if any(r.n < focus_n for r in rankings):
+        raise ValueError(f"hhi_series needs rankings at least focus_n={focus_n} deep")
 
-    # One walk: per-day funded sum of squares and total, plus the focus
-    # members sorted by id with their balances.
-    walked = []
-    for day, balances in _replay(ledger):
-        funded = balances[balances > 0]
-        funded_vals = funded.astype(np.float64)
-        sumsq = float(np.dot(funded_vals, funded_vals))
-        funded_total = int(funded.sum())
-        ids = bal = None
-        if scheme != "a1":
-            ranking = rank_balances(balances, focus_n, ledger.addresses, day)
-            order = np.argsort(ranking.ids)
-            ids, bal = ranking.ids[order], ranking.balances[order]
-        walked.append((day, sumsq, funded_total, ids, bal))
-
-    if scheme != "a1" and walked:
-        pairs = _PairIndex(ledger, np.concatenate([w[3] for w in walked]))
+    # Each day's focus members sorted by id, with their balances.
+    focus = []
+    if scheme != "a1" and rankings:
+        for r in rankings:
+            top = r.truncated(focus_n)
+            order = np.argsort(top.ids)
+            focus.append((top.ids[order], top.balances[order]))
+        pairs = _PairIndex(ledger, np.concatenate([ids for ids, _ in focus]))
 
     values: dict[int, float] = {}
-    for day, sumsq, funded_total, ids, bal in walked:
+    for day, r in enumerate(rankings):
         supply = ledger.supply_at(day)
         if supply <= 0:
             continue
         c2 = float(supply) * float(supply)
-        if scheme == "a1" or (scheme == "a2" and not len(ids)):
-            # A2 without funded focus addresses degenerates to singletons.
-            values[day] = 10000.0 * sumsq / c2
+        if scheme == "a1":
+            values[day] = 10000.0 * r.funded_sq / c2
             continue
+        ids, bal = focus[day]
         if not len(ids):
-            # A3 without funded focus addresses: V_o holds everything.
-            vo = float(funded_total)
-            values[day] = 10000.0 * vo * vo / c2
+            # No funded address at all, so every firm holds nothing.
+            values[day] = 0.0
             continue
         labels = _focus_labels(ledger, day, ids, pairs, method, seed)
         group_sums: dict[int, int] = {}
@@ -375,9 +374,9 @@ def hhi_series(
         comm_sq = float(sum(s * s for s in group_sums.values()))
         top_sq = float(np.dot(bal.astype(np.float64), bal.astype(np.float64)))
         if scheme == "a2":
-            total_sq = comm_sq + (sumsq - top_sq)
+            total_sq = comm_sq + (r.funded_sq - top_sq)
         else:
-            vo = float(funded_total - int(bal.sum()))
+            vo = float(r.funded_total - int(bal.sum()))
             total_sq = comm_sq + vo * vo
         values[day] = 10000.0 * total_sq / c2
     return HHISeries(scheme, values)

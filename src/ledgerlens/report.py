@@ -83,7 +83,8 @@ def write_csv(path: str, columns: Sequence[str], rows, cfg_hash: str) -> None:
 
 
 def write_json(path: str, payload: dict) -> None:
-    with open(path, "w") as fp:
+    """Write a JSON document (`-` for standard output)."""
+    with open_output(path) as fp:
         json.dump(payload, fp, indent=2, sort_keys=True)
         fp.write("\n")
 
@@ -289,7 +290,7 @@ def build_report(
     # HHI under the three clustering schemes, plus the dynamic degree.  The
     # dynamic degree normalizes over the full computed series before
     # windowing.
-    hhi = {scheme: hhi_series(ledger, scheme, focus_n=focus_n, method=method)
+    hhi = {scheme: hhi_series(ledger, scheme, rankings, focus_n=focus_n, method=method)
            for scheme in ("a1", "a2", "a3")}
     hhi_values = {scheme: window(s.values, day_range) for scheme, s in hhi.items()}
     write_csv(os.path.join(out_dir, "hhi.csv"), *hhi_table(hhi_values), cfg)

@@ -66,6 +66,8 @@ class SynthConfig:
             raise ValueError("hubs must be in [1, pool]")
         if self.reward < 0 or self.initial_supply < 0:
             raise ValueError("rewards must be >= 0")
+        if self.halving_days < 0:
+            raise ValueError("halving_days must be >= 0")
         if self.days > 0 and self.initial_supply < self._initial_weight_total():
             raise ValueError("initial_supply too small for the pool")
         if not 0.0 < self.amount_frac <= 1.0:

@@ -281,8 +281,9 @@ class TestAcceptance:
                 initial_supply=10**10, reward=10**7,
             )
             ledger = generate(cfg)
-            a1 = hhi_series(ledger, "a1")
-            a2 = hhi_series(ledger, "a2")
+            rankings = compute_rankings(ledger, 100)
+            a1 = hhi_series(ledger, "a1", rankings)
+            a2 = hhi_series(ledger, "a2", rankings)
             for d, v in a1.values.items():
                 if a2.values[d] < v - 1e-9:
                     ordering_ok = False
@@ -356,7 +357,7 @@ class TestAcceptance:
                 rankings = compute_rankings(ledger, 200)
                 ds = d_static_series(rankings, 200)
                 ds_means.append(float(np.mean(list(ds.values.values()))))
-                a1 = hhi_series(ledger, "a1")
+                a1 = hhi_series(ledger, "a1", rankings)
                 hhi_means.append(float(np.mean(list(a1.values.values()))))
             for k in range(len(alphas) - 1):
                 total_pairs += 1

@@ -238,6 +238,18 @@ class TestRankKernel:
         assert_same_ranking(balances, 1, table)
         assert rank_balances(balances, 1, table, 0).entries() == [("\x00", 5)]
 
+    @given(ranking_inputs())
+    def test_funded_totals_cover_every_funded_address(self, case):
+        # The totals are those of all funded balances in id order, whatever
+        # the depth, and a truncated ranking keeps them.
+        balances, n, table = case
+        funded = balances[balances > 0]
+        as_float = funded.astype(np.float64)
+        ranking = rank_balances(balances, n, table, 3)
+        for r in (ranking, ranking.truncated(1)):
+            assert r.funded_total == int(funded.sum())
+            assert r.funded_sq == float(np.dot(as_float, as_float))
+
 
 class TestProportion:
     def test_single_holder_everything(self):

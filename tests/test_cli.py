@@ -166,6 +166,24 @@ class TestReport:
         assert any(l.startswith("# config:") for l in meta)
         assert any(l.startswith("# format:") for l in meta)
 
+    def test_balances_replayed_once(self, store, tmp_path, monkeypatch):
+        # Every metric of the bundle, HHI included, reads the one ranking
+        # pass, so each day's transactions are applied exactly once.
+        from ledgerlens import balances
+
+        applied = []
+        apply_day = balances._apply_day
+
+        def counted(ledger, day, bal):
+            applied.append(day)
+            apply_day(ledger, day, bal)
+
+        monkeypatch.setattr(balances, "_apply_day", counted)
+        ledger = load_ledger(store)
+        build_report(ledger, str(tmp_path / "rep"), tops=[5, 10], intervals=[1],
+                     focus_n=5, charts=False)
+        assert applied == list(range(ledger.n_days))
+
 
 class TestAuxiliaryOutputs:
     def test_stability_summary_json(self, store, tmp_path):
@@ -187,6 +205,25 @@ class TestAuxiliaryOutputs:
         meta, _, _ = read_csv(tmp_path / "d.csv")
         cfg = next(l.split(": ")[1] for l in meta if l.startswith("# config:"))
         assert f"<!-- ledgerlens 0.1.0 format=1 config={cfg} -->" in text.splitlines()
+
+    @pytest.mark.parametrize("command", [
+        ["stability", "--out", "s.csv", "--summary", "-"],
+        ["hhi", "--scheme", "a2", "--out", "h.csv", "--partition-day", "5",
+         "--partition-out", "-"],
+    ])
+    def test_json_to_stdout(self, store, tmp_path, monkeypatch, capsys, command):
+        # `-` is standard output for JSON as for CSV: the same bytes as the
+        # file, and no file named `-`.
+        monkeypatch.chdir(tmp_path)
+        command = list(command)
+        flag = command.index("-") - 1
+        assert run([*command, "--store", store]) == 0
+        printed = capsys.readouterr().out
+        command[flag + 1] = "out.json"
+        assert run([*command, "--store", store]) == 0
+        assert printed == (tmp_path / "out.json").read_text()
+        assert json.loads(printed)["meta"]["config_hash"]
+        assert not (tmp_path / "-").exists()
 
     def test_snapshot_dump_day(self, store, tmp_path):
         out = tmp_path / "balances.csv"
@@ -433,6 +470,25 @@ class TestExitCodes:
         assert run(["dstatic", "--store", store, "--out", "d.csv", *extra]) == 1
         assert not (tmp_path / "d.csv").exists() and not (tmp_path / "c.svg").exists()
 
+    def test_curve_day_without_funded_address(self, tmp_path, monkeypatch, capsys):
+        # Days 0-2 of this store exist but hold no funded address, so there
+        # is no curve to chart: `dstatic` refuses before writing anything,
+        # and `report` leaves the chart out.
+        src = tmp_path / "late.jsonl"
+        src.write_text(rec("c0", 3 * 86_400, [], [["a", 5]]) + "\n"
+                       + rec("p1", 4 * 86_400, [["a", 5]], [["b", 5]]) + "\n")
+        store = str(tmp_path / "s")
+        assert run(["ingest", "-i", str(src), "--epoch", "0", "--store", store]) == 0
+        monkeypatch.chdir(tmp_path)
+        assert run(["dstatic", "--store", store, "--out", "d.csv", "--svg", "c.svg",
+                    "--curve-day", "1"]) == 1
+        assert "curve day 1 has no funded address" in capsys.readouterr().err
+        assert not (tmp_path / "d.csv").exists() and not (tmp_path / "c.svg").exists()
+        assert run(["dstatic", "--store", store, "--out", "d.csv", "--svg", "c.svg",
+                    "--curve-day", "3"]) == 0
+        assert run(["report", "--store", store, "--out", "rep", "--curve-day", "1"]) == 0
+        assert not (tmp_path / "rep" / "charts" / "cumulative_curve.svg").exists()
+
     @pytest.mark.parametrize("day", ["30", "-3"])
     def test_report_bad_curve_day_writes_nothing(self, store, tmp_path, day):
         out = tmp_path / "rep"
@@ -450,6 +506,42 @@ class TestExitCodes:
         monkeypatch.chdir(tmp_path)
         assert run(["dispersion", "--store", store, "--out", "disp.csv", *extra]) == 1
         assert not (tmp_path / "disp.csv").exists() and not (tmp_path / "nodes.csv").exists()
+
+    @pytest.mark.parametrize("command", [
+        ["stability", "--summary", "-"],
+        ["dispersion", "--nodes-day", "3", "--nodes-out", "-"],
+        ["hhi", "--scheme", "a3", "--dhhi", "-"],
+        ["hhi", "--out", "h.csv", "--dhhi", "-", "--partition-day", "2",
+         "--partition-out", "-"],
+    ])
+    def test_two_outputs_to_stdout_is_usage_error(self, tmp_path, monkeypatch, capsys,
+                                                  command):
+        # Checked before the store loads: a missing store would be exit 2.
+        monkeypatch.chdir(tmp_path)
+        assert run([*command, "--store", str(tmp_path / "missing")]) == 1
+        captured = capsys.readouterr()
+        assert "standard output" in captured.err and captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**128)])
+    def test_hhi_seed_outside_philox_keys(self, store, tmp_path, monkeypatch, capsys,
+                                          seed):
+        monkeypatch.chdir(tmp_path)
+        assert run(["hhi", "--store", store, "--scheme", "a2", "--seed", seed,
+                    "--out", "h.csv"]) == 1
+        assert "--seed" in capsys.readouterr().err
+        assert not (tmp_path / "h.csv").exists()
+
+    def test_hhi_largest_seed(self, store, tmp_path):
+        assert run(["hhi", "--store", store, "--scheme", "a2", "--seed", str(2**128 - 1),
+                    "--out", str(tmp_path / "h.csv")]) == 0
+
+    def test_synth_negative_halving_days(self, tmp_path, capsys):
+        out = tmp_path / "chain.jsonl"
+        assert run(["synth", "--days", "3", "--halving-days", "-1",
+                    "--out", str(out)]) == 1
+        assert "halving_days" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_truncated_meta_is_data_error(self, store, tmp_path, capsys):
         meta = Path(store) / "meta.json"

@@ -6,6 +6,7 @@ from ledgerlens import (
     SynthConfig,
     classify,
     cluster,
+    compute_rankings,
     compute_snapshots,
     d_hhi,
     generate,
@@ -365,14 +366,14 @@ class TestHHISeries:
     def test_a1_equal_wealth_constant(self):
         n = 10
         ledger = equal_wealth_ledger(n=n, days=4)
-        series = hhi_series(ledger, "a1")
+        series = hhi_series(ledger, "a1", compute_rankings(ledger, 100))
         assert len(series.values) == 4
         for v in series.values.values():
             assert v == pytest.approx(10000.0 / n, abs=1e-9)
 
     def test_day0_single_coinbase_monopoly(self):
         ledger = make_ledger([rec("c0", 0, [], [["a", 77]])])
-        series = hhi_series(ledger, "a1")
+        series = hhi_series(ledger, "a1", compute_rankings(ledger, 100))
         assert series.values[0] == pytest.approx(10000.0, abs=1e-12)
 
     def test_a2_at_least_a1_pointwise(self):
@@ -381,14 +382,15 @@ class TestHHISeries:
                               regime="preferential", alpha=1.0,
                               initial_supply=10**9, reward=10**6)
             ledger = generate(cfg)
-            a1 = hhi_series(ledger, "a1")
-            a2 = hhi_series(ledger, "a2")
+            rankings = compute_rankings(ledger, 100)
+            a1 = hhi_series(ledger, "a1", rankings)
+            a2 = hhi_series(ledger, "a2", rankings)
             for d in a1.values:
                 assert a2.values[d] >= a1.values[d] - 1e-9
 
     def test_classes_emitted(self):
         ledger = make_ledger([rec("c0", 0, [], [["a", 77]])])
-        series = hhi_series(ledger, "a1")
+        series = hhi_series(ledger, "a1", compute_rankings(ledger, 100))
         assert series.classes() == {0: "highly_concentrated"}
 
     @pytest.mark.parametrize("scheme", ["a2", "a3"])
@@ -401,7 +403,8 @@ class TestHHISeries:
                               initial_supply=10**9, reward=10**6)
             ledger = generate(cfg)
             focus_n = 8
-            series = hhi_series(ledger, scheme, focus_n=focus_n)
+            series = hhi_series(ledger, scheme, compute_rankings(ledger, focus_n),
+                                focus_n=focus_n)
             snaps = list(compute_snapshots(ledger))
             funded_days = [d for d in range(ledger.n_days) if ledger.supply_at(d) > 0]
             assert sorted(series.values) == funded_days
@@ -411,6 +414,36 @@ class TestHHISeries:
                 expected = hhi(clustering.holdings(snaps[day]).values(),
                                ledger.supply_at(day))
                 assert series.values[day] == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize("method", ["label_propagation", "modularity"])
+    @pytest.mark.parametrize("scheme", ["a1", "a2", "a3"])
+    def test_deeper_rankings_same_series(self, scheme, method):
+        # Only each ranking's top focus_n and its funded totals are read,
+        # and the funded totals do not depend on the ranking depth.
+        cfg = SynthConfig(seed=4, days=10, txs_per_day=40, pool=30,
+                          regime="preferential", alpha=1.0,
+                          initial_supply=10**9, reward=10**6)
+        ledger = generate(cfg)
+        focus_n = 8
+        shallow = hhi_series(ledger, scheme, compute_rankings(ledger, focus_n),
+                             focus_n=focus_n, method=method)
+        deep = hhi_series(ledger, scheme, compute_rankings(ledger, 40),
+                          focus_n=focus_n, method=method)
+        assert len(shallow.values) == ledger.n_days
+        assert deep.values == shallow.values
+
+    def test_needs_one_ranking_per_day(self):
+        ledger = equal_wealth_ledger(n=4, days=4)
+        rankings = compute_rankings(ledger, 100)
+        for wrong in (rankings[:-1], rankings + rankings[-1:]):
+            with pytest.raises(ValueError, match="one ranking per day"):
+                hhi_series(ledger, "a1", wrong)
+
+    @pytest.mark.parametrize("scheme", ["a1", "a2", "a3"])
+    def test_needs_rankings_focus_n_deep(self, scheme):
+        ledger = equal_wealth_ledger(n=4, days=4)
+        with pytest.raises(ValueError, match="focus_n=6 deep"):
+            hhi_series(ledger, scheme, compute_rankings(ledger, 5), focus_n=6)
 
 
 class TestDHHI:

@@ -76,6 +76,8 @@ class TestBasics:
             generate(SynthConfig(churn_rate=1.5))
         with pytest.raises(ValueError):
             generate(SynthConfig(pool=100, initial_supply=10))
+        with pytest.raises(ValueError, match="halving_days"):
+            generate(SynthConfig(halving_days=-1))
 
 
 class TestRegimes:
