@@ -28,7 +28,6 @@ from .report import (
     day_table,
     dispersion_table,
     hhi_table,
-    open_output,
     proportions_long_table,
     proportions_table,
     window,
@@ -39,7 +38,7 @@ from .stability import SPEARMAN_MODES, stability_series, summarize
 from .store import load_ledger, load_meta, save_ledger
 # `line_chart` is not called here; it stays importable under this module's
 # name because the benchmark's tracer (bench/tracer.py) wraps it here.
-from .svg import line_chart  # noqa: F401
+from .svg import line_chart, open_output  # noqa: F401
 from .synth import REGIMES, SynthConfig, generate
 from .txgraph import dispersion_series, build_day_graph, degree_centrality, pagerank
 
@@ -92,7 +91,7 @@ def _day_range(text: str) -> tuple[int, int]:
 
 
 # The options that name one output file each; `-` is standard output.
-_OUTPUTS = ("out", "summary", "nodes_out", "dhhi", "partition_out")
+_OUTPUTS = ("out", "summary", "nodes_out", "dhhi", "partition_out", "svg")
 
 
 def _check_stdout(args) -> None:
@@ -376,7 +375,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--top", type=_count, default=2000)
     p.add_argument("--scaling", type=int, choices=SCALINGS, default=2)
     p.add_argument("--curve-day", type=int, default=None)
-    p.add_argument("--svg", default=None, help="write the cumulative curve chart here")
+    p.add_argument("--svg", default=None,
+                   help="write the cumulative curve chart here (- for stdout)")
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_dstatic)
 

@@ -21,8 +21,9 @@ maximization is available behind ``method="modularity"``; it needs
 networkx, the optional ``modularity`` extra.
 """
 
+import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -71,11 +72,120 @@ def classify(value: float) -> str:
     return "highly_concentrated"
 
 
+_MAX_ROUNDS = 100
+
+
+def _propagate(
+    n: int,
+    graph: np.ndarray,
+    p: np.ndarray,
+    q: np.ndarray,
+    w: np.ndarray,
+    n_graphs: int,
+    seed: int,
+    max_rounds: int,
+) -> np.ndarray:
+    """Weighted label propagation on `n_graphs` graphs of `n` nodes each,
+    swept in step.
+
+    Edge i joins nodes ``p[i] != q[i]`` of graph ``graph[i]`` with weight
+    ``w[i]``, finite and > 0.  Every node starts with its own position as
+    label.  A round visits the nodes in one `order` in every graph: each
+    adopts the heaviest label among its neighbors, the smallest on a tie,
+    each label's weight summed in the graph's edge order.  `order` is
+    ascending, or the Philox permutation of all n nodes keyed by a nonzero
+    `seed`.  A graph stops after its first round that changes no label, or
+    after `max_rounds`.  Returns the ``(n_graphs, n)`` labels, each the
+    smallest position of its group.
+
+    One step updates a run of consecutive nodes of `order` in every graph
+    at once.  No node of a run neighbors another in any graph, so no vote
+    reads a label that its own step changes, and the labels equal those
+    of updating the nodes one at a time.
+    """
+    order = np.arange(n)
+    if seed:
+        order = np.random.Generator(np.random.Philox(key=seed)).permutation(n)
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    # One voter entry per edge end, grouped by the node it votes for, in
+    # sweep order, and then by graph; lexsort is stable, so each (node,
+    # graph) group keeps the edge order.  Nodes with no voter in any graph
+    # keep their labels and have no entry.
+    node = np.column_stack((p, q)).ravel()
+    voter = np.column_stack((q, p)).ravel()
+    g = np.repeat(graph, 2)
+    by = np.lexsort((g, rank[node]))
+    node, voter, g = node[by], voter[by], g[by]
+    weight = np.repeat(w, 2)[by]
+    del by, rank
+    # A group is one node of one graph.
+    opens = np.ones(len(node), dtype=bool)
+    opens[1:] = (node[1:] != node[:-1]) | (g[1:] != g[:-1])
+    group = np.cumsum(opens) - 1
+    node_at = g[opens] * n + node[opens]
+    voter_at = g * n + voter
+
+    # Cut the sweep into runs: a node that has a member of the current run
+    # among its voters starts the next run.
+    heads = [0] if len(node) else []  # first entry of each run
+    node_starts = np.flatnonzero(np.diff(node, prepend=-1))
+    bounds, voters = node_starts.tolist() + [len(node)], voter.tolist()
+    run: set[int] = set()
+    for v, a, b in zip(node[node_starts].tolist(), bounds, bounds[1:]):
+        if not run.isdisjoint(voters[a:b]):
+            heads.append(a)
+            run = set()
+        run.add(v)
+    del node, voter, g, opens, node_starts, voters
+    # Each entry is stamped with its group's rank in the run times n, so
+    # that adding the voter's label gives one (group, label) key per vote.
+    ends = heads[1:] + [len(group)]
+    group_heads = group[heads].tolist() + [len(node_at)]
+    row = (group - np.repeat(group_heads[:-1], np.diff([0] + ends))) * n
+    steps = [(row[a:b], voter_at[a:b], weight[a:b], node_at[c:d], np.arange(d - c) * n)
+             for a, b, c, d in zip(heads, ends, group_heads, group_heads[1:])]
+    labels = np.tile(np.arange(n), n_graphs)
+    # A round that changes nothing in a graph leaves it at a fixed point,
+    # so sweeping it on with the rest of the block changes nothing either.
+    # A step scores only the (group, label) keys that receive a vote, so it
+    # costs O(e log e) for its e voter entries, whatever n is.
+    for _ in range(max_rounds):
+        changed = False
+        for rows, at, wts, own, firsts in steps:
+            # Sorted (group, label) keys; the stable sort keeps each key's
+            # votes in edge order, and bincount adds them in that order.
+            key = rows + labels[at]
+            by = key.argsort(kind="stable")
+            key = key[by]
+            opens = np.empty(len(key), dtype=bool)
+            opens[0] = True
+            np.not_equal(key[1:], key[:-1], out=opens[1:])
+            votes = np.bincount(opens.cumsum() - 1, wts[by])
+            keys = key[opens]
+            # Per group: its heaviest score, then the smallest key that has it.
+            starts = np.searchsorted(keys, firsts)
+            top = np.maximum.reduceat(votes, starts)[keys // n]
+            best = np.minimum.reduceat(np.where(votes == top, keys, keys[-1]), starts) - firsts
+            if (best != labels[own]).any():
+                labels[own] = best
+                changed = True
+        if not changed:
+            break
+
+    # Canonical label = smallest member position of each group.
+    key = labels + np.repeat(np.arange(n_graphs) * n, n)
+    roots, at = np.unique(key, return_index=True)
+    smallest = np.empty(n_graphs * n, dtype=np.int64)
+    smallest[roots] = at % n
+    return smallest[key].reshape(n_graphs, n)
+
+
 def label_propagation(
     nodes: Sequence[int],
     edges: Iterable[tuple[int, int, float]],
     seed: int = 0,
-    max_rounds: int = 100,
+    max_rounds: int = _MAX_ROUNDS,
 ) -> dict[int, int]:
     """Deterministic weighted label propagation.
 
@@ -83,51 +193,25 @@ def label_propagation(
     heaviest label among its neighbors, smallest label winning ties;
     self-loops cast no vote.  Sweep order is ascending node id, or a
     deterministic permutation of it when ``seed`` is nonzero.  Labels are
-    canonicalized to the smallest member id before returning.
+    canonicalized to the smallest member id before returning.  Every edge
+    endpoint must be one of `nodes` and every weight finite and > 0;
+    otherwise ``ValueError``.
     """
-    # Nodes are positions in the sorted unique ids, so the smallest label
-    # is also the smallest position.
-    ids = sorted({int(v) for v in nodes})
-    pos = {v: p for p, v in enumerate(ids)}
-    nbrs: list[list[tuple[int, float]]] = [[] for _ in ids]
-    for u, v, w in edges:
-        p, q = pos[int(u)], pos[int(v)]
-        if p != q:
-            w = float(w)
-            nbrs[p].append((q, w))
-            nbrs[q].append((p, w))
-    order = range(len(ids))
-    if seed:
-        rng = np.random.Generator(np.random.Philox(key=seed))
-        order = rng.permutation(len(ids)).tolist()
-    # Drop edgeless nodes (they get no votes) only after the permutation,
-    # which spans every node.
-    order = [p for p in order if nbrs[p]]
-    labels = list(range(len(ids)))
-
-    for _ in range(max_rounds):
-        changed = False
-        for p in order:
-            votes: dict[int, float] = {}
-            for q, w in nbrs[p]:
-                lab = labels[q]
-                votes[lab] = votes.get(lab, 0.0) + w
-            items = iter(votes.items())
-            best, top = next(items)
-            for lab, w in items:
-                if w > top or (w == top and lab < best):
-                    best, top = lab, w
-            if best != labels[p]:
-                labels[p] = best
-                changed = True
-        if not changed:
-            break
-
-    # Canonical label = smallest member id of each group.
-    root: dict[int, int] = {}
-    for p, lab in enumerate(labels):
-        root.setdefault(lab, p)
-    return {v: ids[root[labels[p]]] for p, v in enumerate(ids)}
+    ids = np.asarray(sorted({int(v) for v in nodes}), dtype=np.int64)
+    edges = list(edges)
+    ends = np.asarray([(int(u), int(v)) for u, v, _ in edges], dtype=np.int64).reshape(-1, 2)
+    w = np.asarray([float(x) for _, _, x in edges], dtype=np.float64)
+    pos = np.searchsorted(ids, ends)
+    found = pos < len(ids)
+    found[found] = ids[pos[found]] == ends[found]
+    if not found.all():
+        raise ValueError(f"edge endpoint {ends[~found][0]} is not among the nodes")
+    if not (np.isfinite(w) & (w > 0)).all():
+        raise ValueError("edge weights must be finite and > 0")
+    keep = pos[:, 0] != pos[:, 1]
+    (roots,) = _propagate(len(ids), np.zeros(int(keep.sum()), dtype=np.int64),
+                          pos[keep, 0], pos[keep, 1], w[keep], 1, seed, max_rounds)
+    return dict(zip(ids.tolist(), ids[roots].tolist()))
 
 
 def check_method(method: str) -> None:
@@ -207,8 +291,10 @@ class _PairIndex:
 
     Built once from the whole ledger: only edges with both endpoints in
     `focus_ids` are kept, self-pairs are dropped, and each remaining edge is
-    stamped ``pair * n_days + day`` against the sorted unique pair keys.  The
-    cumulative (day 0..t) count of a pair is then two binary searches.
+    stamped ``pair * n_days + day`` against the sorted unique pair keys
+    ``lo * len(ids) + hi`` (union positions, ``lo < hi``).  ``keys[start[i]:
+    start[i + 1]]`` are the pairs whose lower end is union position i.  The
+    cumulative (day 0..t) count of a pair is then one binary search.
     """
 
     def __init__(self, ledger: Ledger, focus_ids: np.ndarray):
@@ -221,8 +307,33 @@ class _PairIndex:
         src, dst = edges.src[keep], edges.dst[keep]
         lo = np.searchsorted(self.ids, np.minimum(src, dst))
         hi = np.searchsorted(self.ids, np.maximum(src, dst))
-        self.keys, pair = np.unique(lo * len(self.ids) + hi, return_inverse=True)
+        u = len(self.ids)
+        self.keys, pair = np.unique(lo * u + hi, return_inverse=True)
         self.stamps = np.sort(pair * self.n_days + edges.day[keep])
+        self.start = np.searchsorted(self.keys, np.arange(u + 1) * u)
+        # stamps[first[k]:] begins with pair k's stamps.
+        self.first = np.searchsorted(self.stamps, np.arange(len(self.keys)) * self.n_days)
+
+    def lookup(self, day: int, focus_ids: np.ndarray):
+        """Cumulative (day 0..day) edge counts between the sorted
+        `focus_ids`, which must lie inside the union: ``(p, q, w)`` with
+        positions ``p < q`` in `focus_ids` and float counts > 0, ascending
+        by (p, q)."""
+        pos = np.searchsorted(self.ids, focus_ids)
+        # Gather every key whose lower end is a focus member, then keep
+        # those whose upper end is one too.
+        begin = self.start[pos]
+        length = self.start[pos + 1] - begin
+        k = np.arange(int(length.sum()))
+        k += np.repeat(begin - (np.cumsum(length) - length), length)
+        p = np.repeat(np.arange(len(pos)), length)
+        hi = self.keys[k] % len(self.ids)
+        q = np.minimum(np.searchsorted(pos, hi), len(pos) - 1)
+        inside = pos[q] == hi
+        p, q, k = p[inside], q[inside], k[inside]
+        counts = np.searchsorted(self.stamps, k * self.n_days + day, side="right") - self.first[k]
+        nz = counts > 0
+        return p[nz], q[nz], counts[nz].astype(np.float64)
 
 
 def _focus_pair_weights(
@@ -231,38 +342,49 @@ def _focus_pair_weights(
     """Multiplicity weights of cumulative (day 0..day) edges between the
     sorted `focus_ids`, folded to undirected pairs in ascending (lo, hi)
     order.  `focus_ids` must lie inside the union `pairs` was built from."""
-    if not len(pairs.keys):
-        return []
-    i, j = np.triu_indices(len(focus_ids), 1)
-    pos = np.searchsorted(pairs.ids, focus_ids)
-    key = pos[i] * len(pairs.ids) + pos[j]
-    at = np.minimum(np.searchsorted(pairs.keys, key), len(pairs.keys) - 1)
-    found = pairs.keys[at] == key
-    i, j, base = i[found], j[found], at[found] * pairs.n_days
-    counts = (np.searchsorted(pairs.stamps, base + day, side="right")
-              - np.searchsorted(pairs.stamps, base))
-    nz = counts > 0
-    return list(zip(focus_ids[i[nz]].tolist(), focus_ids[j[nz]].tolist(),
-                    counts[nz].astype(np.float64).tolist()))
+    p, q, w = pairs.lookup(day, focus_ids)
+    return list(zip(focus_ids[p].tolist(), focus_ids[q].tolist(), w.tolist()))
+
+
+# Budget of labels plus voter entries (two per pair) of one block sweep;
+# the day that reaches it closes the block.  About 85 days of 100 focus
+# nodes and 700 pairs, about 10 MB of arrays at the sweep's peak.
+_BLOCK_SLOTS = 1 << 17
 
 
 def _focus_labels(
     ledger: Ledger,
-    day: int,
-    focus_ids: np.ndarray,
+    days: Sequence[int],
+    focus_ids: Sequence[np.ndarray],
     pairs: _PairIndex,
     method: str,
     seed: int,
-) -> list[int]:
-    """Firm label of each of the sorted `focus_ids` on `day`: communities of
-    the cumulative focus graph.  `method` has passed check_method."""
-    pair_weights = _focus_pair_weights(ledger, day, focus_ids, pairs)
-    nodes = focus_ids.tolist()
+) -> Iterator[list[int]]:
+    """Yield the firm label of each of the sorted ``focus_ids[i]`` on day
+    ``days[i]``: communities of the cumulative focus graph, each named by
+    its smallest member id.  `method` has passed check_method.  Label
+    propagation sweeps consecutive days of one focus size together, up to
+    _BLOCK_SLOTS a block; the seeded sweep order depends on the size."""
     if method == "modularity":
-        labels = _modularity_communities(nodes, pair_weights)
-    else:
-        labels = label_propagation(nodes, pair_weights, seed=seed)
-    return [labels[i] for i in nodes]
+        for day, ids in zip(days, focus_ids):
+            nodes = ids.tolist()
+            labels = _modularity_communities(
+                nodes, _focus_pair_weights(ledger, day, ids, pairs))
+            yield [labels[i] for i in nodes]
+        return
+    block_ids, block_pairs, slots = [], [], 0
+    for i, (day, ids) in enumerate(zip(days, focus_ids)):
+        block_ids.append(ids)
+        block_pairs.append(pairs.lookup(day, ids))
+        slots += len(ids) + 2 * len(block_pairs[-1][0])
+        if (i + 1 == len(days) or len(focus_ids[i + 1]) != len(ids)
+                or slots >= _BLOCK_SLOTS):
+            p, q, w = (np.concatenate(c) for c in zip(*block_pairs))
+            graph = np.repeat(np.arange(len(block_ids)), [len(b[0]) for b in block_pairs])
+            roots = _propagate(len(ids), graph, p, q, w, len(block_ids), seed, _MAX_ROUNDS)
+            for day_ids, day_roots in zip(block_ids, roots):
+                yield day_ids[day_roots].tolist()
+            block_ids, block_pairs, slots = [], [], 0
 
 
 def cluster(
@@ -291,8 +413,8 @@ def cluster(
         return EntityClustering(day, scheme, funded, funded.copy())
 
     focus_ids = np.sort(rank_balances(balances, focus_n, ledger.addresses, day).ids)
-    labels = _focus_labels(ledger, day, focus_ids, _PairIndex(ledger, focus_ids),
-                           method, seed)
+    (labels,) = _focus_labels(ledger, [day], [focus_ids], _PairIndex(ledger, focus_ids),
+                              method, seed)
     focus_entities = np.asarray(labels, dtype=np.int64)
 
     if scheme == "a3":
@@ -332,7 +454,7 @@ def hhi_series(
     holdings are day-end balances; the share base is the total minted
     supply of the day.  Days with no minted supply are skipped.  A2/A3 look
     up every day's focus pairs in one pair index over the union of the
-    days' focus sets.
+    days' focus sets, and label propagation sweeps a block of days at once.
     """
     scheme = scheme.lower()
     if scheme not in SCHEMES:
@@ -344,17 +466,21 @@ def hhi_series(
     if any(r.n < focus_n for r in rankings):
         raise ValueError(f"hhi_series needs rankings at least focus_n={focus_n} deep")
 
-    # Each day's focus members sorted by id, with their balances.
+    # Each day's focus members sorted by id, with their balances, and the
+    # firm label of each member.
     focus = []
+    labels: Iterable = itertools.repeat(None)
     if scheme != "a1" and rankings:
         for r in rankings:
             top = r.truncated(focus_n)
             order = np.argsort(top.ids)
             focus.append((top.ids[order], top.balances[order]))
-        pairs = _PairIndex(ledger, np.concatenate([ids for ids, _ in focus]))
+        focus_ids = [ids for ids, _ in focus]
+        labels = _focus_labels(ledger, range(len(focus)), focus_ids,
+                               _PairIndex(ledger, np.concatenate(focus_ids)), method, seed)
 
     values: dict[int, float] = {}
-    for day, r in enumerate(rankings):
+    for day, (r, day_labels) in enumerate(zip(rankings, labels)):
         supply = ledger.supply_at(day)
         if supply <= 0:
             continue
@@ -367,9 +493,8 @@ def hhi_series(
             # No funded address at all, so every firm holds nothing.
             values[day] = 0.0
             continue
-        labels = _focus_labels(ledger, day, ids, pairs, method, seed)
         group_sums: dict[int, int] = {}
-        for lab, b in zip(labels, bal.tolist()):
+        for lab, b in zip(day_labels, bal.tolist()):
             group_sums[lab] = group_sums.get(lab, 0) + b
         comm_sq = float(sum(s * s for s in group_sums.values()))
         top_sq = float(np.dot(bal.astype(np.float64), bal.astype(np.float64)))

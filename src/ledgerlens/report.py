@@ -6,12 +6,10 @@ an identical store always reproduce identical files.  Wall-clock time never
 enters an output.
 """
 
-import contextlib
 import hashlib
 import json
 import math
 import os
-import sys
 from typing import Sequence
 
 import numpy as np
@@ -22,7 +20,7 @@ from .ledger import Ledger
 from .lorenz import cumulative_curve, d_static_series
 from .market import check_method, classify, d_hhi, hhi_series
 from .stability import StabilitySeries, stability_series, summarize
-from .svg import box_plot, line_chart
+from .svg import box_plot, line_chart, open_output
 from .txgraph import dispersion_series
 
 FORMAT_VERSION = 1
@@ -65,11 +63,6 @@ def _cell(v) -> str:
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     return str(v)
-
-
-def open_output(path: str):
-    """Context manager for a text output file; `-` is standard output."""
-    return contextlib.nullcontext(sys.stdout) if path == "-" else open(path, "w")
 
 
 def write_csv(path: str, columns: Sequence[str], rows, cfg_hash: str) -> None:

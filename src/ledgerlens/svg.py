@@ -5,7 +5,9 @@ given input always produces byte-identical files.  This is a reporting
 convenience; CSV remains the canonical output.
 """
 
+import contextlib
 import math
+import sys
 from typing import Sequence
 
 import numpy as np
@@ -95,6 +97,11 @@ class _Canvas:
         return "\n".join(self.parts + ["</svg>"]) + "\n"
 
 
+def open_output(path: str):
+    """Context manager for a text output file; `-` is standard output."""
+    return contextlib.nullcontext(sys.stdout) if path == "-" else open(path, "w")
+
+
 def _frame(c: _Canvas, x_lo, x_hi, y_lo, y_hi, x_label, y_label):
     """Draw axes plus ticks; returns (sx, sy) data-to-pixel mappers."""
     px_lo, px_hi = _MARGIN_L, c.width - _MARGIN_R
@@ -130,7 +137,8 @@ def line_chart(
     height: int = 460,
     meta: str = "",
 ) -> None:
-    """Write a multi-series line chart; series maps label -> (xs, ys)."""
+    """Write a multi-series line chart (`-` for standard output); series
+    maps label -> (xs, ys)."""
     xs_all = [x for xs, _ in series.values() for x in xs]
     ys_all = [y for _, ys in series.values() for y in ys if not math.isnan(y)]
     if not xs_all or not ys_all:
@@ -157,7 +165,7 @@ def line_chart(
             c.polyline(pts, color)
         c.text(width - _MARGIN_R - 4, _MARGIN_T + 12 + 13 * i, label,
                anchor="end", color=color)
-    with open(path, "w") as fp:
+    with open_output(path) as fp:
         fp.write(c.render())
 
 
@@ -172,7 +180,8 @@ def box_plot(
     max_fliers: int = 50,
     meta: str = "",
 ) -> None:
-    """Write boxplots (quartile boxes, 1.5*IQR whiskers, outlier circles)."""
+    """Write boxplots (quartile boxes, 1.5*IQR whiskers, outlier circles);
+    `-` is standard output."""
     vals_all = [v for _, vs in groups for v in vs]
     if not vals_all:
         vals_all = [0.0, 1.0]
@@ -221,5 +230,5 @@ def box_plot(
             c.circle(cx, sy(float(v)))
     c.text((px_lo + px_hi) / 2, height - 8, x_label, size=11)
     c.text(14, (py_lo + py_hi) / 2, y_label, size=11)
-    with open(path, "w") as fp:
+    with open_output(path) as fp:
         fp.write(c.render())

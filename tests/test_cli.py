@@ -225,6 +225,17 @@ class TestAuxiliaryOutputs:
         assert json.loads(printed)["meta"]["config_hash"]
         assert not (tmp_path / "-").exists()
 
+    def test_svg_to_stdout(self, store, tmp_path, monkeypatch, capsys):
+        # `--svg -` prints the chart that `--svg FILE` writes, and no file
+        # named `-` is left behind.
+        monkeypatch.chdir(tmp_path)
+        command = ["dstatic", "--store", store, "--top", "20", "--out", "d.csv"]
+        assert run([*command, "--svg", "-"]) == 0
+        printed = capsys.readouterr().out
+        assert run([*command, "--svg", "c.svg"]) == 0
+        assert printed.startswith("<svg") and printed == (tmp_path / "c.svg").read_text()
+        assert not (tmp_path / "-").exists()
+
     def test_snapshot_dump_day(self, store, tmp_path):
         out = tmp_path / "balances.csv"
         assert run(["snapshot", "--store", store, "--dump-day", "4",
@@ -513,6 +524,7 @@ class TestExitCodes:
         ["hhi", "--scheme", "a3", "--dhhi", "-"],
         ["hhi", "--out", "h.csv", "--dhhi", "-", "--partition-day", "2",
          "--partition-out", "-"],
+        ["dstatic", "--svg", "-"],
     ])
     def test_two_outputs_to_stdout_is_usage_error(self, tmp_path, monkeypatch, capsys,
                                                   command):

@@ -14,12 +14,15 @@ from ledgerlens import (
     hhi_series,
     label_propagation,
 )
+from ledgerlens import market
 from ledgerlens.market import (
     V_C_LABEL,
     V_O_LABEL,
     HHISeries,
+    _focus_labels,
     _focus_pair_weights,
     _PairIndex,
+    _propagate,
 )
 from conftest import DAY, make_ledger, rec
 from oracles import connected_components
@@ -117,6 +120,13 @@ def reference_label_propagation(nodes, edges, seed=0, max_rounds=100):
     return {node: groups[labels[node]] for node in adj}
 
 
+WEIGHTS = st.one_of(st.integers(1, 5).map(float),
+                   st.floats(0.01, 100.0, allow_nan=False, allow_infinity=False))
+SEEDS = st.one_of(st.just(0), st.integers(1, 2**32))
+# Early stops pin the rounds a sweep runs, not only its fixed point.
+MAX_ROUNDS = st.one_of(st.integers(1, 4), st.just(100))
+
+
 @st.composite
 def lp_graphs(draw):
     """Node lists with duplicates and edgeless ids among linked ones; edges
@@ -124,13 +134,26 @@ def lp_graphs(draw):
     ids = draw(st.lists(st.integers(0, 60), min_size=1, max_size=25))
     nodes = ids + draw(st.lists(st.sampled_from(ids), max_size=5))
     linked = draw(st.lists(st.sampled_from(ids), min_size=1, max_size=12))
-    weight = st.one_of(st.integers(1, 5).map(float),
-                       st.floats(0.01, 100.0, allow_nan=False, allow_infinity=False))
     end = st.sampled_from(linked)
-    edges = draw(st.lists(st.tuples(end, end, weight), max_size=60))
+    edges = draw(st.lists(st.tuples(end, end, WEIGHTS), max_size=60))
     edges += draw(st.lists(st.sampled_from(edges), max_size=5)) if edges else []
-    seed = draw(st.one_of(st.just(0), st.integers(1, 2**32)))
-    return nodes, edges, seed
+    return nodes, edges, draw(SEEDS), draw(MAX_ROUNDS)
+
+
+@st.composite
+def lp_batches(draw):
+    """Several graphs on nodes 0..n-1, edgeless ones among them, as
+    positional edge lists without self-loops."""
+    n = draw(st.integers(1, 12))
+    if n > 1:
+        # q = p + a nonzero offset, so p != q.
+        edge = st.tuples(st.integers(0, n - 1), st.integers(1, n - 1), WEIGHTS).map(
+            lambda e: (e[0], (e[0] + e[1]) % n, e[2]))
+        graph = st.one_of(st.just([]), st.lists(edge, max_size=30))
+    else:
+        graph = st.just([])
+    graphs = draw(st.lists(graph, min_size=1, max_size=6))
+    return n, graphs, draw(SEEDS), draw(MAX_ROUNDS)
 
 
 class TestLabelPropagation:
@@ -175,12 +198,54 @@ class TestLabelPropagation:
     @given(lp_graphs())
     # Sweep order decides this one: edgeless id 1 must take part in the
     # seeded permutation.
-    @example(([0, 1, 2, 3, 4], [(2, 4, 1.0), (0, 2, 1.0), (2, 4, 1.0), (0, 3, 1.0)], 20))
+    @example(([0, 1, 2, 3, 4], [(2, 4, 1.0), (0, 2, 1.0), (2, 4, 1.0), (0, 3, 1.0)], 20, 100))
+    # Node 0's 21 parallel votes for label 3 tie the one vote of 7.09 for
+    # label 1 only when they are added in edge order; an unstable sort of
+    # a step's votes adds them in another order and breaks the tie.
+    @example(([0, 1, 2, 3, 4],
+              [(0, 3, w) for w in (1.1, 0.03, 0.03, 0.03, 0.1, 0.3, 0.1, 0.7, 0.03, 0.7,
+                                   0.7, 0.01, 0.7, 0.03, 0.2, 0.1, 0.7, 0.1, 0.03)]
+              + [(0, 1, 7.09), (0, 3, 0.7), (0, 3, 0.7), (1, 2, 100.0), (3, 4, 100.0)],
+              0, 100))
     @settings(max_examples=300, deadline=None)
     def test_matches_reference(self, graph):
-        nodes, edges, seed = graph
-        assert (label_propagation(nodes, edges, seed=seed)
-                == reference_label_propagation(nodes, edges, seed=seed))
+        nodes, edges, seed, max_rounds = graph
+        assert (label_propagation(nodes, edges, seed=seed, max_rounds=max_rounds)
+                == reference_label_propagation(nodes, edges, seed=seed,
+                                               max_rounds=max_rounds))
+
+    @given(lp_batches())
+    # A path needs more rounds than a single edge; one graph is edgeless.
+    @example((8, [[(i, i + 1, 1.0) for i in range(7)], [(3, 4, 2.5)], []], 0, 100))
+    @example((8, [[(i, i + 1, 1.0) for i in range(7)], [(3, 4, 2.5)], []], 7, 100))
+    @settings(max_examples=300, deadline=None)
+    def test_batch_matches_each_graph_alone(self, batch):
+        n, graphs, seed, max_rounds = batch
+        edges = [e for g in graphs for e in g]
+        graph = np.repeat(np.arange(len(graphs)), [len(g) for g in graphs])
+        p, q = (np.asarray([e[i] for e in edges], dtype=np.int64) for i in (0, 1))
+        w = np.asarray([e[2] for e in edges], dtype=np.float64)
+        labels = _propagate(n, graph, p, q, w, len(graphs), seed, max_rounds)
+        for row, g in zip(labels.tolist(), graphs):
+            alone = reference_label_propagation(range(n), g, seed=seed, max_rounds=max_rounds)
+            assert row == [alone[v] for v in range(n)]
+
+    @pytest.mark.parametrize("nodes,edge", [
+        ([1, 2], (1, 3, 1.0)),
+        ([1, 5], (3, 5, 1.0)),
+        ([1, 5], (0, 1, 1.0)),
+        ([], (0, 0, 1.0)),
+    ])
+    def test_endpoint_outside_nodes(self, nodes, edge):
+        with pytest.raises(ValueError, match="not among the nodes"):
+            label_propagation(nodes, [edge])
+
+    @pytest.mark.parametrize("weight", [0.0, -1.0, float("nan"), float("inf")])
+    def test_weight_not_finite_positive(self, weight):
+        # A weight is a tie strength; NaN would also defeat the search for
+        # the heaviest label.
+        with pytest.raises(ValueError, match="finite and > 0"):
+            label_propagation([1, 2, 3], [(1, 2, 1.0), (2, 3, weight)])
 
 
 def firms(clustering, ledger):
@@ -414,6 +479,41 @@ class TestHHISeries:
                 expected = hhi(clustering.holdings(snaps[day]).values(),
                                ledger.supply_at(day))
                 assert series.values[day] == pytest.approx(expected, rel=1e-9)
+
+    @pytest.mark.parametrize("block_slots", [None, 2000])
+    @pytest.mark.parametrize("seed", [0, 9])
+    # 300 funded addresses every day, or 60 growing to 82: focus sets of
+    # 100, or of a size that changes every few days.
+    @pytest.mark.parametrize("pool,growth", [(300, 0.0), (60, 5.0)])
+    def test_swept_labels_match_cluster(self, pool, growth, seed, block_slots, monkeypatch):
+        # The series sweeps blocks of days together; `cluster` sweeps one
+        # day alone.  Both give every day the same A2 and A3 firms, also
+        # when a small slot budget cuts the days into many blocks.
+        if block_slots:
+            monkeypatch.setattr(market, "_BLOCK_SLOTS", block_slots)
+        cfg = SynthConfig(seed=5, days=40, txs_per_day=200, pool=pool, growth=growth,
+                          regime="preferential", alpha=1.0,
+                          initial_supply=10**9, reward=10**6)
+        ledger = generate(cfg)
+        focus = [np.sort(r.truncated(100).ids) for r in compute_rankings(ledger, 100)]
+        pairs = _PairIndex(ledger, np.concatenate(focus))
+        snaps = list(compute_snapshots(ledger))
+        merged = 0
+        swept_days = _focus_labels(ledger, range(ledger.n_days), focus, pairs,
+                                   "label_propagation", seed)
+        for day, labels in enumerate(swept_days):
+            groups = {}
+            for a, lab in zip(focus[day].tolist(), labels):
+                groups.setdefault(lab, set()).add(ledger.addresses.names[a])
+            swept = set(map(frozenset, groups.values()))
+            merged += len(focus[day]) - len(swept)
+            funded = {ledger.addresses.names[a]
+                      for a in np.flatnonzero(snaps[day].balances > 0).tolist()}
+            rest = {frozenset([a]) for a in funded - set().union(*swept)}
+            for scheme, expected in (("a2", swept | rest), ("a3", swept)):
+                clustering = cluster(ledger, day, scheme, seed=seed, snapshot=snaps[day])
+                assert set(map(frozenset, firms(clustering, ledger).values())) == expected
+        assert day == ledger.n_days - 1 and merged > 0
 
     @pytest.mark.parametrize("method", ["label_propagation", "modularity"])
     @pytest.mark.parametrize("scheme", ["a1", "a2", "a3"])
