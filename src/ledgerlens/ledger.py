@@ -9,8 +9,11 @@ vectorized; `Transaction` objects are materialized on demand.
 """
 
 import json
+import sys
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, NamedTuple
+from itertools import chain, filterfalse, islice, repeat
+from operator import itemgetter
+from typing import IO, Iterable, Iterator, NamedTuple, NoReturn
 
 import numpy as np
 
@@ -45,10 +48,24 @@ class AddressTable:
 
     __slots__ = ("names", "_index", "_name_rank")
 
-    def __init__(self):
+    def __init__(self, names: Iterable[str] = ()):
+        """A table of COINBASE and then `names`, interned in order."""
         self.names: list[str] = [COINBASE]
         self._index: dict[str, int] = {COINBASE: 0}
         self._name_rank: np.ndarray | None = None
+        self._add(names)
+
+    def _add(self, names: Iterable[str]) -> None:
+        """Append the names not yet interned, in first-appearance order."""
+        fresh = list(filterfalse(self._index.__contains__, dict.fromkeys(names)))
+        self._index.update(zip(fresh, range(len(self.names), len(self.names) + len(fresh))))
+        self.names += fresh
+
+    def intern_all(self, names: list[str]) -> np.ndarray:
+        """Intern every name of `names` in order; returns their ids."""
+        self._add(names)
+        return np.fromiter(map(self._index.__getitem__, names), dtype=np.int64,
+                           count=len(names))
 
     def intern(self, name: str) -> int:
         idx = self._index.get(name)
@@ -68,7 +85,7 @@ class AddressTable:
     def name_rank(self) -> np.ndarray:
         """Position of each id's name in Python `sorted(names)` order.
 
-        Built on first use and rebuilt whenever `intern` has grown the table
+        Built on first use and rebuilt whenever interning has grown the table
         since.  The sort is Python's code-point order on `str`; a numpy 'U'
         array would drop trailing NULs and treat "a" and "a\\x00" as equal.
         """
@@ -453,34 +470,212 @@ class Ledger:
         return EdgeArrays(src, dst, day, day_ptr, values)
 
 
-def parse_ledger(
-    stream: Iterable[str] | Iterable[bytes] | IO[str] | IO[bytes],
-    epoch: int | None = None,
-) -> Ledger:
-    """Parse a JSON-lines transaction stream into a validated Ledger.
+# Lines decoded and checked together.  Kept small so that a chunk's decoded
+# objects die young: in chunks of thousands of lines they live long enough to
+# be promoted, and the cyclic GC's full collections then traverse them all.
+_CHUNK_LINES = 256
 
-    Each line holds one record: ``{"txid": str, "time": int, "in": [[addr,
-    value], ...], "out": [[addr, value], ...]}`` with integer base-unit
-    values.  Coinbase records have an empty ``in`` list.  Malformed lines
-    raise ParseError with their line number; so does a line of a binary
-    stream that is not valid UTF-8.  Records out of timestamp order are
-    accepted, counted on ``Ledger.out_of_order``, and re-sorted.
+# The scanner `json.loads` runs; it returns (value, end) and leaves the
+# whole-line check to the caller.
+_scan = json.JSONDecoder().scan_once
 
-    `epoch` optionally fixes the day-0 boundary (a UTC timestamp, floored to
-    midnight); by default day 0 is the UTC day of the earliest transaction.
+
+def _json_error(exc: ValueError | RecursionError) -> str:
+    """Why `json.loads` refused a line, for its ParseError."""
+    if isinstance(exc, json.JSONDecodeError):
+        return exc.msg
+    if isinstance(exc, RecursionError):
+        return "nested too deeply"
+    # The only other ValueError is int()'s limit on literal length.
+    return f"integer literal longer than {sys.get_int_max_str_digits()} digits"
+
+
+def _all_encode(texts: list[str]) -> bool:
+    """Whether every string of `texts` passes `_encodes`."""
+    return all(map(str.isascii, texts)) or all(map(_encodes, texts))
+
+
+def _segment_totals(values: np.ndarray, lens: np.ndarray) -> np.ndarray | None:
+    """Exact sum of each run of positive int64 `values` (run i holds the next
+    lens[i] values), or None when one exceeds 2^63-1.
+
+    The high and low 32 bits are summed apart, so no partial sum wraps for
+    fewer than 2^31 values.
     """
-    if epoch is not None and not MIN_TIME <= epoch <= MAX_VALUE:
-        raise ValueError(f"epoch {epoch} outside [{MIN_TIME}, {MAX_VALUE}]")
-    table = AddressTable()
-    txids: list[str] = []
-    seen: set[str] = set()
-    times: list[int] = []
-    sides: list[tuple[list, list]] = []
-    out_of_order = 0
-    prev_time = None
-    minted = 0
+    ptr = np.zeros(len(lens) + 1, dtype=np.int64)
+    np.cumsum(lens, out=ptr[1:])
+    sums = []
+    for part in (values >> 32, values & 0xFFFFFFFF):
+        cum = np.zeros(len(values) + 1, dtype=np.int64)
+        np.cumsum(part, out=cum[1:])
+        sums.append(cum[ptr[1:]] - cum[ptr[:-1]])
+    high, low = sums
+    high += low >> 32
+    if (high > MAX_VALUE >> 32).any():
+        return None
+    return (high << 32) | (low & 0xFFFFFFFF)
 
-    for line_no, line in enumerate(stream, start=1):
+
+def _gather(lens: np.ndarray, order: np.ndarray, *cols: np.ndarray):
+    """Put the runs of `cols` (record i owns the next lens[i] entries) in
+    record order `order`; returns the new pointer array and columns."""
+    start = np.zeros(len(lens) + 1, dtype=np.int64)
+    np.cumsum(lens, out=start[1:])
+    lens = lens[order]
+    ptr = np.zeros(len(lens) + 1, dtype=np.int64)
+    np.cumsum(lens, out=ptr[1:])
+    idx = np.repeat(start[:-1][order] - ptr[:-1], lens) + np.arange(ptr[-1])
+    return ptr, [col[idx] for col in cols]
+
+
+def _time_txid_order(times: np.ndarray, txids: list[str]) -> np.ndarray:
+    """Record order by (time, txid).  Only records that share a time are
+    sorted by txid, with Python's code-point order on `str` (a numpy 'U'
+    array would drop trailing NULs and needs the longest txid's width for
+    every record)."""
+    order = np.argsort(times, kind="stable")
+    same = np.diff(times[order]) == 0
+    tied = np.zeros(len(order), dtype=bool)
+    tied[1:] = same
+    tied[:-1] |= same
+    if tied.any():
+        pos = np.flatnonzero(tied)
+        by_txid = np.array(sorted(order[pos].tolist(), key=txids.__getitem__), dtype=np.int64)
+        order[pos] = by_txid[np.argsort(times[by_txid], kind="stable")]
+    return order
+
+
+def _concat(parts: list[np.ndarray]) -> np.ndarray:
+    return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
+
+
+class _Columns:
+    """The records accepted so far, as flat columns in file order.
+
+    Per record: its txid and time.  Per (record, side): the count of its
+    merged entries, in then out.  Per entry: address id and value, in the
+    same record-then-side order.  `seen` and `minted` carry the checks that
+    span lines; nothing changes unless a whole chunk passes.
+    """
+
+    def __init__(self):
+        self.table = AddressTable()
+        self.seen: set[str] = set()
+        self.minted = 0
+        self.txids: list[str] = []
+        self.times: list[np.ndarray] = []
+        self.lens: list[np.ndarray] = []
+        self.ids: list[np.ndarray] = []
+        self.vals: list[np.ndarray] = []
+
+    def take(self, raw: list) -> bool:
+        """Append one chunk of lines when every record passes every check;
+        return False, with nothing appended, when any line fails one.
+
+        Each check covers the whole chunk at once and accepts exactly what
+        `_validate_record` and the duplicate and minted-supply checks accept.
+        """
+        try:
+            texts = [line.decode("utf-8") if isinstance(line, bytes) else line
+                     for line in raw]
+            texts = list(filter(None, map(str.strip, texts)))
+            # A comprehension, not map(): `_scan` raises StopIteration on a
+            # bad first character, which would end a map() early.
+            decoded = [_scan(text, 0) for text in texts]
+        except (StopIteration, ValueError, RecursionError):
+            return False
+        if not decoded:
+            return True
+        recs, ends = zip(*decoded)
+        if ends != tuple(map(len, texts)) or set(map(type, recs)) != {dict}:
+            return False
+        txids, times, ins, outs = (list(map(dict.get, recs, repeat(key)))
+                                   for key in ("txid", "time", "in", "out"))
+        if (set(map(type, txids)) != {str} or not all(txids) or not _all_encode(txids)
+                or set(map(type, times)) != {int}
+                or min(times) < MIN_TIME or max(times) > MAX_VALUE
+                or set(map(type, ins)) != {list} or set(map(type, outs)) != {list}
+                or not all(outs)):
+            return False
+        sides = list(chain.from_iterable(zip(ins, outs)))  # in, out, in, out, ...
+        entries = list(chain.from_iterable(sides))
+        if set(map(type, entries)) != {list} or set(map(len, entries)) != {2}:
+            return False
+        addrs = list(map(itemgetter(0), entries))
+        vals = list(map(itemgetter(1), entries))
+        if (set(map(type, addrs)) != {str} or not all(addrs) or COINBASE in addrs
+                or not _all_encode(addrs)
+                or set(map(type, vals)) != {int} or min(vals) <= 0 or max(vals) > MAX_VALUE):
+            return False
+        lens = np.fromiter(map(len, sides), dtype=np.int64, count=len(sides))
+        values = np.array(vals, dtype=np.int64)
+        totals = _segment_totals(values, lens)
+        if totals is None:
+            return False
+        in_total, out_total = totals[0::2], totals[1::2]
+        has_in = lens[0::2] > 0
+        if (in_total[has_in] < out_total[has_in]).any():
+            return False
+        minted = self.minted + sum(out_total[~has_in].tolist())
+        if (minted > MAX_VALUE or len(set(txids)) < len(txids)
+                or not self.seen.isdisjoint(txids)):
+            return False
+
+        self.seen.update(txids)
+        self.minted = minted
+        ids = self.table.intern_all(addrs)
+        # Merge repeats of an address on one side, summing their values at
+        # its first appearance.
+        side_of = np.repeat(np.arange(len(lens)), lens)
+        key = side_of * len(self.table) + ids
+        uniq, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        if len(uniq) < len(key):
+            sums = np.zeros(len(uniq), dtype=np.int64)
+            np.add.at(sums, inverse, values)
+            by_pos = np.argsort(first)
+            keep = first[by_pos]
+            ids, values = ids[keep], sums[by_pos]
+            lens = np.bincount(side_of[keep], minlength=len(lens))
+        self.txids += txids
+        self.times.append(np.array(times, dtype=np.int64))
+        self.lens.append(lens)
+        self.ids.append(ids)
+        self.vals.append(values)
+        return True
+
+    def ledger(self, epoch: int | None) -> Ledger:
+        """The records re-sorted by (time, txid), as a Ledger."""
+        times = _concat(self.times)
+        lens = _concat(self.lens)
+        ids = _concat(self.ids)
+        vals = _concat(self.vals)
+        is_out = np.repeat(np.arange(len(lens)) % 2 == 1, lens)
+        order = _time_txid_order(times, self.txids)
+        in_ptr, (in_addr, in_val) = _gather(lens[0::2], order, ids[~is_out], vals[~is_out])
+        out_ptr, (out_addr, out_val) = _gather(lens[1::2], order, ids[is_out], vals[is_out])
+        return Ledger(
+            addresses=self.table,
+            txids=list(map(self.txids.__getitem__, order.tolist())),
+            times=times[order],
+            in_ptr=in_ptr,
+            in_addr=in_addr,
+            in_val=in_val,
+            out_ptr=out_ptr,
+            out_addr=out_addr,
+            out_val=out_val,
+            epoch_start=epoch,
+            out_of_order=int(np.count_nonzero(times[1:] < times[:-1])),
+        )
+
+
+def _raise_first_error(raw: list, line_no: int, seen: set[str], minted: int) -> NoReturn:
+    """Walk a refused chunk record by record, from the state carried into
+    it, and raise the ParseError of its first bad line.
+
+    `line_no` is the number of the chunk's first line.
+    """
+    fresh: set[str] = set()
+    for line_no, line in enumerate(raw, start=line_no):
         if isinstance(line, bytes):
             try:
                 line = line.decode("utf-8")
@@ -494,62 +689,52 @@ def parse_ledger(
             continue
         try:
             rec = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ParseError(line_no, f"invalid JSON ({exc.msg})") from exc
+        except (ValueError, RecursionError) as exc:
+            raise ParseError(line_no, f"invalid JSON ({_json_error(exc)})") from exc
         txid, time, inputs, outputs = _validate_record(rec, line_no)
-        if txid in seen:
+        if txid in seen or txid in fresh:
             raise ParseError(line_no, f"duplicate txid {txid!r}")
         if not inputs:
             minted += sum(v for _, v in outputs)
             if minted > MAX_VALUE:
                 raise ParseError(line_no, "minted supply exceeds 2^63-1")
-        seen.add(txid)
-        if prev_time is not None and time < prev_time:
-            out_of_order += 1
-        prev_time = time
-        txids.append(txid)
-        times.append(time)
-        ins = [(table.intern(a), v) for a, v in inputs]
-        outs = [(table.intern(a), v) for a, v in outputs]
-        sides.append((ins, outs))
+        fresh.add(txid)
+    raise AssertionError("chunk checks refused lines that the record checks accept")
 
-    n = len(txids)
-    order = sorted(range(n), key=lambda i: (times[i], txids[i]))
 
-    in_ptr = np.zeros(n + 1, dtype=np.int64)
-    out_ptr = np.zeros(n + 1, dtype=np.int64)
-    in_addr_l: list[int] = []
-    in_val_l: list[int] = []
-    out_addr_l: list[int] = []
-    out_val_l: list[int] = []
-    sorted_txids = []
-    sorted_times = np.zeros(n, dtype=np.int64)
-    for pos, i in enumerate(order):
-        ins, outs = sides[i]
-        for a, v in ins:
-            in_addr_l.append(a)
-            in_val_l.append(v)
-        for a, v in outs:
-            out_addr_l.append(a)
-            out_val_l.append(v)
-        in_ptr[pos + 1] = len(in_addr_l)
-        out_ptr[pos + 1] = len(out_addr_l)
-        sorted_txids.append(txids[i])
-        sorted_times[pos] = times[i]
+def parse_ledger(
+    stream: Iterable[str] | Iterable[bytes] | IO[str] | IO[bytes],
+    epoch: int | None = None,
+) -> Ledger:
+    """Parse a JSON-lines transaction stream into a validated Ledger.
 
+    Each line holds one record: ``{"txid": str, "time": int, "in": [[addr,
+    value], ...], "out": [[addr, value], ...]}`` with integer base-unit
+    values.  Coinbase records have an empty ``in`` list.  Malformed lines
+    raise ParseError with their line number; so does a line of a binary
+    stream that is not valid UTF-8, JSON nested too deeply for the decoder
+    and an integer literal too long for `int`.  Records out of timestamp
+    order are accepted, counted on ``Ledger.out_of_order``, and re-sorted.
+
+    The stream is read in chunks of a few hundred lines.  Each chunk is
+    decoded and checked as flat columns and kept as int64 arrays and
+    strings, so memory beyond the result is one chunk's decoded records.
+    When a chunk fails a check, its lines are walked again one record at a
+    time from the state before it (txids seen, supply minted), so the error
+    raised is the one of the first bad line in file order.
+
+    `epoch` optionally fixes the day-0 boundary (a UTC timestamp, floored to
+    midnight); by default day 0 is the UTC day of the earliest transaction.
+    """
+    if epoch is not None and not MIN_TIME <= epoch <= MAX_VALUE:
+        raise ValueError(f"epoch {epoch} outside [{MIN_TIME}, {MAX_VALUE}]")
+    cols = _Columns()
+    lines = iter(stream)
+    line_no = 1
+    while raw := list(islice(lines, _CHUNK_LINES)):
+        if not cols.take(raw):
+            _raise_first_error(raw, line_no, cols.seen, cols.minted)
+        line_no += len(raw)
     if epoch is not None:
         epoch = epoch // SECONDS_PER_DAY * SECONDS_PER_DAY
-
-    return Ledger(
-        addresses=table,
-        txids=sorted_txids,
-        times=sorted_times,
-        in_ptr=in_ptr,
-        in_addr=np.asarray(in_addr_l, dtype=np.int64),
-        in_val=np.asarray(in_val_l, dtype=np.int64),
-        out_ptr=out_ptr,
-        out_addr=np.asarray(out_addr_l, dtype=np.int64),
-        out_val=np.asarray(out_val_l, dtype=np.int64),
-        epoch_start=epoch,
-        out_of_order=out_of_order,
-    )
+    return cols.ledger(epoch)

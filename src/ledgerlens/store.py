@@ -32,7 +32,10 @@ def _pack_strings(items: list[str]) -> np.ndarray:
 
 
 def _unpack_strings(arr: np.ndarray) -> list[str]:
-    return json.loads(arr.tobytes().decode("utf-8"))
+    items = json.loads(arr.tobytes().decode("utf-8"))
+    if not isinstance(items, list) or not set(map(type, items)) <= {str}:
+        raise ValueError("string table is not a list of strings")
+    return items
 
 
 def content_hash(ledger: Ledger) -> str:
@@ -137,11 +140,10 @@ def load_ledger(store_dir: str) -> Ledger:
         with np.load(path) as z:
             txids = _unpack_strings(z["txids"])
             names = _unpack_strings(z["addresses"])
-            table = AddressTable()
-            for name in names[1:]:  # index 0 is always COINBASE
-                table.intern(name)
             ledger = Ledger(
-                addresses=table,
+                # Index 0 is always COINBASE.  A repeated name is interned
+                # once, so the table's names, and the hash, differ.
+                addresses=AddressTable(names[1:]),
                 txids=txids,
                 times=z["times"],
                 in_ptr=z["in_ptr"],

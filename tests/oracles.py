@@ -113,3 +113,88 @@ def connected_components(nodes, pairs) -> list[frozenset]:
     for v in parent:
         groups.setdefault(find(v), set()).add(v)
     return [frozenset(g) for g in groups.values()]
+
+
+def parse_ledger_records(stream, epoch=None):
+    """The record-at-a-time parser the columnar `parse_ledger` replaced.
+
+    One `json.loads` and one `_validate_record` per line, Python dicts for
+    interning and a Python sort over (time, txid).  Its only JSON errors are
+    `json.JSONDecodeError`s: a nesting or integer-literal overflow escapes as
+    the raw exception, so parity tests leave those two inputs out.
+    """
+    import json
+
+    from ledgerlens.errors import ParseError
+    from ledgerlens.ledger import (
+        COINBASE, MAX_VALUE, MIN_TIME, SECONDS_PER_DAY, AddressTable, Ledger,
+        _validate_record,
+    )
+
+    if epoch is not None and not MIN_TIME <= epoch <= MAX_VALUE:
+        raise ValueError(f"epoch {epoch} outside [{MIN_TIME}, {MAX_VALUE}]")
+    index = {COINBASE: 0}
+    txids, times, sides = [], [], []
+    seen = set()
+    out_of_order = 0
+    prev_time = None
+    minted = 0
+    for line_no, line in enumerate(stream, start=1):
+        if isinstance(line, bytes):
+            try:
+                line = line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                bad = exc.object[exc.start]
+                raise ParseError(
+                    line_no, f"not valid UTF-8 (byte {bad:#04x} at column {exc.start + 1})"
+                ) from exc
+        text = line.strip()
+        if not text:
+            continue
+        try:
+            rec = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ParseError(line_no, f"invalid JSON ({exc.msg})") from exc
+        txid, time, inputs, outputs = _validate_record(rec, line_no)
+        if txid in seen:
+            raise ParseError(line_no, f"duplicate txid {txid!r}")
+        if not inputs:
+            minted += sum(v for _, v in outputs)
+            if minted > MAX_VALUE:
+                raise ParseError(line_no, "minted supply exceeds 2^63-1")
+        seen.add(txid)
+        if prev_time is not None and time < prev_time:
+            out_of_order += 1
+        prev_time = time
+        txids.append(txid)
+        times.append(time)
+        sides.append(tuple(
+            [(index.setdefault(a, len(index)), v) for a, v in side]
+            for side in (inputs, outputs)
+        ))
+
+    order = sorted(range(len(txids)), key=lambda i: (times[i], txids[i]))
+    ptrs = {"in": [0], "out": [0]}
+    cols = {"in": ([], []), "out": ([], [])}
+    for i in order:
+        for name, side in zip(("in", "out"), sides[i]):
+            for a, v in side:
+                cols[name][0].append(a)
+                cols[name][1].append(v)
+            ptrs[name].append(len(cols[name][0]))
+    arr = lambda xs: np.asarray(xs, dtype=np.int64)  # noqa: E731
+    if epoch is not None:
+        epoch = epoch // SECONDS_PER_DAY * SECONDS_PER_DAY
+    return Ledger(
+        addresses=AddressTable(list(index)[1:]),
+        txids=[txids[i] for i in order],
+        times=arr([times[i] for i in order]),
+        in_ptr=arr(ptrs["in"]),
+        in_addr=arr(cols["in"][0]),
+        in_val=arr(cols["in"][1]),
+        out_ptr=arr(ptrs["out"]),
+        out_addr=arr(cols["out"][0]),
+        out_val=arr(cols["out"][1]),
+        epoch_start=epoch,
+        out_of_order=out_of_order,
+    )

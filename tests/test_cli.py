@@ -378,6 +378,18 @@ class TestExitCodes:
         assert run(["ingest", "-i", str(wide), "--store", str(tmp_path / "s")]) == 2
         assert not (tmp_path / "s").exists()
 
+    @pytest.mark.parametrize("line,reason", [
+        ("[" * 100_000, "nested too deeply"),
+        ('{"txid": "b", "time": 1, "in": [], "out": [["y", %s]]}' % ("1" * 5000),
+         "integer literal longer than"),
+    ], ids=["nesting", "integer"])
+    def test_decoder_limit_is_data_error(self, tmp_path, capsys, line, reason):
+        src = tmp_path / "deep.jsonl"
+        src.write_text(rec("a", 0, [], [["x", 5]]) + "\n" + line + "\n")
+        assert run(["ingest", "-i", str(src), "--store", str(tmp_path / "s")]) == 2
+        assert f"line 2: invalid JSON ({reason}" in capsys.readouterr().err
+        assert not (tmp_path / "s").exists()
+
     def test_lone_surrogate_address_is_data_error(self, tmp_path, capsys):
         src = tmp_path / "s.jsonl"
         src.write_text(rec("a", 0, [], [["\ud800x", 5]]) + "\n")

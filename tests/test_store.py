@@ -1,5 +1,6 @@
 import json
 import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from ledgerlens import (
     save_ledger,
 )
 from ledgerlens.balances import snapshot_at
-from ledgerlens.store import load_meta
+from ledgerlens.store import _pack_strings, content_hash, load_meta
 from conftest import make_ledger, rec
 
 
@@ -62,6 +63,30 @@ class TestLedgerStore:
         data = npz.read_bytes()
         npz.write_bytes(data[: len(data) // 2])
         with pytest.raises(StoreError, match="unreadable"):
+            load_ledger(str(store))
+
+    @pytest.mark.parametrize("names,match", [
+        (lambda names: names + [names[1]], "corrupt"),       # a repeated name
+        (lambda names: names[:-1] + [5], "unreadable"),      # not a string
+        (lambda names: {"a": 1}, "unreadable"),              # not a list
+    ], ids=["repeat", "int", "object"])
+    def test_bad_address_table(self, ledger, tmp_path, names, match):
+        # The meta hash is made to match the damaged table, so only the
+        # table check can refuse the store.
+        store = tmp_path / "store"
+        save_ledger(ledger, str(store))
+        with np.load(store / "ledger.npz") as z:
+            arrays = dict(z)
+        bad = names(list(ledger.addresses.names))
+        arrays["addresses"] = _pack_strings(bad)
+        np.savez(store / "ledger.npz", **arrays)
+        meta = json.loads((store / "meta.json").read_text())
+        fake = SimpleNamespace(**{k: getattr(ledger, k) for k in (
+            "times", "in_ptr", "in_addr", "in_val", "out_ptr", "out_addr", "out_val",
+            "txids")}, addresses=SimpleNamespace(names=bad))
+        meta["content_hash"] = content_hash(fake)
+        (store / "meta.json").write_text(json.dumps(meta))
+        with pytest.raises(StoreError, match=match):
             load_ledger(str(store))
 
     def test_meta_without_hash_is_corrupt(self, ledger, tmp_path):
