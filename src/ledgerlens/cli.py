@@ -445,6 +445,10 @@ def run(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"ledgerlens: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"ledgerlens: out of memory{detail}", file=sys.stderr)
+        return 2
 
 
 def main() -> None:

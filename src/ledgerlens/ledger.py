@@ -6,6 +6,11 @@ are integer base units end to end; floating point only appears at reporting
 boundaries.  Internally transactions live in flat numpy arrays (one row per
 input/output entry) so that balance reconstruction and graph building stay
 vectorized; `Transaction` objects are materialized on demand.
+
+Graphs expand a range of transactions into edges on request, keeping only
+the edges with an end in a focus set, so their memory is O(entries + focus
+edges) rather than the sum of N x M over the ledger.  A ledger holds no
+cache of them.
 """
 
 import json
@@ -143,17 +148,16 @@ class Edge(NamedTuple):
 
 
 class EdgeArrays(NamedTuple):
-    """Flat, day-ordered expansion of every transaction into directed edges.
+    """Expanded edges of a transaction range, as flat arrays.
 
-    `src`/`dst` hold interned address ids; `day_ptr[d]:day_ptr[d+1]` slices
-    the edges of day d.  `values` carries the proportional value attributed
-    to each edge and is only populated when requested.
+    Edge i runs from address id `src[i]` to `dst[i]` in transaction `tx[i]`.
+    `values` carries the proportional value attributed to each edge and is
+    only populated when requested.
     """
 
     src: np.ndarray
     dst: np.ndarray
-    day: np.ndarray
-    day_ptr: np.ndarray
+    tx: np.ndarray
     values: np.ndarray | None
 
 
@@ -275,8 +279,6 @@ class Ledger:
         self.out_addr = out_addr
         self.out_val = out_val
         self.out_of_order = out_of_order
-        self._edges: EdgeArrays | None = None
-        self._edges_valued: EdgeArrays | None = None
 
         n = len(txids)
         if n == 0:
@@ -400,74 +402,62 @@ class Ledger:
 
     # -- edge expansion --------------------------------------------------
 
-    def expanded_edges(self, with_values: bool = False) -> EdgeArrays:
-        """Whole-ledger edge expansion as flat arrays, cached after first use."""
-        if with_values:
-            if self._edges_valued is None:
-                self._edges_valued = self._expand(True)
-            return self._edges_valued
-        if self._edges is None:
-            self._edges = self._expand(False)
-        return self._edges
+    def _expand(self, start: int, stop: int, focus: np.ndarray,
+                with_values: bool = False) -> EdgeArrays:
+        """The input x output edges of transactions [start, stop) that have
+        at least one end in `focus`, a bool per address id.
 
-    def _expand(self, with_values: bool) -> EdgeArrays:
-        n = len(self.txids)
-        if n == 0:
-            z = np.zeros(0, dtype=np.int64)
-            return EdgeArrays(z, z, z.copy(), np.zeros(1, dtype=np.int64),
-                              np.zeros(0) if with_values else None)
-        m = np.diff(self.in_ptr)
-        k = np.diff(self.out_ptr)
-        m_eff = np.where(m == 0, 1, m)  # coinbase contributes one pseudo-input
+        A coinbase transaction has the one pseudo-input COINBASE (id 0).
+        Edges keep the (transaction, input, output) order of the full
+        expansion, so sums over them add in the same order: an input in the
+        focus keeps every output of its transaction, any other input only
+        the focus outputs.  With `with_values`, each edge carries its
+        output's value times the input's share of the transaction's inputs;
+        a coinbase edge carries the whole output value.
+        """
+        in_ptr = self.in_ptr[start:stop + 1]
+        out_ptr = self.out_ptr[start:stop + 1] - self.out_ptr[start]
+        n = stop - start
+        m = np.diff(in_ptr)
+        is_cb = m == 0
+        m_eff = np.where(is_cb, 1, m)
+        # Effective inputs: the real ones in order, COINBASE in each
+        # coinbase transaction's one slot.
+        real = np.repeat(~is_cb, m_eff)
+        ins = np.zeros(len(real), dtype=np.int64)
+        ins[real] = self.in_addr[in_ptr[0]:in_ptr[-1]]
+        tx_of_in = np.repeat(np.arange(n), m_eff)
+        outs = self.out_addr[self.out_ptr[start]:self.out_ptr[stop]]
 
-        # Effective input ids: real inputs copied in, coinbase slots left at 0.
-        eff_ptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(m_eff, out=eff_ptr[1:])
-        eff_in_addr = np.zeros(eff_ptr[-1], dtype=np.int64)
-        dest = np.zeros(0, dtype=np.int64)
-        if len(self.in_addr):
-            tx_of_entry = np.repeat(np.arange(n), m)
-            dest = (
-                eff_ptr[tx_of_entry] - self.in_ptr[:-1][tx_of_entry]
-                + np.arange(len(self.in_addr))
-            )
-            eff_in_addr[dest] = self.in_addr
-
-        edges_per_tx = m_eff * k
-        total = int(edges_per_tx.sum())
-        edge_ptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(edges_per_tx, out=edge_ptr[1:])
-
-        src = np.repeat(eff_in_addr, np.repeat(k, m_eff))
-        tx_of_edge = np.repeat(np.arange(n), edges_per_tx)
-        local = np.arange(total, dtype=np.int64) - edge_ptr[tx_of_edge]
-        out_pos = self.out_ptr[:-1][tx_of_edge] + local % k[tx_of_edge]
-        dst = self.out_addr[out_pos]
-        day = self.days[tx_of_edge]
-        day_ptr = np.searchsorted(day, np.arange(self.n_days + 1, dtype=np.int64))
+        # Output positions of the range, then the focus ones alone; a focus
+        # input reads its transaction's run of the first part, any other
+        # input its run of the second.
+        in_focus = focus[ins]
+        out_focus = focus[outs]
+        focus_pos = np.flatnonzero(out_focus)
+        focus_ptr = np.zeros(len(outs) + 1, dtype=np.int64)
+        np.cumsum(out_focus, out=focus_ptr[1:])
+        focus_ptr = focus_ptr[out_ptr]
+        table = np.concatenate((np.arange(len(outs)), focus_pos))
+        count = np.where(in_focus, np.diff(out_ptr)[tx_of_in], np.diff(focus_ptr)[tx_of_in])
+        first = np.where(in_focus, out_ptr[:-1][tx_of_in], len(outs) + focus_ptr[:-1][tx_of_in])
+        total = int(count.sum())
+        run_start = np.cumsum(count) - count
+        out_pos = table[np.repeat(first - run_start, count) + np.arange(total)]
+        tx = np.repeat(tx_of_in, count)
 
         values = None
         if with_values:
-            # Split each output's value across inputs proportionally to the
-            # input values; a coinbase edge carries the full output value.
-            eff_in_val = np.zeros(eff_ptr[-1], dtype=np.float64)
+            share = np.ones(len(ins), dtype=np.float64)
             in_total = np.ones(n, dtype=np.float64)
-            if len(self.in_val):
-                eff_in_val[dest] = self.in_val
-                has_in = m > 0
-                if has_in.any():
-                    in_total[has_in] = np.add.reduceat(
-                        self.in_val, self.in_ptr[:-1][has_in]
-                    )
-            is_cb = m == 0
-            eff_in_val[eff_ptr[:-1][is_cb]] = 1.0
-            src_val = np.repeat(eff_in_val, np.repeat(k, m_eff))
-            values = (
-                self.out_val[out_pos].astype(np.float64)
-                * src_val
-                / in_total[tx_of_edge]
-            )
-        return EdgeArrays(src, dst, day, day_ptr, values)
+            in_val = self.in_val[in_ptr[0]:in_ptr[-1]]
+            share[real] = in_val
+            if not is_cb.all():
+                in_total[~is_cb] = np.add.reduceat(in_val, (in_ptr[:-1] - in_ptr[0])[~is_cb])
+            out_val = self.out_val[self.out_ptr[start]:self.out_ptr[stop]]
+            values = (out_val[out_pos].astype(np.float64) * np.repeat(share, count)
+                      / in_total[tx])
+        return EdgeArrays(np.repeat(ins, count), outs[out_pos], tx + start, values)
 
 
 # Lines decoded and checked together.  Kept small so that a chunk's decoded

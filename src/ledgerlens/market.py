@@ -289,27 +289,28 @@ class EntityClustering:
 class _PairIndex:
     """Undirected edge counts between the addresses of a focus union, by day.
 
-    Built once from the whole ledger: only edges with both endpoints in
-    `focus_ids` are kept, self-pairs are dropped, and each remaining edge is
-    stamped ``pair * n_days + day`` against the sorted unique pair keys
-    ``lo * len(ids) + hi`` (union positions, ``lo < hi``).  ``keys[start[i]:
-    start[i + 1]]`` are the pairs whose lower end is union position i.  The
-    cumulative (day 0..t) count of a pair is then one binary search.
+    Built once from the whole ledger's edges with an end in `focus_ids`:
+    only those with both ends there are kept, self-pairs are dropped, and
+    each remaining edge is stamped ``pair * n_days + day`` against the
+    sorted unique pair keys ``lo * len(ids) + hi`` (union positions,
+    ``lo < hi``).  ``keys[start[i]:start[i + 1]]`` are the pairs whose lower
+    end is union position i.  The cumulative (day 0..t) count of a pair is
+    then one binary search.
     """
 
     def __init__(self, ledger: Ledger, focus_ids: np.ndarray):
         self.ids = np.unique(focus_ids)
         self.n_days = ledger.n_days
-        edges = ledger.expanded_edges()
         lut = np.zeros(len(ledger.addresses), dtype=bool)
         lut[self.ids] = True
+        edges = ledger._expand(0, len(ledger), lut)
         keep = lut[edges.src] & lut[edges.dst] & (edges.src != edges.dst)
         src, dst = edges.src[keep], edges.dst[keep]
         lo = np.searchsorted(self.ids, np.minimum(src, dst))
         hi = np.searchsorted(self.ids, np.maximum(src, dst))
         u = len(self.ids)
         self.keys, pair = np.unique(lo * u + hi, return_inverse=True)
-        self.stamps = np.sort(pair * self.n_days + edges.day[keep])
+        self.stamps = np.sort(pair * self.n_days + ledger.days[edges.tx[keep]])
         self.start = np.searchsorted(self.keys, np.arange(u + 1) * u)
         # stamps[first[k]:] begins with pair k's stamps.
         self.first = np.searchsorted(self.stamps, np.arange(len(self.keys)) * self.n_days)

@@ -18,7 +18,7 @@ import numpy as np
 # name because the benchmark's tracer (bench/tracer.py) wraps it here.
 from .balances import _apply_day
 from .errors import StoreError
-from .ledger import AddressTable, Ledger
+from .ledger import COINBASE, AddressTable, Ledger
 
 STORE_VERSION = 1
 
@@ -38,22 +38,29 @@ def _unpack_strings(arr: np.ndarray) -> list[str]:
     return items
 
 
+# The arrays of ledger.npz, in the order they are written and hashed.
+_ARRAYS = ("times", "in_ptr", "in_addr", "in_val", "out_ptr", "out_addr", "out_val",
+           "txids", "addresses")
+
+
+def _columns(ledger: Ledger) -> dict[str, np.ndarray]:
+    """The ledger as the arrays of ledger.npz, string tables packed."""
+    cols = {name: getattr(ledger, name) for name in _ARRAYS[:-2]}
+    cols["txids"] = _pack_strings(ledger.txids)
+    cols["addresses"] = _pack_strings(ledger.addresses.names)
+    return cols
+
+
+def _digest(cols: dict[str, np.ndarray]) -> str:
+    h = hashlib.sha256()
+    for name in _ARRAYS:
+        h.update(np.ascontiguousarray(cols[name]).tobytes())
+    return h.hexdigest()[:16]
+
+
 def content_hash(ledger: Ledger) -> str:
     """Order-sensitive digest of the ledger's arrays and string tables."""
-    h = hashlib.sha256()
-    for arr in (
-        ledger.times,
-        ledger.in_ptr,
-        ledger.in_addr,
-        ledger.in_val,
-        ledger.out_ptr,
-        ledger.out_addr,
-        ledger.out_val,
-    ):
-        h.update(np.ascontiguousarray(arr).tobytes())
-    h.update(json.dumps(ledger.txids, separators=(",", ":")).encode("utf-8"))
-    h.update(json.dumps(ledger.addresses.names, separators=(",", ":")).encode("utf-8"))
-    return h.hexdigest()[:16]
+    return _digest(_columns(ledger))
 
 
 def save_ledger(ledger: Ledger, store_dir: str) -> dict:
@@ -65,6 +72,7 @@ def save_ledger(ledger: Ledger, store_dir: str) -> dict:
     never a meta.json beside a ledger.npz it does not describe.
     """
     os.makedirs(store_dir, exist_ok=True)
+    cols = _columns(ledger)
     meta = {
         "store_version": STORE_VERSION,
         "transactions": len(ledger),
@@ -72,24 +80,13 @@ def save_ledger(ledger: Ledger, store_dir: str) -> dict:
         "days": ledger.n_days,
         "epoch_start": ledger.epoch_start,
         "out_of_order": ledger.out_of_order,
-        "content_hash": content_hash(ledger),
+        "content_hash": _digest(cols),
     }
     final = {name: os.path.join(store_dir, name) for name in (_LEDGER, _META)}
     tmp = {name: os.path.join(store_dir, f".{name}.{os.getpid()}.tmp") for name in final}
     try:
         with open(tmp[_LEDGER], "wb") as fp:
-            np.savez(
-                fp,
-                times=ledger.times,
-                in_ptr=ledger.in_ptr,
-                in_addr=ledger.in_addr,
-                in_val=ledger.in_val,
-                out_ptr=ledger.out_ptr,
-                out_addr=ledger.out_addr,
-                out_val=ledger.out_val,
-                txids=_pack_strings(ledger.txids),
-                addresses=_pack_strings(ledger.addresses.names),
-            )
+            np.savez(fp, **cols)
         with open(tmp[_META], "w") as fp:
             json.dump(meta, fp, indent=2, sort_keys=True)
             fp.write("\n")
@@ -135,28 +132,31 @@ def load_ledger(store_dir: str) -> Ledger:
         raise StoreError(f"store at {store_dir!r} has no epoch_start in {_META}") from None
     out_of_order = meta.get("out_of_order", 0)
     # A truncated or damaged file fails in the zip layer, in an array
-    # header or in the string tables.
+    # header or in the string tables.  The hash covers the arrays as
+    # written, so it is checked before the tables are decoded.
     try:
         with np.load(path) as z:
-            txids = _unpack_strings(z["txids"])
-            names = _unpack_strings(z["addresses"])
-            ledger = Ledger(
-                # Index 0 is always COINBASE.  A repeated name is interned
-                # once, so the table's names, and the hash, differ.
-                addresses=AddressTable(names[1:]),
-                txids=txids,
-                times=z["times"],
-                in_ptr=z["in_ptr"],
-                in_addr=z["in_addr"],
-                in_val=z["in_val"],
-                out_ptr=z["out_ptr"],
-                out_addr=z["out_addr"],
-                out_val=z["out_val"],
-                epoch_start=epoch_start,
-                out_of_order=out_of_order,
-            )
+            cols = {name: z[name] for name in _ARRAYS}
+        if _digest(cols) != meta.get("content_hash"):
+            raise StoreError(f"store at {store_dir!r} is corrupt (hash mismatch)")
+        txids = _unpack_strings(cols["txids"])
+        names = _unpack_strings(cols["addresses"])
+        addresses = AddressTable(names[1:])
+        if names[:1] != [COINBASE] or len(addresses) != len(names):
+            raise StoreError(f"store at {store_dir!r} is corrupt "
+                             f"(address table repeats a name or lacks {COINBASE} first)")
+        return Ledger(
+            addresses=addresses,
+            txids=txids,
+            times=cols["times"],
+            in_ptr=cols["in_ptr"],
+            in_addr=cols["in_addr"],
+            in_val=cols["in_val"],
+            out_ptr=cols["out_ptr"],
+            out_addr=cols["out_addr"],
+            out_val=cols["out_val"],
+            epoch_start=epoch_start,
+            out_of_order=out_of_order,
+        )
     except (zipfile.BadZipFile, EOFError, KeyError, OSError, ValueError) as exc:
         raise StoreError(f"store at {store_dir!r} has an unreadable {_LEDGER} ({exc})") from exc
-    if content_hash(ledger) != meta.get("content_hash"):
-        raise StoreError(f"store at {store_dir!r} is corrupt (hash mismatch)")
-    return ledger

@@ -127,16 +127,11 @@ def build_day_graph(
         focus_ids = focus.ids
     else:
         focus_ids = np.fromiter((int(f) for f in focus), dtype=np.int64)
-    edges = ledger.expanded_edges(with_values=value_weighted)
-    lo, hi = int(edges.day_ptr[day]), int(edges.day_ptr[day + 1])
-    src = edges.src[lo:hi]
-    dst = edges.dst[lo:hi]
     lut = np.zeros(len(ledger.addresses), dtype=bool)
     lut[focus_ids] = True
-    keep = lut[src] | lut[dst]
-    val = edges.values[lo:hi][keep] if value_weighted else None
-    src, dst = src[keep], dst[keep]
-    return _aggregate(day, src, dst, np.ones(len(src), dtype=np.int64), val)
+    edges = ledger._expand(*ledger.day_range(day), lut, with_values=value_weighted)
+    return _aggregate(day, edges.src, edges.dst, np.ones(len(edges.src), dtype=np.int64),
+                      edges.values)
 
 
 def degree_centrality(graph: TransactionGraph) -> MetricVector:

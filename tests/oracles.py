@@ -95,6 +95,73 @@ def brute_force_pairs(inputs, outputs) -> set[tuple[str, str]]:
     return pairs
 
 
+def expand_ledger(ledger, with_values: bool = False):
+    """The whole-ledger N x M expansion the focus expansion replaced.
+
+    Every transaction's (input, output) pairs in (transaction, input,
+    output) order, COINBASE (id 0) the one input of a coinbase.  Returns a
+    namespace of `src`, `dst`, `tx`, `day`, `day_ptr` (``day_ptr[d]:
+    day_ptr[d + 1]`` slices day d) and `values` (the output value split by
+    input share, or None).
+    """
+    from types import SimpleNamespace
+
+    n = len(ledger.txids)
+    m = np.diff(ledger.in_ptr)
+    k = np.diff(ledger.out_ptr)
+    m_eff = np.where(m == 0, 1, m)  # coinbase contributes one pseudo-input
+
+    # Effective input ids: real inputs copied in, coinbase slots left at 0.
+    eff_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(m_eff, out=eff_ptr[1:])
+    eff_in_addr = np.zeros(eff_ptr[-1], dtype=np.int64)
+    dest = np.zeros(0, dtype=np.int64)
+    if len(ledger.in_addr):
+        tx_of_entry = np.repeat(np.arange(n), m)
+        dest = (
+            eff_ptr[tx_of_entry] - ledger.in_ptr[:-1][tx_of_entry]
+            + np.arange(len(ledger.in_addr))
+        )
+        eff_in_addr[dest] = ledger.in_addr
+
+    edges_per_tx = m_eff * k
+    total = int(edges_per_tx.sum())
+    edge_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(edges_per_tx, out=edge_ptr[1:])
+
+    src = np.repeat(eff_in_addr, np.repeat(k, m_eff))
+    tx_of_edge = np.repeat(np.arange(n), edges_per_tx)
+    local = np.arange(total, dtype=np.int64) - edge_ptr[tx_of_edge]
+    out_pos = ledger.out_ptr[:-1][tx_of_edge] + local % k[tx_of_edge]
+    dst = ledger.out_addr[out_pos]
+    day = ledger.days[tx_of_edge]
+    day_ptr = np.searchsorted(day, np.arange(ledger.n_days + 1, dtype=np.int64))
+
+    values = None
+    if with_values:
+        # Split each output's value across inputs proportionally to the
+        # input values; a coinbase edge carries the full output value.
+        eff_in_val = np.zeros(eff_ptr[-1], dtype=np.float64)
+        in_total = np.ones(n, dtype=np.float64)
+        if len(ledger.in_val):
+            eff_in_val[dest] = ledger.in_val
+            has_in = m > 0
+            if has_in.any():
+                in_total[has_in] = np.add.reduceat(
+                    ledger.in_val, ledger.in_ptr[:-1][has_in]
+                )
+        is_cb = m == 0
+        eff_in_val[eff_ptr[:-1][is_cb]] = 1.0
+        src_val = np.repeat(eff_in_val, np.repeat(k, m_eff))
+        values = (
+            ledger.out_val[out_pos].astype(np.float64)
+            * src_val
+            / in_total[tx_of_edge]
+        )
+    return SimpleNamespace(src=src, dst=dst, tx=tx_of_edge, day=day,
+                           day_ptr=day_ptr, values=values)
+
+
 def connected_components(nodes, pairs) -> list[frozenset]:
     """Union-find components over undirected pairs."""
     parent = {int(v): int(v) for v in nodes}

@@ -1,14 +1,18 @@
 import io
 import json
+import os
+import resource
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
 from ledgerlens import compute_snapshots, load_ledger, parse_ledger, save_ledger
+from ledgerlens import cli
 from ledgerlens.cli import run
 from ledgerlens.report import build_report
-from conftest import rec
+from conftest import DAY, rec
 
 
 def read_csv(path):
@@ -585,6 +589,16 @@ class TestExitCodes:
         assert err.count("\n") == 1 and "ledgerlens[modularity]" in err
         assert not out.exists()
 
+    def test_out_of_memory_is_data_error(self, store, tmp_path, monkeypatch, capsys):
+        def exhausted(path):
+            raise MemoryError("Unable to allocate 68.7 MiB for an array with shape "
+                              "(9003000,) and data type int64")
+        monkeypatch.setattr(cli, "load_ledger", exhausted)
+        assert run(["dstatic", "--store", store, "--out", str(tmp_path / "d.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "out of memory" in err
+        assert "Traceback" not in err
+
     def test_truncated_store_is_data_error(self, store, tmp_path):
         npz = Path(store) / "ledger.npz"
         data = npz.read_bytes()
@@ -662,3 +676,46 @@ class TestOnePathPerTable:
         assert run(["dstatic", "--top", "20", "--store", store, *day_range,
                     "--out", "-"]) == 0
         assert capsys.readouterr().out == out.read_text()
+
+
+# Address space for each child of TestBoundedMemory: Python and numpy alone
+# take about 110-130 MiB of it.
+CHILD_AS_LIMIT = 256 << 20
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (CHILD_AS_LIMIT, CHILD_AS_LIMIT))
+
+
+class TestBoundedMemory:
+    """One 3000-in x 3000-out transaction is 9M input/output pairs, but
+    only the pairs touching a focus address are ever expanded."""
+
+    @pytest.fixture(scope="class")
+    def wide_store(self, tmp_path_factory):
+        width = 3000
+        funded = [[f"in{i:04d}", 1_000_000 + i] for i in range(width)]
+        paid = [[f"out{i:04d}", 1_000_000 + i] for i in range(width)]
+        ledger = parse_ledger([rec("mint", 0, [], funded), rec("sweep", DAY, funded, paid)])
+        store = tmp_path_factory.mktemp("wide") / "store"
+        save_ledger(ledger, str(store))
+        return str(store)
+
+    @pytest.mark.parametrize("command", [
+        ["hhi", "--scheme", "a2", "--out"],
+        ["hhi", "--scheme", "a3", "--out"],
+        ["dispersion", "--value-weighted", "--out"],
+        ["report", "--no-charts", "--out"],
+    ], ids=["hhi_a2", "hhi_a3", "dispersion_value_weighted", "report"])
+    def test_wide_transaction_runs_in_256_mib(self, wide_store, tmp_path, command):
+        package_root = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, [package_root,
+                                                            os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "ledgerlens", *command, str(tmp_path / "out"),
+             "--store", wide_store],
+            env=env, preexec_fn=_limit_address_space, capture_output=True, text=True,
+            timeout=300)
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "out").exists()

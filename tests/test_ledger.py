@@ -1,6 +1,7 @@
 import io
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -14,7 +15,7 @@ from ledgerlens import (
 )
 from ledgerlens.ledger import MAX_DAYS, MIN_TIME
 from conftest import DAY, make_ledger, rec
-from oracles import brute_force_pairs
+from oracles import brute_force_pairs, expand_ledger
 
 
 class TestParse:
@@ -280,9 +281,15 @@ class TestExpandEdges:
         assert len(set(edges)) == len(edges)
 
 
+def _everyone(ledger):
+    return np.ones(len(ledger.addresses), dtype=bool)
+
+
 class TestExpandedArrays:
     def test_matches_per_tx_expansion(self, simple_ledger):
-        arrays = simple_ledger.expanded_edges()
+        # The reference whole-ledger expansion against the per-transaction
+        # one, then the focus expansion with every address in focus.
+        arrays = expand_ledger(simple_ledger)
         names = simple_ledger.addresses.names
         got = [
             (names[s], names[t], int(d))
@@ -295,11 +302,22 @@ class TestExpandedArrays:
                 for e in expand_edges(simple_ledger.transaction(i), day=d):
                     expected.append((e.src, e.dst, e.day))
         assert got == expected
+        edges = simple_ledger._expand(0, len(simple_ledger), _everyone(simple_ledger))
+        assert edges.src.tolist() == arrays.src.tolist()
+        assert edges.dst.tolist() == arrays.dst.tolist()
+        assert edges.tx.tolist() == arrays.tx.tolist()
+        assert edges.values is None
 
     def test_day_ptr_slices(self, simple_ledger):
-        arrays = simple_ledger.expanded_edges()
+        arrays = expand_ledger(simple_ledger)
         assert arrays.day_ptr[0] == 0
         assert arrays.day_ptr[-1] == len(arrays.src)
+        for d in range(simple_ledger.n_days):
+            lo, hi = arrays.day_ptr[d], arrays.day_ptr[d + 1]
+            edges = simple_ledger._expand(*simple_ledger.day_range(d),
+                                          _everyone(simple_ledger))
+            assert edges.src.tolist() == arrays.src[lo:hi].tolist()
+            assert edges.dst.tolist() == arrays.dst[lo:hi].tolist()
 
     def test_value_split_conserves_outputs(self):
         lines = [
@@ -307,6 +325,53 @@ class TestExpandedArrays:
             rec("p", DAY, [["a", 60], ["b", 40]], [["c", 70], ["d", 20]]),
         ]
         ledger = make_ledger(lines)
-        arrays = ledger.expanded_edges(with_values=True)
-        lo, hi = arrays.day_ptr[1], arrays.day_ptr[2]
-        assert arrays.values[lo:hi].sum() == pytest.approx(90.0)
+        edges = ledger._expand(*ledger.day_range(1), _everyone(ledger), with_values=True)
+        assert edges.values.sum() == pytest.approx(90.0)
+
+
+POOL = [f"a{i}" for i in range(6)]
+entries = st.lists(st.tuples(st.sampled_from(POOL), st.integers(1, 40)),
+                   min_size=1, max_size=5)
+
+
+@st.composite
+def focus_expansions(draw):
+    """A ledger of coinbases and payments over six addresses (repeats on a
+    side merged, self-loops and empty days included), a transaction range
+    and a focus mask over every address id, COINBASE too."""
+    lines = []
+    for i in range(draw(st.integers(1, 10))):
+        outs = draw(entries)
+        ins = [] if draw(st.booleans()) else draw(entries) + [("a0", sum(v for _, v in outs))]
+        day = draw(st.integers(0, 4))
+        lines.append(rec(f"t{i}", day * DAY + i, [list(e) for e in ins],
+                         [list(e) for e in outs]))
+    ledger = make_ledger(lines)
+    start = draw(st.integers(0, len(ledger)))
+    stop = draw(st.integers(start, len(ledger)))
+    n = len(ledger.addresses)
+    focus = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+    return ledger, start, stop, focus
+
+
+class TestFocusExpansion:
+    @given(focus_expansions())
+    def test_matches_filtered_reference(self, case):
+        ledger, start, stop, focus = case
+        ref = expand_ledger(ledger, with_values=True)
+        sel = (ref.tx >= start) & (ref.tx < stop) & (focus[ref.src] | focus[ref.dst])
+        got = ledger._expand(start, stop, focus, with_values=True)
+        assert got.src.tolist() == ref.src[sel].tolist()
+        assert got.dst.tolist() == ref.dst[sel].tolist()
+        assert got.tx.tolist() == ref.tx[sel].tolist()
+        assert got.values.dtype == np.float64
+        assert got.values.tolist() == ref.values[sel].tolist()
+        plain = ledger._expand(start, stop, focus)
+        assert plain.values is None
+        assert plain.src.tolist() == got.src.tolist()
+        assert plain.dst.tolist() == got.dst.tolist()
+
+    def test_empty_ledger(self):
+        ledger = make_ledger([])
+        edges = ledger._expand(0, 0, np.ones(1, dtype=bool), with_values=True)
+        assert len(edges.src) == len(edges.dst) == len(edges.tx) == len(edges.values) == 0

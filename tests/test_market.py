@@ -25,7 +25,7 @@ from ledgerlens.market import (
     _propagate,
 )
 from conftest import DAY, make_ledger, rec
-from oracles import connected_components
+from oracles import connected_components, expand_ledger
 
 
 class TestHHI:
@@ -295,7 +295,7 @@ def star_ledger():
 def reference_pair_weights(ledger, day, focus_ids):
     """The former day-0 rescan: mask every edge of days 0..day to the focus
     set, fold to undirected pairs, drop self-pairs and count with np.unique."""
-    edges = ledger.expanded_edges()
+    edges = expand_ledger(ledger)
     hi = int(edges.day_ptr[day + 1])
     src = edges.src[:hi]
     dst = edges.dst[:hi]

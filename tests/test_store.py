@@ -69,7 +69,8 @@ class TestLedgerStore:
         (lambda names: names + [names[1]], "corrupt"),       # a repeated name
         (lambda names: names[:-1] + [5], "unreadable"),      # not a string
         (lambda names: {"a": 1}, "unreadable"),              # not a list
-    ], ids=["repeat", "int", "object"])
+        (lambda names: ["genesis"] + names[1:], "corrupt"),  # no COINBASE first
+    ], ids=["repeat", "int", "object", "no_coinbase"])
     def test_bad_address_table(self, ledger, tmp_path, names, match):
         # The meta hash is made to match the damaged table, so only the
         # table check can refuse the store.

@@ -12,6 +12,7 @@ from ledgerlens import (
 )
 from ledgerlens.balances import proportion_series
 from ledgerlens.lorenz import d_static_series
+from oracles import expand_ledger
 
 
 def canonical(ledger) -> bytes:
@@ -112,7 +113,7 @@ class TestRegimes:
         cfg = SynthConfig(seed=2, days=15, txs_per_day=200, pool=100,
                           regime="hub", hubs=2, initial_supply=10**12, reward=0)
         ledger = generate(cfg)
-        arrays = ledger.expanded_edges()
+        arrays = expand_ledger(ledger)
         hub_ids = {ledger.addresses.id_of("a0000001"),
                    ledger.addresses.id_of("a0000002")}
         touches = sum(
