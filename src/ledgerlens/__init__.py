@@ -43,6 +43,7 @@ from .stability import (
     retention,
     spearman,
     stability_series,
+    stability_table,
     summarize,
 )
 from .store import load_ledger, save_ledger
@@ -69,5 +70,5 @@ __all__ = [
     "degree_centrality", "dispersion", "dispersion_series", "expand_edges",
     "generate", "hhi", "hhi_series", "label_propagation", "load_ledger",
     "pagerank", "parse_ledger", "retention", "save_ledger", "spearman",
-    "stability_series", "summarize",
+    "stability_series", "stability_table", "summarize",
 ]

@@ -49,8 +49,9 @@ class Ranking:
 
     Ties are broken by ascending address string so rankings are reproducible
     regardless of ingestion order.  Zero balances never appear.
-    `funded_total` and `funded_sq` are the sum and the float64 id-order dot
-    product of every funded balance of the day, ranked or not.
+    `funded_total` and `funded_sq` are the sum and the float64 sum of
+    squares (`pairwise_dot`, in id order) of every funded balance of the
+    day, ranked or not.
     """
 
     day: int
@@ -84,6 +85,17 @@ class Ranking:
         if n >= len(self.ids):
             return self
         return replace(self, n=n, ids=self.ids[:n], balances=self.balances[:n])
+
+
+def pairwise_dot(x: np.ndarray, y: np.ndarray) -> float:
+    """The sum of ``x * y`` as numpy's pairwise sum, in a fixed order.
+
+    ``np.dot`` hands vectors of more than 10 000 floats to a threaded BLAS,
+    which splits the sum across its threads, so the last digits would
+    depend on the thread count.  Every float sum of products in ledgerlens
+    goes through here.
+    """
+    return float(np.add.reduce(x * y))
 
 
 def _apply_day(ledger: Ledger, day: int, balances: np.ndarray) -> None:
@@ -171,7 +183,7 @@ def rank_balances(
     funded = np.flatnonzero(balances > 0)
     vals = balances[funded]
     as_float = vals.astype(np.float64)
-    funded_total, funded_sq = int(vals.sum()), float(np.dot(as_float, as_float))
+    funded_total, funded_sq = int(vals.sum()), pairwise_dot(as_float, as_float)
     if len(funded) > n:
         threshold = np.partition(vals, len(vals) - n)[len(vals) - n]
         keep = vals >= threshold

@@ -32,7 +32,8 @@ import numpy as np
 # the same reason `rank_balances`, `label_propagation` and
 # `_focus_pair_weights` (whose `ledger` and `day` arguments the tracer
 # reads) are called through this module's globals, never bound locally.
-from .balances import BalanceSnapshot, Ranking, _apply_day, rank_balances, snapshot_at
+from .balances import (BalanceSnapshot, Ranking, _apply_day, pairwise_dot, rank_balances,
+                       snapshot_at)
 from .ledger import Ledger
 
 V_C_LABEL = -1  # coinbase pseudo-firm
@@ -60,7 +61,7 @@ def hhi(holdings: Iterable[float] | np.ndarray, total: float) -> float:
     if arr.sum() > float(total) * (1 + 1e-12):
         raise ValueError("holdings exceed total supply")
     shares = arr / float(total)
-    return 10000.0 * float(np.dot(shares, shares))
+    return 10000.0 * pairwise_dot(shares, shares)
 
 
 def classify(value: float) -> str:
@@ -347,10 +348,22 @@ def _focus_pair_weights(
     return list(zip(focus_ids[p].tolist(), focus_ids[q].tolist(), w.tolist()))
 
 
-# Budget of labels plus voter entries (two per pair) of one block sweep;
-# the day that reaches it closes the block.  About 85 days of 100 focus
-# nodes and 700 pairs, about 10 MB of arrays at the sweep's peak.
+# Budget of labels (focus slots padded to the block's widest day) plus
+# voter entries (two per pair) of one block sweep; a day that would pass it
+# opens the next block.  About 85 days of 100 focus nodes and 700 pairs,
+# about 10 MB of arrays at the sweep's peak.
 _BLOCK_SLOTS = 1 << 17
+
+
+def _sweep_block(block: list, width: int, seed: int) -> Iterator[list[int]]:
+    """Labels of each (sorted focus ids, (p, q, w) pairs) day of `block`,
+    swept together as graphs of `width` nodes: the positions past a day's
+    own focus have no edges and keep their own labels."""
+    p, q, w = (np.concatenate(c) for c in zip(*(found for _, found in block)))
+    graph = np.repeat(np.arange(len(block)), [len(found[0]) for _, found in block])
+    roots = _propagate(width, graph, p, q, w, len(block), seed, _MAX_ROUNDS)
+    for (ids, _), day_roots in zip(block, roots):
+        yield ids[day_roots[:len(ids)]].tolist()
 
 
 def _focus_labels(
@@ -364,8 +377,10 @@ def _focus_labels(
     """Yield the firm label of each of the sorted ``focus_ids[i]`` on day
     ``days[i]``: communities of the cumulative focus graph, each named by
     its smallest member id.  `method` has passed check_method.  Label
-    propagation sweeps consecutive days of one focus size together, up to
-    _BLOCK_SLOTS a block; the seeded sweep order depends on the size."""
+    propagation sweeps consecutive days together, up to _BLOCK_SLOTS a
+    block, padded to the block's largest focus size.  The ascending sweep
+    order (seed 0) is the same for every size, but a seeded order depends
+    on it, so a seeded block holds days of one focus size."""
     if method == "modularity":
         for day, ids in zip(days, focus_ids):
             nodes = ids.tolist()
@@ -373,19 +388,19 @@ def _focus_labels(
                 nodes, _focus_pair_weights(ledger, day, ids, pairs))
             yield [labels[i] for i in nodes]
         return
-    block_ids, block_pairs, slots = [], [], 0
-    for i, (day, ids) in enumerate(zip(days, focus_ids)):
-        block_ids.append(ids)
-        block_pairs.append(pairs.lookup(day, ids))
-        slots += len(ids) + 2 * len(block_pairs[-1][0])
-        if (i + 1 == len(days) or len(focus_ids[i + 1]) != len(ids)
-                or slots >= _BLOCK_SLOTS):
-            p, q, w = (np.concatenate(c) for c in zip(*block_pairs))
-            graph = np.repeat(np.arange(len(block_ids)), [len(b[0]) for b in block_pairs])
-            roots = _propagate(len(ids), graph, p, q, w, len(block_ids), seed, _MAX_ROUNDS)
-            for day_ids, day_roots in zip(block_ids, roots):
-                yield day_ids[day_roots].tolist()
-            block_ids, block_pairs, slots = [], [], 0
+    block: list = []
+    width = voters = 0
+    for day, ids in zip(days, focus_ids):
+        found = pairs.lookup(day, ids)
+        slots = max(width, len(ids)) * (len(block) + 1) + voters + 2 * len(found[0])
+        if block and ((seed and len(ids) != width) or slots > _BLOCK_SLOTS):
+            yield from _sweep_block(block, width, seed)
+            block, width, voters = [], 0, 0
+        block.append((ids, found))
+        width = max(width, len(ids))
+        voters += 2 * len(found[0])
+    if block:
+        yield from _sweep_block(block, width, seed)
 
 
 def cluster(
@@ -498,7 +513,8 @@ def hhi_series(
         for lab, b in zip(day_labels, bal.tolist()):
             group_sums[lab] = group_sums.get(lab, 0) + b
         comm_sq = float(sum(s * s for s in group_sums.values()))
-        top_sq = float(np.dot(bal.astype(np.float64), bal.astype(np.float64)))
+        as_float = bal.astype(np.float64)
+        top_sq = pairwise_dot(as_float, as_float)
         if scheme == "a2":
             total_sq = comm_sq + (r.funded_sq - top_sq)
         else:

@@ -19,7 +19,10 @@ from .balances import Ranking, adjacent_diff, compute_rankings, proportion_serie
 from .ledger import Ledger
 from .lorenz import cumulative_curve, d_static_series
 from .market import check_method, classify, d_hhi, hhi_series
-from .stability import StabilitySeries, stability_series, summarize
+# `stability_series` is not called here; it stays importable under this
+# module's name because the benchmark's tracer (bench/tracer.py) wraps it
+# here, and its self-test fails on a traced name that is missing.
+from .stability import StabilitySeries, stability_series, stability_table, summarize
 from .svg import box_plot, line_chart, open_output
 from .txgraph import dispersion_series
 
@@ -232,15 +235,17 @@ def build_report(
         "values": [[float(v) for v in diff[d]] for d in days],
     }
 
-    # Ranking stability: each distinct (metric, N, interval) series is built
-    # once and feeds the CSV, the JSON bundle and the charts.
-    stab: dict[tuple[str, int, int], StabilitySeries] = {}
-    for metric in ("spearman", "retention"):
-        for n, interval in [(focus_n, i) for i in intervals] + [(t, 1) for t in tops]:
-            if (metric, n, interval) not in stab:
-                s = stability_series(rankings, n, interval, metric, spearman_mode)
-                s.values = window(s.values, day_range)
-                stab[(metric, n, interval)] = s
+    # Ranking stability: every distinct (metric, N, interval) series comes
+    # from one stability_table call and feeds the CSV, the JSON bundle and
+    # the charts.
+    stab = stability_table(
+        rankings,
+        [(metric, n, interval) for metric in ("spearman", "retention")
+         for n, interval in [(focus_n, i) for i in intervals] + [(t, 1) for t in tops]],
+        spearman_mode,
+    )
+    for s in stab.values():
+        s.values = window(s.values, day_range)
     stability_rows: list[tuple] = []
     summaries: dict[str, dict] = {}
     series_bundle: dict[str, dict] = {}

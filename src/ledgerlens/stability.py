@@ -8,25 +8,40 @@ keeps the union and assigns absentees rank len(list)+1.  Pairs with fewer
 than two usable members, or with no rank variance, yield None rather than a
 number.
 
-Both measures run on one array kernel.  A series turns each day's top-N
-list once into its ids in ascending order and their tie ranks, taken on
-the truncated balances (a tie run cut at N averages only the kept
-positions).  A day pair is then a sorted-set operation: `np.intersect1d`
-gives the shared ids and their positions in both lists (intersection
-Spearman, retention), and `np.union1d` with `searchsorted` places both lists
-in their union (penalized Spearman).  The rank vectors reach the Pearson
-step in ascending id order, so every float sum is made in a fixed order.
-`spearman` and `retention` are thin wrappers over the same kernel.
+Every series comes from one kernel, `stability_table`, which builds any
+set of (metric, N, interval) series over the same rankings in one pass.
+Each day's ranking, cut at the largest N, becomes one list of ascending
+ids, with each id's position in its ranking and the start and stop of its
+tie run.  For each distinct interval, `np.searchsorted` over the keys
+``day * span + id`` finds every id that day d shares with day d +
+interval, in ascending-id order within each pair.  Each N then needs no
+set operation of its own:
+
+* an id is in both top-N lists when both its positions are below N;
+* its tie rank in a list cut at N is ``(start + 1 + min(stop, N)) / 2``,
+  so a tie run cut at N averages only its kept positions;
+* retention counts those ids per pair;
+* penalized Spearman merges each pair's two top-N lists into their
+  ascending-id union.
+
+The kernel works on blocks of days, so its working set stays small however
+deep the lists are.  The rank vectors reach the Pearson step in ascending
+id order, and its sums are numpy pairwise sums (`pairwise_dot`, never a
+BLAS dot), so every value is made in one fixed order whatever the BLAS
+thread count.  `stability_series`, `spearman` and `retention` are batches
+of one through the same kernel.
 """
 
+import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .balances import Ranking
+from .balances import Ranking, pairwise_dot
 
 SPEARMAN_MODES = ("intersection", "penalized")
+METRICS = ("spearman", "retention")
 
 
 @dataclass
@@ -67,56 +82,226 @@ class DistributionSummary:
 
 
 def _pearson(x: np.ndarray, y: np.ndarray) -> float | None:
-    xd = x - x.mean()
-    yd = y - y.mean()
-    den = float(np.dot(xd, xd)) * float(np.dot(yd, yd))
+    # np.add.reduce(x) / len(x) is the value x.mean() gives, without its
+    # per-call overhead.
+    xd = x - np.add.reduce(x) / len(x)
+    yd = y - np.add.reduce(y) / len(y)
+    den = pairwise_dot(xd, xd) * pairwise_dot(yd, yd)
     if den <= 0.0:
         return None
-    r = float(np.dot(xd, yd)) / float(np.sqrt(den))
+    r = pairwise_dot(xd, yd) / math.sqrt(den)
     return min(1.0, max(-1.0, r))
 
 
-def _side(ranking: Ranking, n: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """One list of a pair: its ids (truncated to n) in ascending order, and
-    the tie ranks of those ids within the truncated list."""
-    if n is not None:
-        ranking = ranking.truncated(n)
-    order = np.argsort(ranking.ids)
-    return ranking.ids[order], ranking.tie_ranks()[order]
-
-
-def _spearman_pair(
-    a: tuple[np.ndarray, np.ndarray], b: tuple[np.ndarray, np.ndarray], mode: str
-) -> float | None:
-    (a_ids, a_ranks), (b_ids, b_ranks) = a, b
-    if mode == "intersection":
-        common, ia, ib = np.intersect1d(a_ids, b_ids, assume_unique=True,
-                                        return_indices=True)
-        if len(common) < 2:
-            return None
-        x = a_ranks[ia]
-        y = b_ranks[ib]
-    else:
-        universe = np.union1d(a_ids, b_ids)
-        if len(universe) < 2:
-            return None
-        x = np.full(len(universe), float(len(a_ids) + 1))
-        y = np.full(len(universe), float(len(b_ids) + 1))
-        x[np.searchsorted(universe, a_ids)] = a_ranks
-        y[np.searchsorted(universe, b_ids)] = b_ranks
-    return _pearson(x, y)
-
-
-def _retention_pair(a_ids: np.ndarray, b_ids: np.ndarray) -> float:
-    denom = max(len(a_ids), len(b_ids))
-    if denom == 0:
-        return 1.0
-    return len(np.intersect1d(a_ids, b_ids, assume_unique=True)) / denom
+# The kernel works on blocks of whole days holding about this many list
+# entries (one day at least), so its working set beyond the day lists stays
+# near 3 MB however deep the lists are.
+_BLOCK_ENTRIES = 1 << 15
 
 
 def _check_mode(mode: str) -> None:
     if mode not in SPEARMAN_MODES:
         raise ValueError(f"unknown spearman mode {mode!r}")
+
+
+def _blocks(ptr: np.ndarray, last: int) -> Iterator[tuple[int, int]]:
+    """Consecutive day ranges [d0, d1) covering days 0..last-1, each
+    holding at most _BLOCK_ENTRIES entries of `ptr` or a single day."""
+    d0 = 0
+    while d0 < last:
+        d1 = int(np.searchsorted(ptr, ptr[d0] + _BLOCK_ENTRIES, side="right")) - 1
+        d1 = min(max(d1, d0 + 1), last)
+        yield d0, d1
+        d0 = d1
+
+
+class _DayLists:
+    """Every day's ranking cut at `depth`, as one array of entries sorted by
+    (day, id): ``keys = day * span + id``, each id's 0-based position in its
+    ranking, and the [start, stop) positions of its tie run.  Day d holds
+    entries ``ptr[d]:ptr[d + 1]``, ``sizes[d]`` of them."""
+
+    def __init__(self, rankings: Sequence[Ranking], depth: int):
+        lists = [(r.ids[:depth], r.balances[:depth]) for r in rankings]
+        self.sizes = np.array([len(ids) for ids, _ in lists], dtype=np.int64)
+        self.ptr = np.concatenate(([0], np.cumsum(self.sizes)))
+        self.max_size = int(self.sizes.max()) if len(self.sizes) else 0
+        self.span = max((int(ids.max()) + 1 for ids, _ in lists if len(ids)), default=1)
+        total = int(self.ptr[-1])
+        self.keys = np.empty(total, dtype=np.int64)
+        self.pos, self.start, self.stop = (np.empty(total, dtype=np.int32) for _ in range(3))
+        for d0, d1 in _blocks(self.ptr, len(lists)):
+            a0, a1 = int(self.ptr[d0]), int(self.ptr[d1])
+            sizes = self.sizes[d0:d1]
+            ids, bal = (np.concatenate(c) for c in zip(*lists[d0:d1]))
+            pos = np.arange(a1 - a0) - np.repeat(self.ptr[d0:d1] - a0, sizes)
+            # A tie run opens at a day's first entry and wherever the
+            # balance changes.
+            opens = pos == 0
+            opens[1:] |= bal[1:] != bal[:-1]
+            heads = np.flatnonzero(opens)
+            lengths = np.diff(np.append(heads, a1 - a0))
+            start = np.repeat(pos[heads], lengths)
+            keys = np.repeat(np.arange(d0, d1), sizes) * self.span + ids
+            order = np.argsort(keys)
+            self.keys[a0:a1] = keys[order]
+            self.pos[a0:a1] = pos[order]
+            self.start[a0:a1] = start[order]
+            self.stop[a0:a1] = (start + np.repeat(lengths, lengths))[order]
+
+    def day(self, entries: np.ndarray) -> np.ndarray:
+        return self.keys[entries] // self.span
+
+
+def _tie_ranks(start: np.ndarray, stop: np.ndarray, cut: int) -> np.ndarray:
+    """Tie ranks of the entries with tie runs [start, stop) in their lists
+    cut at `cut`: a run cut there averages only its kept positions, so each
+    value is exactly the one `Ranking.tie_ranks` gives on the truncated
+    ranking."""
+    return 0.5 * (start + (np.minimum(stop, cut) + 1.0))
+
+
+def _pair_values(
+    metric: str, len_a: np.ndarray, len_b: np.ndarray, counts: np.ndarray,
+    x: np.ndarray | None, y: np.ndarray | None,
+) -> list[float | None]:
+    """One value per pair from its two list sizes, the count of ids it
+    shares (retention) or of its Spearman members, and for Spearman the
+    members' rank vectors, pair after pair in x and y, ascending by id."""
+    bounds = np.concatenate(([0], np.cumsum(counts))).tolist()
+    out: list[float | None] = []
+    for la, lb, a, b in zip(len_a.tolist(), len_b.tolist(), bounds, bounds[1:]):
+        if metric == "retention":
+            denom = max(la, lb)
+            out.append(1.0 if denom == 0 else (b - a) / denom)
+        elif not la or not lb or b - a < 2:
+            out.append(None)
+        else:
+            out.append(_pearson(x[a:b], y[a:b]))
+    return out
+
+
+def _interval_values(
+    lists: _DayLists,
+    interval: int,
+    specs: Sequence[tuple[str, int]],
+    mode: str,
+) -> dict[tuple[str, int], dict[int, float | None]]:
+    """The values of the (day, day + interval) pairs of every (metric, n)
+    in `specs`, by day."""
+    values: dict[tuple[str, int], dict[int, float | None]] = {s: {} for s in specs}
+    by_n: dict[int, list[str]] = {}
+    for metric, n in specs:
+        by_n.setdefault(n, []).append(metric)
+    shift = interval * lists.span
+    ptr, pos, start, stop = lists.ptr, lists.pos, lists.start, lists.stop
+    for d0, d1 in _blocks(ptr, len(lists.sizes) - interval):
+        a0, a1 = int(ptr[d0]), int(ptr[d1])
+        b0, b1 = int(ptr[d0 + interval]), int(ptr[d1 + interval])
+        # The ids of day d's list found in day d + interval's, ascending by
+        # (d, id): entry ia of the first list is entry ib of the second.
+        target = lists.keys[a0:a1] + shift
+        hay = lists.keys[b0:b1]
+        j = np.minimum(np.searchsorted(hay, target), max(len(hay) - 1, 0))
+        found = hay[j] == target if len(hay) else np.zeros(len(target), dtype=bool)
+        ia = np.flatnonzero(found) + a0
+        ib = j[found] + b0
+        del target, j, found
+        pair = lists.day(ia) - d0
+        deepest = np.maximum(pos[ia], pos[ib])
+        a_start, a_stop, b_start, b_stop = start[ia], stop[ia], start[ib], stop[ib]
+        for n, metrics in by_n.items():
+            cut = min(n, lists.max_size)  # the same lists, and fits int32
+            len_a = np.minimum(lists.sizes[d0:d1], cut)
+            len_b = np.minimum(lists.sizes[d0 + interval:d1 + interval], cut)
+            # An id is in both top-n lists when both its positions are.
+            # (Positions, not masks: `take` is several times faster than
+            # boolean indexing here.)
+            shared = np.flatnonzero(deepest < cut)
+            counts = np.bincount(pair.take(shared), minlength=d1 - d0)
+            for metric in metrics:
+                x = y = None
+                members = counts
+                if metric == "spearman" and mode == "penalized":
+                    # Each pair's union: the first list's members (rank
+                    # len_b + 1 where the second lacks them) merged by
+                    # (pair, id) with the second's members the first lacks
+                    # (rank len_a + 1).
+                    in_a = np.zeros(a1 - a0, dtype=bool)
+                    in_a[ia.take(shared) - a0] = True
+                    in_b = np.zeros(b1 - b0, dtype=bool)
+                    in_b[ib.take(shared) - b0] = True
+                    a_kept = np.flatnonzero(pos[a0:a1] < cut) + a0
+                    b_only = np.flatnonzero((pos[b0:b1] < cut) & ~in_b) + b0
+                    a_pair = lists.day(a_kept) - d0
+                    b_pair = lists.day(b_only) - d0 - interval
+                    ya = len_b[a_pair] + 1.0
+                    ya[in_a[a_kept - a0]] = _tie_ranks(b_start.take(shared),
+                                                       b_stop.take(shared), cut)
+                    # Two ascending runs: the stable sort merges them.
+                    order = np.argsort(np.concatenate((lists.keys[a_kept],
+                                                       lists.keys[b_only] - shift)),
+                                       kind="stable")
+                    x = np.concatenate((_tie_ranks(start[a_kept], stop[a_kept], cut),
+                                        len_a[b_pair] + 1.0))[order]
+                    y = np.concatenate((ya, _tie_ranks(start[b_only], stop[b_only], cut)))[order]
+                    members = np.bincount(np.concatenate((a_pair, b_pair)), minlength=d1 - d0)
+                elif metric == "spearman":
+                    x = _tie_ranks(a_start.take(shared), a_stop.take(shared), cut)
+                    y = _tie_ranks(b_start.take(shared), b_stop.take(shared), cut)
+                values[(metric, n)].update(
+                    zip(range(d0, d1), _pair_values(metric, len_a, len_b, members, x, y)))
+    return values
+
+
+def stability_table(
+    rankings: Sequence[Ranking],
+    specs: Iterable[tuple[str, int, int]],
+    mode: str = "intersection",
+) -> dict[tuple[str, int, int], StabilitySeries]:
+    """Every (metric, top-N, interval) series of `specs` over one list of
+    day rankings, keyed by spec in the order given (repeats dropped).
+
+    Each series is the one `stability_series` describes; Spearman series
+    use `mode`.  The rankings are read once, and each distinct interval
+    matches its day pairs once for all of its specs.
+    """
+    specs = list(dict.fromkeys(specs))
+    for metric, n, interval in specs:
+        if interval < 1:
+            raise ValueError("interval must be >= 1")
+        if metric not in METRICS:
+            raise ValueError(f"unknown stability metric {metric!r}")
+        if n < 1:
+            raise ValueError("n must be >= 1")
+        if metric == "spearman":
+            _check_mode(mode)
+    values: dict[tuple[str, int, int], dict[int, float | None]] = {s: {} for s in specs}
+    if specs:
+        lists = _DayLists(rankings, max(n for _, n, _ in specs))
+        for interval in dict.fromkeys(i for _, _, i in specs):
+            at = [(m, n) for m, n, i in specs if i == interval]
+            for (m, n), vals in _interval_values(lists, interval, at, mode).items():
+                values[(m, n, interval)] = vals
+    return {s: StabilitySeries(*s, values[s]) for s in specs}
+
+
+def stability_series(
+    rankings: Sequence[Ranking],
+    n: int,
+    interval: int,
+    metric: str = "spearman",
+    mode: str = "intersection",
+) -> StabilitySeries:
+    """Per-day stability between day d and day d+interval of the top-n
+    lists.
+
+    The series covers every day d where both endpoints have rankings; an
+    interval longer than the history yields an empty series.  A Spearman
+    pair with an empty list is None.  A batch of one through
+    `stability_table`.
+    """
+    return stability_table(rankings, [(metric, n, interval)], mode)[(metric, n, interval)]
 
 
 def spearman(
@@ -131,7 +316,8 @@ def spearman(
     _check_mode(mode)
     if not len(rank_a) or not len(rank_b):
         raise ValueError("rankings must be non-empty")
-    return _spearman_pair(_side(rank_a), _side(rank_b), mode)
+    n = max(len(rank_a), len(rank_b))
+    return stability_series([rank_a, rank_b], n, 1, "spearman", mode).values[0]
 
 
 def retention(rank_a: Ranking, rank_b: Ranking, n: int) -> float:
@@ -143,40 +329,7 @@ def retention(rank_a: Ranking, rank_b: Ranking, n: int) -> float:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _retention_pair(_side(rank_a, n)[0], _side(rank_b, n)[0])
-
-
-def stability_series(
-    rankings: Sequence[Ranking],
-    n: int,
-    interval: int,
-    metric: str = "spearman",
-    mode: str = "intersection",
-) -> StabilitySeries:
-    """Per-day stability between day d and day d+interval.
-
-    The series covers every day d where both endpoints have rankings; an
-    interval longer than the history yields an empty series.  A Spearman
-    pair with an empty list is None.
-    """
-    if interval < 1:
-        raise ValueError("interval must be >= 1")
-    if metric not in ("spearman", "retention"):
-        raise ValueError(f"unknown stability metric {metric!r}")
-    if metric == "spearman":
-        _check_mode(mode)
-    # Each day's side is built once and serves both pairs it belongs to.
-    sides = [_side(r, n) for r in rankings]
-    values: dict[int, float | None] = {}
-    for d in range(len(rankings) - interval):
-        a, b = sides[d], sides[d + interval]
-        if metric == "retention":
-            values[d] = _retention_pair(a[0], b[0])
-        elif not len(a[0]) or not len(b[0]):
-            values[d] = None
-        else:
-            values[d] = _spearman_pair(a, b, mode)
-    return StabilitySeries(metric, n, interval, values)
+    return stability_series([rank_a, rank_b], n, 1, "retention").values[0]
 
 
 def summarize(series: StabilitySeries | Iterable[float]) -> DistributionSummary:

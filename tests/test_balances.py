@@ -241,14 +241,15 @@ class TestRankKernel:
     @given(ranking_inputs())
     def test_funded_totals_cover_every_funded_address(self, case):
         # The totals are those of all funded balances in id order, whatever
-        # the depth, and a truncated ranking keeps them.
+        # the depth, and a truncated ranking keeps them; the sum of squares
+        # is numpy's pairwise sum, never a BLAS dot.
         balances, n, table = case
         funded = balances[balances > 0]
         as_float = funded.astype(np.float64)
         ranking = rank_balances(balances, n, table, 3)
         for r in (ranking, ranking.truncated(1)):
             assert r.funded_total == int(funded.sum())
-            assert r.funded_sq == float(np.dot(as_float, as_float))
+            assert r.funded_sq == float(np.add.reduce(as_float * as_float))
 
 
 class TestProportion:

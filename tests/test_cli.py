@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ledgerlens import compute_snapshots, load_ledger, parse_ledger, save_ledger
@@ -719,3 +720,42 @@ class TestBoundedMemory:
             timeout=300)
         assert done.returncode == 0, done.stderr
         assert (tmp_path / "out").exists()
+
+
+class TestBlasThreads:
+    """Sums over more than 10 000 floats are where a threaded BLAS `dot`
+    splits its work, so the thread count would move their last digits; no
+    output may depend on it."""
+
+    @pytest.fixture(scope="class")
+    def deep_store(self, tmp_path_factory):
+        # 12 000 funded addresses, then a mint to 11 000 of them and 1000
+        # new ones: the A1 sum of squares, the 11 000-deep focus sum and
+        # the Spearman pair of the two top-12 000 lists all sum more than
+        # 10 000 floats.
+        rng = np.random.default_rng(5)
+        days = [[[f"h{i:05d}", int(rng.integers(1, 10**12))] for i in range(lo, lo + 12_000)]
+                for lo in (0, 1000)]
+        ledger = parse_ledger([rec(f"mint{d}", d * DAY, [], outs) for d, outs in enumerate(days)])
+        store = tmp_path_factory.mktemp("deep") / "store"
+        save_ledger(ledger, str(store))
+        return str(store)
+
+    @pytest.mark.parametrize("command", [
+        ["hhi", "--scheme", "a1"],
+        ["hhi", "--scheme", "a2", "--focus", "11000"],
+        ["stability", "--top", "12000"],
+    ], ids=["hhi_a1", "hhi_a2", "stability"])
+    def test_outputs_do_not_depend_on_blas_threads(self, deep_store, command):
+        package_root = str(Path(cli.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [package_root,
+                                                                os.environ.get("PYTHONPATH")])))
+            done = subprocess.run(
+                [sys.executable, "-m", "ledgerlens", *command, "--store", deep_store],
+                env=env, capture_output=True, text=True, timeout=300)
+            assert done.returncode == 0, done.stderr
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1]

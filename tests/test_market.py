@@ -515,6 +515,39 @@ class TestHHISeries:
                 assert set(map(frozenset, firms(clustering, ledger).values())) == expected
         assert day == ledger.n_days - 1 and merged > 0
 
+    def test_unseeded_blocks_span_focus_sizes(self, monkeypatch):
+        # Fewer funded addresses than the focus size on every day, and a
+        # count that grows along the chain.  The ascending sweep takes all
+        # days in one block padded to the widest; a seeded sweep needs one
+        # block per run of equal sizes.  Both give every day the labels of
+        # sweeping it alone.
+        cfg = SynthConfig(seed=5, days=40, txs_per_day=200, pool=60, growth=5.0,
+                          regime="preferential", alpha=1.0,
+                          initial_supply=10**9, reward=10**6)
+        ledger = generate(cfg)
+        focus = [np.sort(r.ids) for r in compute_rankings(ledger, 1000)]
+        sizes = [len(ids) for ids in focus]
+        assert max(sizes) < 1000 and len(set(sizes)) > 10
+        pairs = _PairIndex(ledger, np.concatenate(focus))
+        widths = []
+        propagate = market._propagate
+        monkeypatch.setattr(market, "_propagate",
+                            lambda n, *args: widths.append(n) or propagate(n, *args))
+        runs = 1 + sum(a != b for a, b in zip(sizes, sizes[1:]))
+        for seed, blocks in ((0, [max(sizes)]), (9, None)):
+            widths.clear()
+            swept = list(_focus_labels(ledger, range(ledger.n_days), focus, pairs,
+                                       "label_propagation", seed))
+            if blocks:
+                assert widths == blocks
+            else:
+                assert len(widths) == runs
+            for day, labels in enumerate(swept):
+                (alone,) = _focus_labels(ledger, [day], [focus[day]], pairs,
+                                         "label_propagation", seed)
+                assert labels == alone
+        assert any(len(set(labels)) < len(labels) for labels in swept)
+
     @pytest.mark.parametrize("method", ["label_propagation", "modularity"])
     @pytest.mark.parametrize("scheme", ["a1", "a2", "a3"])
     def test_deeper_rankings_same_series(self, scheme, method):

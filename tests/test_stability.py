@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from ledgerlens import (
     SynthConfig,
@@ -11,8 +11,10 @@ from ledgerlens import (
     stability_series,
     summarize,
 )
+from ledgerlens import stability
 from ledgerlens.balances import Ranking
-from ledgerlens.stability import _pearson
+from ledgerlens.report import _cell, build_report
+from ledgerlens.stability import _pearson, stability_table
 from conftest import make_ledger, rec
 from oracles import average_ranks, pearson_fsum
 
@@ -120,6 +122,44 @@ class TestKernelMatchesReference:
         rankings = [mk_ranking(list(d), list(d.values()), day=i) for i, d in enumerate(days)]
         got = stability_series(rankings, n, interval, metric, mode)
         assert got.values == ref_series(rankings, n, interval, metric, mode)
+
+    @given(
+        days=st.lists(day_rankings, min_size=0, max_size=7),
+        specs=st.lists(st.tuples(st.sampled_from(["spearman", "retention"]),
+                                 st.integers(1, 16), st.integers(1, 9)),
+                       min_size=1, max_size=8),
+        mode=st.sampled_from(["intersection", "penalized"]),
+        block=st.sampled_from([None, 1, 7]),
+    )
+    # An empty day, a tie run of three cut at N = 1, 2 and 3, and intervals
+    # as long as the history and longer.
+    @example(days=[{1: 3, 2: 3, 3: 3, 4: 1}, {}, {3: 3, 2: 3, 1: 2, 5: 1}],
+             specs=[("spearman", 2, 1), ("spearman", 3, 2), ("retention", 1, 1),
+                    ("retention", 2, 2), ("spearman", 2, 3), ("retention", 3, 9)],
+             mode="penalized", block=None)
+    def test_table_equals_reference(self, days, specs, mode, block):
+        # One call for several series, also with day blocks of one entry
+        # or a few, gives each the reference series.
+        rankings = [mk_ranking(list(d), list(d.values()), day=i) for i, d in enumerate(days)]
+        with pytest.MonkeyPatch.context() as patch:
+            if block:
+                patch.setattr(stability, "_BLOCK_ENTRIES", block)
+            table = stability_table(rankings, specs, mode)
+        assert list(table) == list(dict.fromkeys(specs))
+        for (metric, n, interval), series in table.items():
+            assert (series.metric, series.top_n, series.interval) == (metric, n, interval)
+            assert series.values == ref_series(rankings, n, interval, metric, mode)
+
+    def test_table_rejects_bad_specs(self):
+        rankings = [mk_ranking([1, 2], [5, 3])]
+        for spec, message in (((("retention", 0, 1),), "n must be"),
+                              ((("retention", 1, 0),), "interval must be"),
+                              ((("kendall", 1, 1),), "unknown stability metric")):
+            with pytest.raises(ValueError, match=message):
+                stability_table(rankings, spec)
+        with pytest.raises(ValueError, match="unknown spearman mode"):
+            stability_table(rankings, [("spearman", 1, 1)], "weird")
+        assert stability_table(rankings, [("retention", 1, 1)], "weird")
 
     @given(a=day_rankings, b=day_rankings,
            mode=st.sampled_from(["intersection", "penalized"]))
@@ -319,6 +359,34 @@ class TestSeries:
             series = stability_series(rankings, 100, 1, "retention")
             means.append(summarize(series).mean)
         assert means[0] > means[1] > means[2]
+
+
+class TestReportStability:
+    @pytest.mark.parametrize("mode", ["intersection", "penalized"])
+    def test_csv_rows_equal_per_series(self, tmp_path, mode):
+        # `report` builds all its series in one stability_table call; its
+        # rows are those of building each series alone, windowed.
+        cfg = SynthConfig(seed=3, days=16, txs_per_day=30, pool=40,
+                          regime="preferential", alpha=1.0,
+                          initial_supply=10**6, reward=10**3)
+        ledger = generate(cfg)
+        tops, intervals, focus_n, window = [3, 5, 8], [1, 2, 20], 5, (2, 11)
+        build_report(ledger, str(tmp_path), tops=tops, intervals=intervals,
+                     focus_n=focus_n, spearman_mode=mode, day_range=window, charts=False)
+        rankings = compute_rankings(ledger, max(tops))
+        specs = dict.fromkeys((metric, n, interval) for metric in ("spearman", "retention")
+                              for n, interval in [(focus_n, i) for i in intervals]
+                              + [(t, 1) for t in tops])
+        rows = ["day,metric,top,interval,value"]
+        for metric, n, interval in specs:
+            series = stability_series(rankings, n, interval, metric, mode)
+            rows += [",".join(_cell(v) for v in (d, metric, n, interval, value))
+                     for d, value in sorted(series.values.items())
+                     if window[0] <= d <= window[1]]
+        lines = (tmp_path / "stability.csv").read_text().splitlines()
+        assert [line for line in lines if not line.startswith("#")] == rows
+        assert len(rows) > 50 and any(-1.0 < float(row.rsplit(",", 1)[1]) < 1.0
+                                      for row in rows[1:] if ",spearman," in row)
 
 
 class TestSummarize:
