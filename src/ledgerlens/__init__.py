@@ -28,7 +28,6 @@ from .ledger import (
 )
 from .lorenz import CumulativeCurve, cumulative_curve, d_static, d_static_series
 from .market import (
-    EntityClustering,
     HHISeries,
     classify,
     cluster,
@@ -62,7 +61,7 @@ __all__ = [
     "__version__",
     "AddressTable", "BalanceError", "BalanceSnapshot", "COINBASE",
     "ConvergenceError", "CumulativeCurve", "DistributionSummary", "Edge",
-    "EntityClustering", "HHISeries", "Ledger", "LedgerError", "MetricVector",
+    "HHISeries", "Ledger", "LedgerError", "MetricVector",
     "ParseError", "Ranking", "StabilitySeries", "StoreError",
     "SynthConfig", "Transaction", "TransactionGraph", "build_day_graph",
     "classify", "cluster", "compute_rankings", "compute_snapshots",

@@ -82,6 +82,9 @@ class Ranking:
         return np.repeat(0.5 * (starts + 1 + stops), stops - starts)
 
     def truncated(self, n: int) -> "Ranking":
+        """The top `n` of this ranking; `n` must be at least 1."""
+        if n < 1:
+            raise ValueError("n must be >= 1")
         if n >= len(self.ids):
             return self
         return replace(self, n=n, ids=self.ids[:n], balances=self.balances[:n])

@@ -245,10 +245,13 @@ def _cmd_dispersion(args) -> int:
         d = args.nodes_day
         graph = build_day_graph(ledger, d, rankings[d - 1].truncated(args.focus),
                                 value_weighted=args.value_weighted)
-        deg = degree_centrality(graph).as_dict(ledger.addresses)
-        pr = pagerank(graph, weighted_by_value=args.value_weighted)
-        pr = pr.as_dict(ledger.addresses)
-        rows = [(d, a, deg[a], pr[a]) for a in sorted(deg)]
+        rows = []
+        # A day whose focus graph has no node has no row, in `--out` too.
+        if graph.n_nodes:
+            deg = degree_centrality(graph).as_dict(ledger.addresses)
+            pr = pagerank(graph, weighted_by_value=args.value_weighted)
+            pr = pr.as_dict(ledger.addresses)
+            rows = [(d, a, deg[a], pr[a]) for a in sorted(deg)]
         write_csv(args.nodes_out, ["day", "address", "degree", "pagerank"], rows, cfg)
     return 0
 
@@ -271,13 +274,14 @@ def _cmd_hhi(args) -> int:
     if args.dhhi:
         write_csv(args.dhhi, *day_table("d_hhi", window(d_hhi(series), args.day_range)), cfg)
     if args.partition_day is not None:
-        clustering = cluster(ledger, args.partition_day, args.scheme,
-                             focus_n=args.focus, method=args.method, seed=args.seed)
+        firms = cluster(ledger, args.scheme, rankings[args.partition_day],
+                        focus_n=args.focus, method=args.method, seed=args.seed)
+        names = ledger.addresses.names
         write_json(args.partition_out, {
             "meta": {"config_hash": cfg},
-            "day": clustering.day,
-            "scheme": clustering.scheme,
-            "partition": clustering.as_dict(ledger.addresses),
+            "day": args.partition_day,
+            "scheme": args.scheme,
+            "partition": {names[a]: firm for a, firm in firms.items()},
         })
     return 0
 

@@ -27,17 +27,15 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-# `_apply_day` is not called here; it stays importable under this module's
-# name because the benchmark's tracer (bench/tracer.py) wraps it here.  For
-# the same reason `rank_balances`, `label_propagation` and
-# `_focus_pair_weights` (whose `ledger` and `day` arguments the tracer
-# reads) are called through this module's globals, never bound locally.
-from .balances import (BalanceSnapshot, Ranking, _apply_day, pairwise_dot, rank_balances,
-                       snapshot_at)
+# `_apply_day` and `rank_balances` are not called here; they stay
+# importable under this module's name because the benchmark's tracer
+# (bench/tracer.py) wraps them here.  It also wraps `label_propagation`,
+# which is not called in this module either (the day sweeps call
+# `_propagate`), and `_focus_pair_weights`, whose `ledger` and `day`
+# arguments it reads; that one is called through this module's globals,
+# never bound locally.
+from .balances import Ranking, _apply_day, pairwise_dot, rank_balances, snapshot_at
 from .ledger import Ledger
-
-V_C_LABEL = -1  # coinbase pseudo-firm
-V_O_LABEL = -2  # all non-top-100 addresses (scheme A3)
 
 SCHEMES = ("a1", "a2", "a3")
 METHODS = ("label_propagation", "modularity")
@@ -251,42 +249,6 @@ def _modularity_communities(
     return out
 
 
-@dataclass
-class EntityClustering:
-    """Partition of in-scope addresses into firms for one day.
-
-    `address_ids` and `entity_ids` are parallel arrays of interned ids;
-    entity labels are the smallest member id of the firm, or V_C_LABEL /
-    V_O_LABEL for the coinbase and rest-of-world pseudo-firms (scheme A3).
-    Addresses outside `address_ids` map to V_o under A3 and to themselves
-    otherwise.
-    """
-
-    day: int
-    scheme: str
-    address_ids: np.ndarray
-    entity_ids: np.ndarray
-    has_specials: bool = False
-
-    def holdings(self, snapshot: BalanceSnapshot) -> dict[int, int]:
-        """Aggregate member balances per firm (V_c holds 0; V_o holds the
-        whole non-focus remainder)."""
-        balances = snapshot.balances
-        out: dict[int, int] = {}
-        for a, e in zip(self.address_ids, self.entity_ids):
-            out[int(e)] = out.get(int(e), 0) + int(balances[a])
-        if self.has_specials:
-            funded_total = int(balances[balances > 0].sum())
-            focus_total = int(balances[self.address_ids].sum())
-            out[V_O_LABEL] = funded_total - focus_total
-            out[V_C_LABEL] = 0
-        return out
-
-    def as_dict(self, addresses) -> dict[str, int]:
-        names = addresses.names
-        return {names[a]: int(e) for a, e in zip(self.address_ids, self.entity_ids)}
-
-
 class _PairIndex:
     """Undirected edge counts between the addresses of a focus union, by day.
 
@@ -403,46 +365,54 @@ def _focus_labels(
         yield from _sweep_block(block, width, seed)
 
 
-def cluster(
-    ledger: Ledger,
-    day: int,
-    scheme: str,
-    focus_n: int = 100,
-    method: str = "label_propagation",
-    seed: int = 0,
-    snapshot: BalanceSnapshot | None = None,
-) -> EntityClustering:
-    """Partition addresses into firms for one day under a scheme.
-
-    The focus set is day `day`'s top-`focus_n` ranking and the community
-    graph accumulates all transactions from day 0 through `day`.
-    """
+def _check(scheme: str, method: str, focus_n: int, rankings: Sequence[Ranking]) -> str:
+    """The lower-cased `scheme`, once it, `method`, `focus_n` and the depth
+    of every one of `rankings` have passed; otherwise ``ValueError``."""
     scheme = scheme.lower()
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     check_method(method)
-    if snapshot is None:
-        snapshot = snapshot_at(ledger, day)
-    balances = snapshot.balances
-    if scheme == "a1":
-        funded = np.flatnonzero(balances > 0)
-        return EntityClustering(day, scheme, funded, funded.copy())
+    if focus_n < 1:
+        raise ValueError("focus_n must be >= 1")
+    if any(r.n < focus_n for r in rankings):
+        raise ValueError(f"rankings must be at least focus_n={focus_n} deep")
+    return scheme
 
-    focus_ids = np.sort(rank_balances(balances, focus_n, ledger.addresses, day).ids)
-    (labels,) = _focus_labels(ledger, [day], [focus_ids], _PairIndex(ledger, focus_ids),
-                              method, seed)
-    focus_entities = np.asarray(labels, dtype=np.int64)
 
-    if scheme == "a3":
-        return EntityClustering(day, scheme, focus_ids, focus_entities, has_specials=True)
+def _focus(ranking: Ranking, focus_n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ranking's top `focus_n` ids, sorted by id, and their balances."""
+    top = ranking.truncated(focus_n)
+    order = np.argsort(top.ids)
+    return top.ids[order], top.balances[order]
 
-    funded = np.flatnonzero(balances > 0)
-    lut = np.zeros(len(ledger.addresses), dtype=bool)
-    lut[focus_ids] = True
-    rest = funded[~lut[funded]]
-    address_ids = np.concatenate((focus_ids, rest))
-    entity_ids = np.concatenate((focus_entities, rest))
-    return EntityClustering(day, scheme, address_ids, entity_ids)
+
+def cluster(
+    ledger: Ledger,
+    scheme: str,
+    ranking: Ranking,
+    focus_n: int = 100,
+    method: str = "label_propagation",
+    seed: int = 0,
+) -> dict[int, int]:
+    """Firms of the ranking's day under a scheme: address id -> firm id.
+
+    The focus set is the ranking's top `focus_n`, as in `hhi_series`, and
+    the community graph accumulates all transactions from day 0 through the
+    ranking's day.  A1 and A2 map every funded address (a replay to the
+    day); A3 maps the focus set only, every other funded address lying in
+    the V_o pseudo-firm.  A firm is named by its smallest member id.
+    """
+    scheme = _check(scheme, method, focus_n, [ranking])
+    firms: dict[int, int] = {}
+    if scheme != "a3":
+        funded = np.flatnonzero(snapshot_at(ledger, ranking.day).balances > 0).tolist()
+        firms = dict(zip(funded, funded))
+    if scheme != "a1":
+        ids, _ = _focus(ranking, focus_n)
+        (labels,) = _focus_labels(ledger, [ranking.day], [ids], _PairIndex(ledger, ids),
+                                  method, seed)
+        firms.update(zip(ids.tolist(), labels))
+    return firms
 
 
 @dataclass
@@ -472,25 +442,17 @@ def hhi_series(
     up every day's focus pairs in one pair index over the union of the
     days' focus sets, and label propagation sweeps a block of days at once.
     """
-    scheme = scheme.lower()
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}")
-    check_method(method)
+    scheme = _check(scheme, method, focus_n, rankings)
     if len(rankings) != ledger.n_days:
         raise ValueError(f"hhi_series needs one ranking per day ({ledger.n_days}), "
                          f"got {len(rankings)}")
-    if any(r.n < focus_n for r in rankings):
-        raise ValueError(f"hhi_series needs rankings at least focus_n={focus_n} deep")
 
     # Each day's focus members sorted by id, with their balances, and the
     # firm label of each member.
     focus = []
     labels: Iterable = itertools.repeat(None)
     if scheme != "a1" and rankings:
-        for r in rankings:
-            top = r.truncated(focus_n)
-            order = np.argsort(top.ids)
-            focus.append((top.ids[order], top.balances[order]))
+        focus = [_focus(r, focus_n) for r in rankings]
         focus_ids = [ids for ids, _ in focus]
         labels = _focus_labels(ledger, range(len(focus)), focus_ids,
                                _PairIndex(ledger, np.concatenate(focus_ids)), method, seed)

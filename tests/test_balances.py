@@ -142,6 +142,14 @@ class TestTopN:
         ranking = top(snapshots_list(ledger)[0], 3)
         assert ranking.tie_ranks().tolist() == [1.5, 1.5, 3.0]
 
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_truncated_below_one(self, n):
+        # Unchecked, -5 would slice ids[:-5]: every member but the last five.
+        ledger = make_ledger([rec("c0", 0, [], [[f"h{i}", 10 + i] for i in range(8)])])
+        ranking = top(snapshots_list(ledger)[0], 8)
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            ranking.truncated(n)
+
 
 def reference_rank_balances(balances, n, addresses, day):
     """The ranking as first written, with Python sorts on address strings:

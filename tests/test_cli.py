@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ledgerlens import compute_snapshots, load_ledger, parse_ledger, save_ledger
+from ledgerlens import compute_snapshots, hhi, load_ledger, parse_ledger, save_ledger
 from ledgerlens import cli
 from ledgerlens.cli import run
 from ledgerlens.report import build_report
@@ -121,6 +121,35 @@ class TestPipeline:
         payload = json.loads(part.read_text())
         assert payload["scheme"] == "a3" and payload["day"] == 5
         assert payload["partition"]
+
+    @pytest.mark.parametrize("seed", ["0", "9"])
+    @pytest.mark.parametrize("scheme", ["a1", "a2", "a3"])
+    def test_partition_reproduces_hhi_row(self, growing_store, tmp_path, scheme, seed):
+        # The partition of day D has the focus of that day's `hhi.csv` row:
+        # its firms' holdings, with V_o holding the funded rest under A3,
+        # give that row's value.
+        supply = load_ledger(growing_store).supply_at
+        for focus in ("100", "30"):
+            for day in (7, 39):
+                out, part, snap = (tmp_path / f"{focus}_{day}{ext}"
+                                   for ext in (".csv", ".json", "_snap.csv"))
+                assert run(["hhi", "--store", growing_store, "--scheme", scheme,
+                            "--seed", seed, "--focus", focus, "--out", str(out),
+                            "--partition-day", str(day), "--partition-out", str(part)]) == 0
+                assert run(["snapshot", "--store", growing_store, "--dump-day", str(day),
+                            "--out", str(snap)]) == 0
+                balances = {a: int(b) for a, b in read_csv(snap)[2]}
+                partition = json.loads(part.read_text())["partition"]
+                holdings = {}
+                for a, firm in partition.items():
+                    holdings[firm] = holdings.get(firm, 0) + balances[a]
+                if scheme == "a3":
+                    assert len(partition) == min(int(focus), len(balances))
+                    holdings["V_o"] = sum(balances.values()) - sum(holdings.values())
+                else:
+                    assert partition.keys() == balances.keys()
+                value = {int(r[0]): float(r[2]) for r in read_csv(out)[2]}[day]
+                assert hhi(holdings.values(), supply(day)) == pytest.approx(value, rel=1e-9)
 
     def test_dhhi_requires_a3(self, store, tmp_path):
         assert run(["hhi", "--store", store, "--scheme", "a1",
@@ -309,6 +338,18 @@ class TestAuxiliaryOutputs:
         assert run(["dstatic", "--store", store_path, "--out", str(out)]) == 0
         _, _, rows = read_csv(out)
         assert [int(r[0]) for r in rows] == [3]  # earlier days have no supply
+
+
+@pytest.fixture
+def growing_store(tmp_path):
+    """40 days of preferential payments among 60 addresses, 5 new a day."""
+    ledger_path = tmp_path / "growing.jsonl"
+    store_path = tmp_path / "growing"
+    assert run(["synth", "--days", "40", "--pool", "60", "--growth", "5",
+                "--regime", "preferential", "--alpha", "1", "--seed", "5",
+                "--out", str(ledger_path)]) == 0
+    assert run(["ingest", "--input", str(ledger_path), "--out", str(store_path)]) == 0
+    return str(store_path)
 
 
 @pytest.fixture
@@ -534,6 +575,20 @@ class TestExitCodes:
         monkeypatch.chdir(tmp_path)
         assert run(["dispersion", "--store", store, "--out", "disp.csv", *extra]) == 1
         assert not (tmp_path / "disp.csv").exists() and not (tmp_path / "nodes.csv").exists()
+
+    def test_dispersion_nodes_day_without_focus_graph(self, tmp_path, monkeypatch):
+        # Day 1 is a day of the ledger, but it has no transaction, so its
+        # focus graph has no node and `dispersion.csv` no row for it.
+        monkeypatch.chdir(tmp_path)
+        Path("two.jsonl").write_text(
+            '{"txid":"a","time":0,"in":[],"out":[["x",100]]}\n'
+            '{"txid":"b","time":200000,"in":[],"out":[["y",5]]}\n')
+        assert run(["ingest", "--input", "two.jsonl", "--out", "store"]) == 0
+        assert run(["dispersion", "--store", "store", "--nodes-day", "1",
+                    "--nodes-out", "n.csv", "--out", "d.csv"]) == 0
+        _, header, rows = read_csv("n.csv")
+        assert header == ["day", "address", "degree", "pagerank"] and rows == []
+        assert read_csv("d.csv")[2] == []
 
     @pytest.mark.parametrize("command", [
         ["stability", "--summary", "-"],

@@ -16,8 +16,6 @@ from ledgerlens import (
 )
 from ledgerlens import market
 from ledgerlens.market import (
-    V_C_LABEL,
-    V_O_LABEL,
     HHISeries,
     _focus_labels,
     _focus_pair_weights,
@@ -248,12 +246,33 @@ class TestLabelPropagation:
             label_propagation([1, 2, 3], [(1, 2, 1.0), (2, 3, weight)])
 
 
-def firms(clustering, ledger):
-    """Member names of each firm, from the public address -> firm map."""
+def firms(partition, ledger):
+    """Member names of each firm of an address id -> firm map."""
     out = {}
-    for name, firm in clustering.as_dict(ledger.addresses).items():
-        out.setdefault(firm, set()).add(name)
+    for a, firm in partition.items():
+        out.setdefault(firm, set()).add(ledger.addresses.names[a])
     return out
+
+
+# The A3 pseudo-firms, keyed apart from every address id.
+V_C, V_O = "V_c", "V_o"
+
+
+def firm_holdings(partition, balances, scheme):
+    """Oracle of the firms' day-end holdings: member balances summed per
+    firm; under A3 the coinbase firm V_c holds 0 and V_o holds every funded
+    balance outside the partition."""
+    out = {}
+    for a, firm in partition.items():
+        out[firm] = out.get(firm, 0) + int(balances[a])
+    if scheme == "a3":
+        out[V_O] = int(balances[balances > 0].sum()) - sum(out.values())
+        out[V_C] = 0
+    return out
+
+
+def day_ranking(ledger, day, n=100):
+    return compute_rankings(ledger, n)[day]
 
 
 def equal_wealth_ledger(n=10, days=3):
@@ -370,61 +389,75 @@ class TestFocusPairWeights:
 class TestCluster:
     def test_a1_identity(self):
         ledger = make_ledger([rec("c0", 0, [], [["a", 5], ["b", 3], ["c", 1]])])
-        clustering = cluster(ledger, 0, "a1")
-        assert len(clustering.address_ids) == 3
-        assert (clustering.address_ids == clustering.entity_ids).all()
+        partition = cluster(ledger, "a1", day_ranking(ledger, 0))
+        assert len(partition) == 3
+        assert all(a == firm for a, firm in partition.items())
 
     def test_a2_two_cliques(self):
         ledger = two_clique_ledger()
-        clustering = cluster(ledger, 2, "a2")
-        members = firms(clustering, ledger).values()
+        partition = cluster(ledger, "a2", day_ranking(ledger, 2))
+        members = firms(partition, ledger).values()
         assert set(map(frozenset, members)) == {frozenset("abc"), frozenset("def")}
 
     def test_a2_two_cliques_plus_singletons(self):
         ledger = two_clique_ledger(loners=2)
-        clustering = cluster(ledger, 2, "a2")
-        members = firms(clustering, ledger).values()
+        partition = cluster(ledger, "a2", day_ranking(ledger, 2))
+        members = firms(partition, ledger).values()
         assert sorted(len(v) for v in members) == [1, 1, 3, 3]
 
     def test_a2_isolated_focus_singletons(self):
         ledger = star_ledger()
-        clustering = cluster(ledger, 2, "a2")
-        assert (clustering.address_ids == clustering.entity_ids).all()
+        partition = cluster(ledger, "a2", day_ranking(ledger, 2))
+        assert all(a == firm for a, firm in partition.items())
 
     def test_a3_star_keeps_focus_separate(self):
         ledger = star_ledger()
-        clustering = cluster(ledger, 2, "a3")
-        assert clustering.has_specials
+        ranking = day_ranking(ledger, 2)
+        partition = cluster(ledger, "a3", ranking, focus_n=4)
+        # Only the focus set has firms; the other funded addresses are V_o.
+        assert set(partition) == set(ranking.truncated(4).ids.tolist())
         # No two focus addresses share a firm despite all touching coinbase.
-        assert len(set(clustering.entity_ids.tolist())) == len(clustering.entity_ids)
+        assert len(set(partition.values())) == len(partition)
 
     def test_a3_holdings_include_specials(self):
         ledger = two_clique_ledger()
         snap = list(compute_snapshots(ledger))[-1]
-        clustering = cluster(ledger, 2, "a3", focus_n=4, snapshot=snap)
-        holdings = clustering.holdings(snap)
-        assert holdings[V_C_LABEL] == 0
-        focus_total = int(snap.balances[clustering.address_ids].sum())
+        partition = cluster(ledger, "a3", day_ranking(ledger, 2), focus_n=4)
+        assert len(partition) == 4
+        holdings = firm_holdings(partition, snap.balances, "a3")
+        assert holdings[V_C] == 0
+        focus_total = int(snap.balances[list(partition)].sum())
         funded_total = int(snap.balances[snap.balances > 0].sum())
-        assert holdings[V_O_LABEL] == funded_total - focus_total
+        assert holdings[V_O] == funded_total - focus_total
 
     def test_deterministic(self):
         ledger = two_clique_ledger()
-        c1 = cluster(ledger, 2, "a2")
-        c2 = cluster(ledger, 2, "a2")
-        assert (c1.address_ids == c2.address_ids).all()
-        assert (c1.entity_ids == c2.entity_ids).all()
+        ranking = day_ranking(ledger, 2)
+        assert cluster(ledger, "a2", ranking) == cluster(ledger, "a2", ranking)
 
     def test_modularity_method_separates_cliques(self):
         ledger = two_clique_ledger()
-        clustering = cluster(ledger, 2, "a2", method="modularity")
-        members = firms(clustering, ledger).values()
+        partition = cluster(ledger, "a2", day_ranking(ledger, 2), method="modularity")
+        members = firms(partition, ledger).values()
         assert sorted(len(v) for v in members) == [3, 3]
 
     def test_unknown_scheme(self):
         ledger = star_ledger()
         with pytest.raises(ValueError):
-            cluster(ledger, 0, "a9")
+            cluster(ledger, "a9", day_ranking(ledger, 0))
+
+    @pytest.mark.parametrize("scheme", ["a1", "a2", "a3"])
+    def test_needs_ranking_focus_n_deep(self, scheme):
+        ledger = two_clique_ledger()
+        with pytest.raises(ValueError, match="focus_n=6 deep"):
+            cluster(ledger, scheme, day_ranking(ledger, 2, n=5), focus_n=6)
+
+    @pytest.mark.parametrize("focus_n", [0, -5])
+    @pytest.mark.parametrize("scheme", ["a1", "a2", "a3"])
+    def test_focus_n_below_one(self, scheme, focus_n):
+        ledger = two_clique_ledger()
+        with pytest.raises(ValueError, match="focus_n must be >= 1"):
+            cluster(ledger, scheme, day_ranking(ledger, 2), focus_n=focus_n)
 
 
 class TestHHISeries:
@@ -461,22 +494,21 @@ class TestHHISeries:
     @pytest.mark.parametrize("scheme", ["a2", "a3"])
     def test_series_matches_cluster_holdings(self, scheme):
         # The series and `cluster` share one partition path: every day's
-        # value equals the HHI of the clustering's firm holdings.
+        # value equals the HHI of the partition's firm holdings.
         for seed in (1, 2):
             cfg = SynthConfig(seed=seed, days=10, txs_per_day=40, pool=30,
                               regime="preferential", alpha=1.0,
                               initial_supply=10**9, reward=10**6)
             ledger = generate(cfg)
             focus_n = 8
-            series = hhi_series(ledger, scheme, compute_rankings(ledger, focus_n),
-                                focus_n=focus_n)
+            rankings = compute_rankings(ledger, focus_n)
+            series = hhi_series(ledger, scheme, rankings, focus_n=focus_n)
             snaps = list(compute_snapshots(ledger))
             funded_days = [d for d in range(ledger.n_days) if ledger.supply_at(d) > 0]
             assert sorted(series.values) == funded_days
             for day in funded_days:
-                clustering = cluster(ledger, day, scheme, focus_n=focus_n,
-                                     snapshot=snaps[day])
-                expected = hhi(clustering.holdings(snaps[day]).values(),
+                partition = cluster(ledger, scheme, rankings[day], focus_n=focus_n)
+                expected = hhi(firm_holdings(partition, snaps[day].balances, scheme).values(),
                                ledger.supply_at(day))
                 assert series.values[day] == pytest.approx(expected, rel=1e-9)
 
@@ -495,7 +527,8 @@ class TestHHISeries:
                           regime="preferential", alpha=1.0,
                           initial_supply=10**9, reward=10**6)
         ledger = generate(cfg)
-        focus = [np.sort(r.truncated(100).ids) for r in compute_rankings(ledger, 100)]
+        rankings = compute_rankings(ledger, 100)
+        focus = [np.sort(r.truncated(100).ids) for r in rankings]
         pairs = _PairIndex(ledger, np.concatenate(focus))
         snaps = list(compute_snapshots(ledger))
         merged = 0
@@ -511,8 +544,8 @@ class TestHHISeries:
                       for a in np.flatnonzero(snaps[day].balances > 0).tolist()}
             rest = {frozenset([a]) for a in funded - set().union(*swept)}
             for scheme, expected in (("a2", swept | rest), ("a3", swept)):
-                clustering = cluster(ledger, day, scheme, seed=seed, snapshot=snaps[day])
-                assert set(map(frozenset, firms(clustering, ledger).values())) == expected
+                partition = cluster(ledger, scheme, rankings[day], seed=seed)
+                assert set(map(frozenset, firms(partition, ledger).values())) == expected
         assert day == ledger.n_days - 1 and merged > 0
 
     def test_unseeded_blocks_span_focus_sizes(self, monkeypatch):
@@ -577,6 +610,15 @@ class TestHHISeries:
         ledger = equal_wealth_ledger(n=4, days=4)
         with pytest.raises(ValueError, match="focus_n=6 deep"):
             hhi_series(ledger, scheme, compute_rankings(ledger, 5), focus_n=6)
+
+    @pytest.mark.parametrize("focus_n", [0, -5])
+    @pytest.mark.parametrize("scheme", ["a1", "a2", "a3"])
+    def test_focus_n_below_one(self, scheme, focus_n):
+        # Unchecked, focus_n=0 gives an empty focus and -5 slices each
+        # ranking to all but its last five members: wrong firms, no error.
+        ledger = equal_wealth_ledger(n=4, days=4)
+        with pytest.raises(ValueError, match="focus_n must be >= 1"):
+            hhi_series(ledger, scheme, compute_rankings(ledger, 100), focus_n=focus_n)
 
 
 class TestDHHI:

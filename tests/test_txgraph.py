@@ -218,3 +218,10 @@ class TestDispersionSeries:
         # Day 0 has no predecessor; day 1 graph exists.
         assert 0 not in series["degree"]
         assert 1 in series["degree"]
+
+    @pytest.mark.parametrize("focus_n", [0, -5])
+    def test_focus_n_below_one(self, focus_n):
+        ledger = two_day_ledger()
+        rankings = compute_rankings(ledger, 100)
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            dispersion_series(ledger, rankings, ("degree",), focus_n=focus_n)
