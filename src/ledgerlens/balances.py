@@ -5,8 +5,8 @@ net batch (only end-of-day state is defined), debiting inputs and crediting
 outputs; fees are the input/output difference and belong to no address.
 """
 
-from dataclasses import dataclass, replace
-from typing import Iterator, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -43,7 +43,6 @@ class BalanceSnapshot:
         return int((self.balances > 0).sum())
 
 
-@dataclass(eq=False)
 class Ranking:
     """Top-N addresses by balance for one day, largest first.
 
@@ -52,18 +51,43 @@ class Ranking:
     `funded_total` and `funded_sq` are the sum and the float64 sum of
     squares (`pairwise_dot`, in id order) of every funded balance of the
     day, ranked or not.
+
+    A ranking from `rank_balances` holds its sorted `balances` at once but
+    orders its `ids` by name only when `ids` is first read; until then it
+    keeps the candidate ids and balances that the order is made from.
     """
 
-    day: int
-    n: int
-    ids: np.ndarray
-    balances: np.ndarray
-    addresses: AddressTable | None = None
-    funded_total: int = 0
-    funded_sq: float = 0.0
+    def __init__(
+        self,
+        day: int,
+        n: int,
+        ids: np.ndarray | None,
+        balances: np.ndarray,
+        addresses: AddressTable | None = None,
+        funded_total: int = 0,
+        funded_sq: float = 0.0,
+    ):
+        self.day = day
+        self.n = n
+        self._ids = ids
+        self.balances = balances
+        self.addresses = addresses
+        self.funded_total = funded_total
+        self.funded_sq = funded_sq
+        self._candidates: tuple[np.ndarray, np.ndarray] | None = None
+
+    @property
+    def ids(self) -> np.ndarray:
+        if self._ids is None:
+            # Descending balance, then ascending address string (its
+            # position in `name_rank`), cut at n.
+            funded, vals = self._candidates
+            order = np.lexsort((self.addresses.name_rank[funded], -vals))[:self.n]
+            self._ids, self._candidates = funded[order], None
+        return self._ids
 
     def __len__(self) -> int:
-        return len(self.ids)
+        return len(self.balances)
 
     def entries(self) -> list[tuple[str, int]]:
         names = self.addresses.names
@@ -85,9 +109,10 @@ class Ranking:
         """The top `n` of this ranking; `n` must be at least 1."""
         if n < 1:
             raise ValueError("n must be >= 1")
-        if n >= len(self.ids):
+        if n >= len(self):
             return self
-        return replace(self, n=n, ids=self.ids[:n], balances=self.balances[:n])
+        return Ranking(self.day, n, self.ids[:n], self.balances[:n], self.addresses,
+                       self.funded_total, self.funded_sq)
 
 
 def pairwise_dot(x: np.ndarray, y: np.ndarray) -> float:
@@ -177,9 +202,10 @@ def rank_balances(
     code-point order.  Only funded (positive) balances participate.  When
     more than n are funded, `np.partition` finds the n-th largest balance
     and every id at or above it is kept, so the whole tie group at the cut
-    competes on its names.  One `np.lexsort` on (balance, name position)
-    then orders the kept ids; the name positions come from
-    `addresses.name_rank`, built once per table.
+    competes on its names.  One `np.sort` of the kept balances gives the
+    ranking's balances now; its ids are ordered on their first read, by one
+    `np.lexsort` on (balance, name position), the name positions coming
+    from `addresses.name_rank`, built once per table.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -191,21 +217,26 @@ def rank_balances(
         threshold = np.partition(vals, len(vals) - n)[len(vals) - n]
         keep = vals >= threshold
         funded, vals = funded[keep], vals[keep]
-    order = np.lexsort((addresses.name_rank[funded], -vals))[:n]
-    return Ranking(day, n, funded[order], vals[order], addresses, funded_total, funded_sq)
+    # Funded balances are positive, so negating sorts them descending.
+    ranking = Ranking(day, n, None, -np.sort(-vals)[:n], addresses, funded_total, funded_sq)
+    ranking._candidates = funded, vals
+    return ranking
 
 
-def compute_rankings(ledger: Ledger, n: int = TOP_N_DEFAULT) -> list[Ranking]:
-    """Daily top-n rankings for the whole ledger (one streaming pass)."""
-    return [rank_balances(balances, n, ledger.addresses, day)
-            for day, balances in _replay(ledger)]
+def compute_rankings(ledger: Ledger, n: int = TOP_N_DEFAULT) -> Iterator[Ranking]:
+    """Yield each day's top-n ranking, day 0 first, as the one balance
+    replay reaches that day; a caller that reads the rankings more than
+    once keeps them with ``list(compute_rankings(ledger, n))``."""
+    for day, balances in _replay(ledger):
+        yield rank_balances(balances, n, ledger.addresses, day)
 
 
 def proportion_series(
-    rankings: Sequence[Ranking], supplies: Sequence[int], tops: Sequence[int]
+    rankings: Iterable[Ranking], supplies: Sequence[int], tops: Sequence[int]
 ) -> np.ndarray:
-    """Matrix of top-n proportions: one row per day, one column per n."""
-    out = np.zeros((len(rankings), len(tops)))
+    """Matrix of top-n proportions: one row per day of `supplies`, one
+    column per n, read from one pass over the day rankings."""
+    out = np.zeros((len(supplies), len(tops)))
     for d, (r, c) in enumerate(zip(rankings, supplies)):
         if c <= 0:
             out[d, :] = np.nan

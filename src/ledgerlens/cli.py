@@ -10,9 +10,10 @@ parameters over an identical store.
 import argparse
 import os
 import sys
+from typing import Iterable, Iterator
 
 from . import __version__
-from .balances import compute_rankings, snapshot_at
+from .balances import Ranking, compute_rankings, snapshot_at
 from .errors import LedgerError
 from .ledger import parse_ledger
 from .lorenz import SCALINGS, d_static_series
@@ -124,6 +125,17 @@ def _config(cmd: str, args, store_hash: str, **params) -> str:
     return config_hash(params)
 
 
+def _keeping(rankings: Iterable[Ranking], day: int | None,
+             kept: list[Ranking]) -> Iterator[Ranking]:
+    """Pass the day rankings on, appending the one of `day` to `kept` as it
+    passes: a command that needs one day's ranking besides its series keeps
+    that one only."""
+    for ranking in rankings:
+        if ranking.day == day:
+            kept.append(ranking)
+        yield ranking
+
+
 def _cmd_synth(args) -> int:
     cfg = SynthConfig(
         seed=args.seed,
@@ -214,14 +226,16 @@ def _cmd_dstatic(args) -> int:
         check_curve_day(curve_day, ledger.n_days)
     elif args.curve_day is not None:
         raise ValueError("--curve-day needs --svg")
-    rankings = compute_rankings(ledger, args.top)
-    if args.svg and not len(rankings[curve_day]):
-        raise ValueError(f"curve day {curve_day} has no funded address to chart")
+    kept: list[Ranking] = []
+    rankings = _keeping(compute_rankings(ledger, args.top),
+                        curve_day if args.svg else None, kept)
     series = d_static_series(rankings, args.top, args.scaling)
+    if args.svg and not len(kept[0]):
+        raise ValueError(f"curve day {curve_day} has no funded address to chart")
     cfg = _config("dstatic", args, store_hash, top=args.top, scaling=args.scaling)
     write_csv(args.out, *day_table("d_static", window(series.values, args.day_range)), cfg)
     if args.svg:
-        curve_chart(args.svg, rankings[curve_day], args.top, cfg)
+        curve_chart(args.svg, kept[0], args.top, cfg)
     return 0
 
 
@@ -232,7 +246,9 @@ def _cmd_dispersion(args) -> int:
     if args.nodes_day is not None and not 1 <= args.nodes_day < ledger.n_days:
         raise ValueError(f"--nodes-day {args.nodes_day} has no focus graph")
     metrics = ("degree", "pagerank") if args.metric == "both" else (args.metric,)
-    rankings = compute_rankings(ledger, args.focus)
+    kept: list[Ranking] = []
+    nodes_focus = args.nodes_day - 1 if args.nodes_day is not None else None
+    rankings = _keeping(compute_rankings(ledger, args.focus), nodes_focus, kept)
     series = dispersion_series(
         ledger, rankings, metrics, args.focus,
         value_weighted=args.value_weighted,
@@ -243,7 +259,7 @@ def _cmd_dispersion(args) -> int:
     write_csv(args.out, *dispersion_table(series), cfg)
     if args.nodes_day is not None:
         d = args.nodes_day
-        graph = build_day_graph(ledger, d, rankings[d - 1].truncated(args.focus),
+        graph = build_day_graph(ledger, d, kept[0].truncated(args.focus),
                                 value_weighted=args.value_weighted)
         rows = []
         # A day whose focus graph has no node has no row, in `--out` too.
@@ -264,7 +280,8 @@ def _cmd_hhi(args) -> int:
         raise ValueError("--partition-day and --partition-out go together")
     if args.partition_day is not None and not 0 <= args.partition_day < ledger.n_days:
         raise ValueError(f"--partition-day {args.partition_day} outside ledger range")
-    rankings = compute_rankings(ledger, args.focus)
+    kept: list[Ranking] = []
+    rankings = _keeping(compute_rankings(ledger, args.focus), args.partition_day, kept)
     series = hhi_series(ledger, args.scheme, rankings, focus_n=args.focus,
                         method=args.method, seed=args.seed)
     cfg = _config("hhi", args, store_hash, scheme=args.scheme, focus=args.focus,
@@ -274,7 +291,7 @@ def _cmd_hhi(args) -> int:
     if args.dhhi:
         write_csv(args.dhhi, *day_table("d_hhi", window(d_hhi(series), args.day_range)), cfg)
     if args.partition_day is not None:
-        firms = cluster(ledger, args.scheme, rankings[args.partition_day],
+        firms = cluster(ledger, args.scheme, kept[0],
                         focus_n=args.focus, method=args.method, seed=args.seed)
         names = ledger.addresses.names
         write_json(args.partition_out, {

@@ -9,7 +9,7 @@ spans [0, 1]; scaling 1 gives the unscaled "1 minus area" form.
 """
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -70,7 +70,7 @@ def d_static(curve: CumulativeCurve, scaling: int = 2) -> float:
 
 
 def d_static_series(
-    rankings: Sequence[Ranking], n: int, scaling: int = 2
+    rankings: Iterable[Ranking], n: int, scaling: int = 2
 ) -> DStaticSeries:
     """Daily decentralization degrees; days without funded addresses are skipped."""
     values: dict[int, float] = {}

@@ -365,18 +365,21 @@ def _focus_labels(
         yield from _sweep_block(block, width, seed)
 
 
-def _check(scheme: str, method: str, focus_n: int, rankings: Sequence[Ranking]) -> str:
-    """The lower-cased `scheme`, once it, `method`, `focus_n` and the depth
-    of every one of `rankings` have passed; otherwise ``ValueError``."""
+def _check(scheme: str, method: str, focus_n: int) -> str:
+    """The lower-cased `scheme`, once it, `method` and `focus_n` have
+    passed; otherwise ``ValueError``."""
     scheme = scheme.lower()
     if scheme not in SCHEMES:
         raise ValueError(f"unknown scheme {scheme!r}")
     check_method(method)
     if focus_n < 1:
         raise ValueError("focus_n must be >= 1")
-    if any(r.n < focus_n for r in rankings):
-        raise ValueError(f"rankings must be at least focus_n={focus_n} deep")
     return scheme
+
+
+def _check_depth(ranking: Ranking, focus_n: int) -> None:
+    if ranking.n < focus_n:
+        raise ValueError(f"rankings must be at least focus_n={focus_n} deep")
 
 
 def _focus(ranking: Ranking, focus_n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -402,7 +405,8 @@ def cluster(
     day); A3 maps the focus set only, every other funded address lying in
     the V_o pseudo-firm.  A firm is named by its smallest member id.
     """
-    scheme = _check(scheme, method, focus_n, [ranking])
+    scheme = _check(scheme, method, focus_n)
+    _check_depth(ranking, focus_n)
     firms: dict[int, int] = {}
     if scheme != "a3":
         funded = np.flatnonzero(snapshot_at(ledger, ranking.day).balances > 0).tolist()
@@ -427,44 +431,52 @@ class HHISeries:
 def hhi_series(
     ledger: Ledger,
     scheme: str,
-    rankings: Sequence[Ranking],
+    rankings: Iterable[Ranking],
     focus_n: int = 100,
     method: str = "label_propagation",
     seed: int = 0,
 ) -> HHISeries:
     """Daily HHI under one clustering scheme, read from the day rankings.
 
-    `rankings` holds one ranking per day of the ledger, each at least
-    `focus_n` deep (as `compute_rankings(ledger, n)` gives for any
-    ``n >= focus_n``); a day's focus set is its top `focus_n`.  Entity
-    holdings are day-end balances; the share base is the total minted
-    supply of the day.  Days with no minted supply are skipped.  A2/A3 look
-    up every day's focus pairs in one pair index over the union of the
-    days' focus sets, and label propagation sweeps a block of days at once.
+    `rankings` gives one ranking per day of the ledger, each at least
+    `focus_n` deep (as `compute_rankings(ledger, n)` yields for any
+    ``n >= focus_n``); a day's focus set is its top `focus_n`.  They are
+    read in one pass, which keeps only each day's funded totals and, for
+    A2/A3, its focus members.  Entity holdings are day-end balances; the
+    share base is the total minted supply of the day.  Days with no minted
+    supply are skipped.  A2/A3 look up every day's focus pairs in one pair
+    index over the union of the days' focus sets, and label propagation
+    sweeps a block of days at once.
     """
-    scheme = _check(scheme, method, focus_n, rankings)
-    if len(rankings) != ledger.n_days:
-        raise ValueError(f"hhi_series needs one ranking per day ({ledger.n_days}), "
-                         f"got {len(rankings)}")
-
-    # Each day's focus members sorted by id, with their balances, and the
-    # firm label of each member.
+    scheme = _check(scheme, method, focus_n)
+    # Each day's funded totals and, for A2/A3, its focus members sorted by
+    # id with their balances.
+    totals: list[tuple[int, float]] = []
     focus = []
+    for r in rankings:
+        _check_depth(r, focus_n)
+        totals.append((r.funded_total, r.funded_sq))
+        if scheme != "a1":
+            focus.append(_focus(r, focus_n))
+    if len(totals) != ledger.n_days:
+        raise ValueError(f"hhi_series needs one ranking per day ({ledger.n_days}), "
+                         f"got {len(totals)}")
+
+    # The firm label of each focus member.
     labels: Iterable = itertools.repeat(None)
-    if scheme != "a1" and rankings:
-        focus = [_focus(r, focus_n) for r in rankings]
+    if focus:
         focus_ids = [ids for ids, _ in focus]
         labels = _focus_labels(ledger, range(len(focus)), focus_ids,
                                _PairIndex(ledger, np.concatenate(focus_ids)), method, seed)
 
     values: dict[int, float] = {}
-    for day, (r, day_labels) in enumerate(zip(rankings, labels)):
+    for day, ((funded_total, funded_sq), day_labels) in enumerate(zip(totals, labels)):
         supply = ledger.supply_at(day)
         if supply <= 0:
             continue
         c2 = float(supply) * float(supply)
         if scheme == "a1":
-            values[day] = 10000.0 * r.funded_sq / c2
+            values[day] = 10000.0 * funded_sq / c2
             continue
         ids, bal = focus[day]
         if not len(ids):
@@ -478,9 +490,9 @@ def hhi_series(
         as_float = bal.astype(np.float64)
         top_sq = pairwise_dot(as_float, as_float)
         if scheme == "a2":
-            total_sq = comm_sq + (r.funded_sq - top_sq)
+            total_sq = comm_sq + (funded_sq - top_sq)
         else:
-            vo = float(r.funded_total - int(bal.sum()))
+            vo = float(funded_total - int(bal.sum()))
             total_sq = comm_sq + vo * vo
         values[day] = 10000.0 * total_sq / c2
     return HHISeries(scheme, values)

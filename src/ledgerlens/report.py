@@ -184,7 +184,8 @@ def build_report(
     cfg = config_hash(params)
 
     max_top = max(max(tops), focus_n)
-    rankings = compute_rankings(ledger, max_top)
+    # Read several times, so kept whole: O(days x N).
+    rankings = list(compute_rankings(ledger, max_top))
     all_days = range(ledger.n_days)
     supplies = [ledger.supply_at(d) for d in all_days]
     days = list(window(dict.fromkeys(all_days), day_range))

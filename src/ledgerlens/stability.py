@@ -115,39 +115,67 @@ def _blocks(ptr: np.ndarray, last: int) -> Iterator[tuple[int, int]]:
         d0 = d1
 
 
+def _join(parts: list[np.ndarray], dtype) -> np.ndarray:
+    """The concatenation of `parts`, which it empties, so that the parts
+    can be freed before the next column is joined."""
+    out = np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
+    parts.clear()
+    return out
+
+
+def _sort_block(block: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, ...]:
+    """The (ids, balances) lists of consecutive days as entries sorted by
+    (day, id): each entry's id, its 0-based position in its list, and the
+    [start, stop) positions of its tie run."""
+    sizes = np.array([len(ids) for ids, _ in block], dtype=np.int64)
+    ids, bal = (np.concatenate(c) for c in zip(*block))
+    total = len(ids)
+    pos = np.arange(total) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    # A tie run opens at a day's first entry and wherever the balance
+    # changes.
+    opens = pos == 0
+    opens[1:] |= bal[1:] != bal[:-1]
+    heads = np.flatnonzero(opens)
+    lengths = np.diff(np.append(heads, total))
+    start = np.repeat(pos[heads], lengths)
+    span = int(ids.max()) + 1 if total else 1
+    order = np.argsort(np.repeat(np.arange(len(block)), sizes) * span + ids)
+    return (ids[order], pos[order].astype(np.int32), start[order].astype(np.int32),
+            (start + np.repeat(lengths, lengths))[order].astype(np.int32))
+
+
 class _DayLists:
     """Every day's ranking cut at `depth`, as one array of entries sorted by
     (day, id): ``keys = day * span + id``, each id's 0-based position in its
     ranking, and the [start, stop) positions of its tie run.  Day d holds
-    entries ``ptr[d]:ptr[d + 1]``, ``sizes[d]`` of them."""
+    entries ``ptr[d]:ptr[d + 1]``, ``sizes[d]`` of them.  The rankings are
+    read once, as they come, and sorted in blocks of about _BLOCK_ENTRIES
+    entries, so no more than one block of them is held at a time."""
 
-    def __init__(self, rankings: Sequence[Ranking], depth: int):
-        lists = [(r.ids[:depth], r.balances[:depth]) for r in rankings]
-        self.sizes = np.array([len(ids) for ids, _ in lists], dtype=np.int64)
+    def __init__(self, rankings: Iterable[Ranking], depth: int):
+        sizes: list[int] = []
+        columns: tuple[list[np.ndarray], ...] = ([], [], [], [])
+        block: list[tuple[np.ndarray, np.ndarray]] = []
+        held = 0
+        for r in rankings:
+            ids = r.ids[:depth]
+            block.append((ids, r.balances[:depth]))
+            sizes.append(len(ids))
+            held += len(ids)
+            if held >= _BLOCK_ENTRIES:
+                for column, part in zip(columns, _sort_block(block)):
+                    column.append(part)
+                block, held = [], 0
+        if block:
+            for column, part in zip(columns, _sort_block(block)):
+                column.append(part)
+        self.sizes = np.array(sizes, dtype=np.int64)
         self.ptr = np.concatenate(([0], np.cumsum(self.sizes)))
-        self.max_size = int(self.sizes.max()) if len(self.sizes) else 0
-        self.span = max((int(ids.max()) + 1 for ids, _ in lists if len(ids)), default=1)
-        total = int(self.ptr[-1])
-        self.keys = np.empty(total, dtype=np.int64)
-        self.pos, self.start, self.stop = (np.empty(total, dtype=np.int32) for _ in range(3))
-        for d0, d1 in _blocks(self.ptr, len(lists)):
-            a0, a1 = int(self.ptr[d0]), int(self.ptr[d1])
-            sizes = self.sizes[d0:d1]
-            ids, bal = (np.concatenate(c) for c in zip(*lists[d0:d1]))
-            pos = np.arange(a1 - a0) - np.repeat(self.ptr[d0:d1] - a0, sizes)
-            # A tie run opens at a day's first entry and wherever the
-            # balance changes.
-            opens = pos == 0
-            opens[1:] |= bal[1:] != bal[:-1]
-            heads = np.flatnonzero(opens)
-            lengths = np.diff(np.append(heads, a1 - a0))
-            start = np.repeat(pos[heads], lengths)
-            keys = np.repeat(np.arange(d0, d1), sizes) * self.span + ids
-            order = np.argsort(keys)
-            self.keys[a0:a1] = keys[order]
-            self.pos[a0:a1] = pos[order]
-            self.start[a0:a1] = start[order]
-            self.stop[a0:a1] = (start + np.repeat(lengths, lengths))[order]
+        self.max_size = max(sizes, default=0)
+        ids, self.pos, self.start, self.stop = (
+            _join(c, dtype) for c, dtype in zip(columns, (np.int64,) + (np.int32,) * 3))
+        self.span = int(ids.max()) + 1 if len(ids) else 1
+        self.keys = np.repeat(np.arange(len(sizes)), self.sizes) * self.span + ids
 
     def day(self, entries: np.ndarray) -> np.ndarray:
         return self.keys[entries] // self.span
@@ -255,16 +283,16 @@ def _interval_values(
 
 
 def stability_table(
-    rankings: Sequence[Ranking],
+    rankings: Iterable[Ranking],
     specs: Iterable[tuple[str, int, int]],
     mode: str = "intersection",
 ) -> dict[tuple[str, int, int], StabilitySeries]:
-    """Every (metric, top-N, interval) series of `specs` over one list of
-    day rankings, keyed by spec in the order given (repeats dropped).
+    """Every (metric, top-N, interval) series of `specs` over the day
+    rankings, keyed by spec in the order given (repeats dropped).
 
     Each series is the one `stability_series` describes; Spearman series
-    use `mode`.  The rankings are read once, and each distinct interval
-    matches its day pairs once for all of its specs.
+    use `mode`.  The rankings are read once, in one pass, and each distinct
+    interval matches its day pairs once for all of its specs.
     """
     specs = list(dict.fromkeys(specs))
     for metric, n, interval in specs:
@@ -287,7 +315,7 @@ def stability_table(
 
 
 def stability_series(
-    rankings: Sequence[Ranking],
+    rankings: Iterable[Ranking],
     n: int,
     interval: int,
     metric: str = "spearman",

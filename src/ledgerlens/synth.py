@@ -21,6 +21,10 @@ Wealth regimes:
   ignored by this regime.
 """
 
+# Annotations stay unevaluated, so importing the package does not import
+# numpy.random (about 10 ms) for the `np.random.Generator` hints.
+from __future__ import annotations
+
 from dataclasses import dataclass
 
 import numpy as np

@@ -7,6 +7,7 @@ centrality (in+out, multiplicity-weighted), damped PageRank, and the
 max/min/mean dispersion that summarizes how top-heavy a metric is.
 """
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -212,21 +213,23 @@ def dispersion(metric: MetricVector) -> float:
 
 def dispersion_series(
     ledger: Ledger,
-    rankings: Sequence[Ranking],
+    rankings: Iterable[Ranking],
     metrics: Sequence[str] = ("degree", "pagerank"),
     focus_n: int = FOCUS_N,
     value_weighted: bool = False,
 ) -> dict[str, dict[int, float]]:
     """Daily dispersion of each metric over the focus graph.
 
-    The focus set for day d is the previous day's top-`focus_n`; day 0 has
-    no predecessor and days whose graph has fewer than two nodes are
-    skipped.
+    The focus set for day d is the previous day's top-`focus_n`, so the
+    day rankings are read in one pass, each one day behind the graph it
+    focuses; day 0 has no predecessor and days whose graph has fewer than
+    two nodes are skipped.
     """
     out: dict[str, dict[int, float]] = {m: {} for m in metrics}
-    for d in range(1, min(ledger.n_days, len(rankings))):
-        focus = rankings[d - 1].truncated(focus_n)
-        graph = build_day_graph(ledger, d, focus, value_weighted=value_weighted)
+    previous = itertools.islice(rankings, max(ledger.n_days - 1, 0))
+    for d, ranking in enumerate(previous, start=1):
+        graph = build_day_graph(ledger, d, ranking.truncated(focus_n),
+                                value_weighted=value_weighted)
         if graph.n_nodes < 2:
             continue
         for m in metrics:

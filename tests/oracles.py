@@ -86,6 +86,26 @@ def pagerank_dense(n: int, edges, damping: float = 0.85) -> np.ndarray:
     return np.linalg.solve(a, b)
 
 
+def eager_rank_balances(balances, n, addresses):
+    """The top-n ranking with its ids ordered at once, as `rank_balances`
+    made it before ids were ordered on their first read: returns (ids,
+    balances, funded total, funded sum of squares).
+
+    Every id at or above the n-th largest funded balance is kept and one
+    `np.lexsort` on (balance, name position) orders them; the sum of
+    squares is numpy's pairwise sum in id order."""
+    funded = np.flatnonzero(balances > 0)
+    vals = balances[funded]
+    as_float = vals.astype(np.float64)
+    totals = int(vals.sum()), float(np.add.reduce(as_float * as_float))
+    if len(funded) > n:
+        threshold = np.partition(vals, len(vals) - n)[len(vals) - n]
+        keep = vals >= threshold
+        funded, vals = funded[keep], vals[keep]
+    order = np.lexsort((addresses.name_rank[funded], -vals))[:n]
+    return (funded[order], vals[order], *totals)
+
+
 def brute_force_pairs(inputs, outputs) -> set[tuple[str, str]]:
     """All (input address, output address) pairs by naive enumeration."""
     pairs = set()

@@ -281,7 +281,7 @@ class TestAcceptance:
                 initial_supply=10**10, reward=10**7,
             )
             ledger = generate(cfg)
-            rankings = compute_rankings(ledger, 100)
+            rankings = list(compute_rankings(ledger, 100))
             a1 = hhi_series(ledger, "a1", rankings)
             a2 = hhi_series(ledger, "a2", rankings)
             for d, v in a1.values.items():
@@ -354,7 +354,7 @@ class TestAcceptance:
                     initial_supply=10**12, reward=10**8,
                 )
                 ledger = generate(cfg)
-                rankings = compute_rankings(ledger, 200)
+                rankings = list(compute_rankings(ledger, 200))
                 ds = d_static_series(rankings, 200)
                 ds_means.append(float(np.mean(list(ds.values.values()))))
                 a1 = hhi_series(ledger, "a1", rankings)

@@ -734,13 +734,30 @@ class TestOnePathPerTable:
         assert capsys.readouterr().out == out.read_text()
 
 
-# Address space for each child of TestBoundedMemory: Python and numpy alone
-# take about 110-130 MiB of it.
+# Address space for each child of TestBoundedMemory and TestLongHistoryMemory:
+# Python and numpy alone take about 110-130 MiB of it.
 CHILD_AS_LIMIT = 256 << 20
 
 
 def _limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (CHILD_AS_LIMIT, CHILD_AS_LIMIT))
+
+
+def _child_env(threads: str = "1") -> dict[str, str]:
+    """The environment of a `python -m ledgerlens` child: this package on
+    its path and `threads` BLAS threads."""
+    package_root = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                PYTHONPATH=os.pathsep.join(filter(None, [package_root,
+                                                         os.environ.get("PYTHONPATH")])))
+
+
+def _run_in_256_mib(argv: list[str]) -> subprocess.CompletedProcess:
+    """Run `ledgerlens argv` in a child limited to CHILD_AS_LIMIT of
+    address space, with one BLAS thread."""
+    return subprocess.run([sys.executable, "-m", "ledgerlens", *argv], env=_child_env(),
+                          preexec_fn=_limit_address_space, capture_output=True, text=True,
+                          timeout=300)
 
 
 class TestBoundedMemory:
@@ -764,17 +781,36 @@ class TestBoundedMemory:
         ["report", "--no-charts", "--out"],
     ], ids=["hhi_a2", "hhi_a3", "dispersion_value_weighted", "report"])
     def test_wide_transaction_runs_in_256_mib(self, wide_store, tmp_path, command):
-        package_root = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-                   PYTHONPATH=os.pathsep.join(filter(None, [package_root,
-                                                            os.environ.get("PYTHONPATH")])))
-        done = subprocess.run(
-            [sys.executable, "-m", "ledgerlens", *command, str(tmp_path / "out"),
-             "--store", wide_store],
-            env=env, preexec_fn=_limit_address_space, capture_output=True, text=True,
-            timeout=300)
+        done = _run_in_256_mib([*command, str(tmp_path / "out"), "--store", wide_store])
         assert done.returncode == 0, done.stderr
         assert (tmp_path / "out").exists()
+
+
+class TestLongHistoryMemory:
+    """5000 funded addresses over 2000 days: every day's top-5000 ranking
+    kept at once would take about 160 MB, but `dstatic`, `proportions` and
+    `hhi --scheme a1` hold one day's ranking at a time."""
+
+    @pytest.fixture(scope="class")
+    def long_store(self, tmp_path_factory):
+        width, days = 5000, 2000
+        lines = [rec("mint", 0, [], [[f"h{i:04d}", 1_000_000 + i] for i in range(width)])]
+        lines += [rec(f"t{d}", d * DAY, [[f"h{d % width:04d}", 1]],
+                      [[f"h{(d + 1) % width:04d}", 1]]) for d in range(1, days)]
+        store = tmp_path_factory.mktemp("long") / "store"
+        save_ledger(parse_ledger(lines), str(store))
+        return str(store)
+
+    @pytest.mark.parametrize("command", [
+        ["dstatic", "--top", "5000"],
+        ["proportions", "--tops", "5000"],
+        ["hhi", "--scheme", "a1", "--focus", "5000"],
+    ], ids=["dstatic", "proportions", "hhi_a1"])
+    def test_long_history_runs_in_256_mib(self, long_store, tmp_path, command):
+        out = tmp_path / "out.csv"
+        done = _run_in_256_mib([*command, "--out", str(out), "--store", long_store])
+        assert done.returncode == 0, done.stderr
+        assert len(read_csv(out)[2]) == 2000
 
 
 class TestBlasThreads:
@@ -802,15 +838,22 @@ class TestBlasThreads:
         ["stability", "--top", "12000"],
     ], ids=["hhi_a1", "hhi_a2", "stability"])
     def test_outputs_do_not_depend_on_blas_threads(self, deep_store, command):
-        package_root = str(Path(cli.__file__).resolve().parents[1])
         outputs = []
         for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                       PYTHONPATH=os.pathsep.join(filter(None, [package_root,
-                                                                os.environ.get("PYTHONPATH")])))
             done = subprocess.run(
                 [sys.executable, "-m", "ledgerlens", *command, "--store", deep_store],
-                env=env, capture_output=True, text=True, timeout=300)
+                env=_child_env(threads), capture_output=True, text=True, timeout=300)
             assert done.returncode == 0, done.stderr
             outputs.append(done.stdout)
         assert outputs[0] == outputs[1]
+
+
+def test_startup_does_not_import_numpy_random():
+    # numpy.random takes about 10 ms to import; only `synth` and seeded
+    # label sweeps use it, and they reach it when they run.
+    done = subprocess.run([sys.executable, "-X", "importtime", "-m", "ledgerlens", "--version"],
+                          env=_child_env(), capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    modules = [line.rpartition("|")[2].strip() for line in done.stderr.splitlines()]
+    assert "numpy" in modules
+    assert [m for m in modules if m.startswith("numpy.random")] == []

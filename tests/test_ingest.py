@@ -286,7 +286,7 @@ class TestIngestRoundTrip:
         assert_same_ledger(stored, parsed)
 
         def metrics(ledger):
-            rankings = compute_rankings(ledger, 100)
+            rankings = list(compute_rankings(ledger, 100))
             return (
                 [(r.day, r.ids.tolist(), r.balances.tolist(), r.funded_total, r.funded_sq)
                  for r in rankings],

@@ -272,7 +272,7 @@ def firm_holdings(partition, balances, scheme):
 
 
 def day_ranking(ledger, day, n=100):
-    return compute_rankings(ledger, n)[day]
+    return list(compute_rankings(ledger, n))[day]
 
 
 def equal_wealth_ledger(n=10, days=3):
@@ -480,7 +480,7 @@ class TestHHISeries:
                               regime="preferential", alpha=1.0,
                               initial_supply=10**9, reward=10**6)
             ledger = generate(cfg)
-            rankings = compute_rankings(ledger, 100)
+            rankings = list(compute_rankings(ledger, 100))
             a1 = hhi_series(ledger, "a1", rankings)
             a2 = hhi_series(ledger, "a2", rankings)
             for d in a1.values:
@@ -501,7 +501,7 @@ class TestHHISeries:
                               initial_supply=10**9, reward=10**6)
             ledger = generate(cfg)
             focus_n = 8
-            rankings = compute_rankings(ledger, focus_n)
+            rankings = list(compute_rankings(ledger, focus_n))
             series = hhi_series(ledger, scheme, rankings, focus_n=focus_n)
             snaps = list(compute_snapshots(ledger))
             funded_days = [d for d in range(ledger.n_days) if ledger.supply_at(d) > 0]
@@ -527,7 +527,7 @@ class TestHHISeries:
                           regime="preferential", alpha=1.0,
                           initial_supply=10**9, reward=10**6)
         ledger = generate(cfg)
-        rankings = compute_rankings(ledger, 100)
+        rankings = list(compute_rankings(ledger, 100))
         focus = [np.sort(r.truncated(100).ids) for r in rankings]
         pairs = _PairIndex(ledger, np.concatenate(focus))
         snaps = list(compute_snapshots(ledger))
@@ -600,7 +600,7 @@ class TestHHISeries:
 
     def test_needs_one_ranking_per_day(self):
         ledger = equal_wealth_ledger(n=4, days=4)
-        rankings = compute_rankings(ledger, 100)
+        rankings = list(compute_rankings(ledger, 100))
         for wrong in (rankings[:-1], rankings + rankings[-1:]):
             with pytest.raises(ValueError, match="one ranking per day"):
                 hhi_series(ledger, "a1", wrong)

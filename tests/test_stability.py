@@ -322,7 +322,7 @@ class TestSeries:
         # Extend history with empty days via a later no-op day boundary tx.
         lines.append(rec("t", 4 * 86_400, [["h0", 1]], [["h0", 1]]))
         ledger = make_ledger(lines)
-        rankings = compute_rankings(ledger, 5)
+        rankings = list(compute_rankings(ledger, 5))
         for metric in ("spearman", "retention"):
             series = stability_series(rankings, 5, 1, metric)
             assert len(series.values) == 4
@@ -373,7 +373,7 @@ class TestReportStability:
         tops, intervals, focus_n, window = [3, 5, 8], [1, 2, 20], 5, (2, 11)
         build_report(ledger, str(tmp_path), tops=tops, intervals=intervals,
                      focus_n=focus_n, spearman_mode=mode, day_range=window, charts=False)
-        rankings = compute_rankings(ledger, max(tops))
+        rankings = list(compute_rankings(ledger, max(tops)))
         specs = dict.fromkeys((metric, n, interval) for metric in ("spearman", "retention")
                               for n, interval in [(focus_n, i) for i in intervals]
                               + [(t, 1) for t in tops])

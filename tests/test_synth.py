@@ -92,7 +92,7 @@ class TestRegimes:
                           amount_frac=0.05)
         ledger = generate(cfg)
         last = list(compute_snapshots(ledger))[-1]
-        ranking = compute_rankings(ledger, 100)[-1]
+        ranking = list(compute_rankings(ledger, 100))[-1]
         share = proportion_series([ranking], [last.total_supply], [100])[0, 0]
         target = 100 / last.funded_count
         assert abs(share - target) < 0.6 * target
