@@ -33,6 +33,7 @@ from .market import (
     cluster,
     d_hhi,
     hhi,
+    hhi_by_scheme,
     hhi_series,
     label_propagation,
 )
@@ -67,7 +68,7 @@ __all__ = [
     "classify", "cluster", "compute_rankings", "compute_snapshots",
     "cumulative_curve", "d_hhi", "d_static", "d_static_series",
     "degree_centrality", "dispersion", "dispersion_series", "expand_edges",
-    "generate", "hhi", "hhi_series", "label_propagation", "load_ledger",
-    "pagerank", "parse_ledger", "retention", "save_ledger", "spearman",
-    "stability_series", "stability_table", "summarize",
+    "generate", "hhi", "hhi_by_scheme", "hhi_series", "label_propagation",
+    "load_ledger", "pagerank", "parse_ledger", "retention", "save_ledger",
+    "spearman", "stability_series", "stability_table", "summarize",
 ]

@@ -365,16 +365,17 @@ def _focus_labels(
         yield from _sweep_block(block, width, seed)
 
 
-def _check(scheme: str, method: str, focus_n: int) -> str:
-    """The lower-cased `scheme`, once it, `method` and `focus_n` have
-    passed; otherwise ``ValueError``."""
-    scheme = scheme.lower()
-    if scheme not in SCHEMES:
-        raise ValueError(f"unknown scheme {scheme!r}")
+def _check(schemes: Iterable[str], method: str, focus_n: int) -> list[str]:
+    """The lower-cased `schemes` without repeats, in the order given, once
+    they, `method` and `focus_n` have passed; otherwise ``ValueError``."""
+    schemes = list(dict.fromkeys(s.lower() for s in schemes))
+    for scheme in schemes:
+        if scheme not in SCHEMES:
+            raise ValueError(f"unknown scheme {scheme!r}")
     check_method(method)
     if focus_n < 1:
         raise ValueError("focus_n must be >= 1")
-    return scheme
+    return schemes
 
 
 def _check_depth(ranking: Ranking, focus_n: int) -> None:
@@ -405,7 +406,7 @@ def cluster(
     day); A3 maps the focus set only, every other funded address lying in
     the V_o pseudo-firm.  A firm is named by its smallest member id.
     """
-    scheme = _check(scheme, method, focus_n)
+    (scheme,) = _check([scheme], method, focus_n)
     _check_depth(ranking, focus_n)
     firms: dict[int, int] = {}
     if scheme != "a3":
@@ -436,19 +437,36 @@ def hhi_series(
     method: str = "label_propagation",
     seed: int = 0,
 ) -> HHISeries:
-    """Daily HHI under one clustering scheme, read from the day rankings.
+    """Daily HHI under one clustering scheme, read from the day rankings:
+    `hhi_by_scheme` for that scheme alone."""
+    (series,) = hhi_by_scheme(ledger, [scheme], rankings, focus_n, method, seed).values()
+    return series
+
+
+def hhi_by_scheme(
+    ledger: Ledger,
+    schemes: Iterable[str],
+    rankings: Iterable[Ranking],
+    focus_n: int = 100,
+    method: str = "label_propagation",
+    seed: int = 0,
+) -> dict[str, HHISeries]:
+    """Daily HHI under each clustering scheme, read from the day rankings:
+    lower-cased scheme -> series, in the order given, repeats dropped.
 
     `rankings` gives one ranking per day of the ledger, each at least
     `focus_n` deep (as `compute_rankings(ledger, n)` yields for any
     ``n >= focus_n``); a day's focus set is its top `focus_n`.  They are
-    read in one pass, which keeps only each day's funded totals and, for
-    A2/A3, its focus members.  Entity holdings are day-end balances; the
-    share base is the total minted supply of the day.  Days with no minted
-    supply are skipped.  A2/A3 look up every day's focus pairs in one pair
-    index over the union of the days' focus sets, and label propagation
-    sweeps a block of days at once.
+    read in one pass, which keeps only each day's funded totals and, when
+    A2 or A3 is asked for, its focus members.  Entity holdings are day-end
+    balances; the share base is the total minted supply of the day.  Days
+    with no minted supply are skipped.  A2 and A3 share one set of firm
+    labels: every day's focus pairs are looked up in one pair index over
+    the union of the days' focus sets, and label propagation sweeps a
+    block of days at once.
     """
-    scheme = _check(scheme, method, focus_n)
+    schemes = _check(schemes, method, focus_n)
+    communities = any(scheme != "a1" for scheme in schemes)
     # Each day's funded totals and, for A2/A3, its focus members sorted by
     # id with their balances.
     totals: list[tuple[int, float]] = []
@@ -456,7 +474,7 @@ def hhi_series(
     for r in rankings:
         _check_depth(r, focus_n)
         totals.append((r.funded_total, r.funded_sq))
-        if scheme != "a1":
+        if communities:
             focus.append(_focus(r, focus_n))
     if len(totals) != ledger.n_days:
         raise ValueError(f"hhi_series needs one ranking per day ({ledger.n_days}), "
@@ -469,33 +487,28 @@ def hhi_series(
         labels = _focus_labels(ledger, range(len(focus)), focus_ids,
                                _PairIndex(ledger, np.concatenate(focus_ids)), method, seed)
 
-    values: dict[int, float] = {}
+    values: dict[str, dict[int, float]] = {scheme: {} for scheme in schemes}
     for day, ((funded_total, funded_sq), day_labels) in enumerate(zip(totals, labels)):
         supply = ledger.supply_at(day)
         if supply <= 0:
             continue
-        c2 = float(supply) * float(supply)
-        if scheme == "a1":
-            values[day] = 10000.0 * funded_sq / c2
-            continue
-        ids, bal = focus[day]
-        if not len(ids):
-            # No funded address at all, so every firm holds nothing.
-            values[day] = 0.0
-            continue
-        group_sums: dict[int, int] = {}
-        for lab, b in zip(day_labels, bal.tolist()):
-            group_sums[lab] = group_sums.get(lab, 0) + b
-        comm_sq = float(sum(s * s for s in group_sums.values()))
-        as_float = bal.astype(np.float64)
-        top_sq = pairwise_dot(as_float, as_float)
-        if scheme == "a2":
-            total_sq = comm_sq + (funded_sq - top_sq)
-        else:
+        # Each scheme's sum of squared firm holdings.  A day with no funded
+        # address has an empty focus, and every sum is 0.0.
+        total_sq = {"a1": funded_sq}
+        if focus:
+            _, bal = focus[day]
+            group_sums: dict[int, int] = {}
+            for lab, b in zip(day_labels, bal.tolist()):
+                group_sums[lab] = group_sums.get(lab, 0) + b
+            comm_sq = float(sum(s * s for s in group_sums.values()))
+            as_float = bal.astype(np.float64)
+            total_sq["a2"] = comm_sq + (funded_sq - pairwise_dot(as_float, as_float))
             vo = float(funded_total - int(bal.sum()))
-            total_sq = comm_sq + vo * vo
-        values[day] = 10000.0 * total_sq / c2
-    return HHISeries(scheme, values)
+            total_sq["a3"] = comm_sq + vo * vo
+        c2 = float(supply) * float(supply)
+        for scheme in schemes:
+            values[scheme][day] = 10000.0 * total_sq[scheme] / c2
+    return {scheme: HHISeries(scheme, values[scheme]) for scheme in schemes}
 
 
 def d_hhi(series: HHISeries) -> dict[int, float]:

@@ -18,10 +18,11 @@ from . import __version__
 from .balances import Ranking, adjacent_diff, compute_rankings, proportion_series
 from .ledger import Ledger
 from .lorenz import cumulative_curve, d_static_series
-from .market import check_method, classify, d_hhi, hhi_series
-# `stability_series` is not called here; it stays importable under this
-# module's name because the benchmark's tracer (bench/tracer.py) wraps it
-# here, and its self-test fails on a traced name that is missing.
+# `hhi_series` and `stability_series` are not called here; they stay
+# importable under this module's name because the benchmark's tracer
+# (bench/tracer.py) wraps them here, and its self-test fails on a traced
+# name that is missing.
+from .market import check_method, classify, d_hhi, hhi_by_scheme, hhi_series
 from .stability import StabilitySeries, stability_series, stability_table, summarize
 from .svg import box_plot, line_chart, open_output
 from .txgraph import dispersion_series
@@ -184,8 +185,13 @@ def build_report(
     cfg = config_hash(params)
 
     max_top = max(max(tops), focus_n)
-    # Read several times, so kept whole: O(days x N).
-    rankings = list(compute_rankings(ledger, max_top))
+    # Read several times, so kept whole: O(days x N).  Reading each day's
+    # ids as it arrives orders them now, so the day drops its whole tie
+    # group at the cut instead of holding it until stability reads them.
+    rankings = []
+    for ranking in compute_rankings(ledger, max_top):
+        ranking.ids
+        rankings.append(ranking)
     all_days = range(ledger.n_days)
     supplies = [ledger.supply_at(d) for d in all_days]
     days = list(window(dict.fromkeys(all_days), day_range))
@@ -286,11 +292,10 @@ def build_report(
         m: {str(d): v for d, v in vals.items()} for m, vals in disp.items()
     }
 
-    # HHI under the three clustering schemes, plus the dynamic degree.  The
-    # dynamic degree normalizes over the full computed series before
-    # windowing.
-    hhi = {scheme: hhi_series(ledger, scheme, rankings, focus_n=focus_n, method=method)
-           for scheme in ("a1", "a2", "a3")}
+    # HHI under the three clustering schemes, from one set of A2/A3 firm
+    # labels, plus the dynamic degree.  The dynamic degree normalizes over
+    # the full computed series before windowing.
+    hhi = hhi_by_scheme(ledger, ("a1", "a2", "a3"), rankings, focus_n=focus_n, method=method)
     hhi_values = {scheme: window(s.values, day_range) for scheme, s in hhi.items()}
     write_csv(os.path.join(out_dir, "hhi.csv"), *hhi_table(hhi_values), cfg)
     bundle["hhi"] = {

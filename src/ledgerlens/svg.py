@@ -44,6 +44,10 @@ def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
     t = first
     while t <= hi + 1e-9 * span:
         ticks.append(0.0 if abs(t) < step * 1e-9 else t)
+        if t + step == t:
+            # A step below half an ULP of t would never move it, as on a
+            # span a few ULPs wide.
+            break
         t += step
     return ticks
 

@@ -223,8 +223,12 @@ def dispersion_series(
     The focus set for day d is the previous day's top-`focus_n`, so the
     day rankings are read in one pass, each one day behind the graph it
     focuses; day 0 has no predecessor and days whose graph has fewer than
-    two nodes are skipped.
+    two nodes are skipped.  An unknown metric is refused before any day
+    is read.
     """
+    for m in metrics:
+        if m not in ("degree", "pagerank"):
+            raise ValueError(f"unknown metric {m!r}")
     out: dict[str, dict[int, float]] = {m: {} for m in metrics}
     previous = itertools.islice(rankings, max(ledger.n_days - 1, 0))
     for d, ranking in enumerate(previous, start=1):
@@ -235,9 +239,7 @@ def dispersion_series(
         for m in metrics:
             if m == "degree":
                 vec = degree_centrality(graph)
-            elif m == "pagerank":
-                vec = pagerank(graph, weighted_by_value=value_weighted)
             else:
-                raise ValueError(f"unknown metric {m!r}")
+                vec = pagerank(graph, weighted_by_value=value_weighted)
             out[m][d] = dispersion(vec)
     return out

@@ -218,6 +218,37 @@ class TestReport:
                      focus_n=5, charts=False)
         assert applied == list(range(ledger.n_days))
 
+    def test_hhi_labels_swept_once(self, store, tmp_path, monkeypatch):
+        # A2 and A3 read one pair index and one label sweep: every day's
+        # focus labels are found once, not once per scheme.
+        from ledgerlens import market
+
+        built, calls, swept = [], [], []
+        pair_index, focus_labels = market._PairIndex, market._focus_labels
+
+        def counted_index(*args):
+            built.append(args)
+            return pair_index(*args)
+
+        def counted_labels(ledger, days, *args):
+            calls.append(days)
+            for labels in focus_labels(ledger, days, *args):
+                swept.append(labels)
+                yield labels
+
+        monkeypatch.setattr(market, "_PairIndex", counted_index)
+        monkeypatch.setattr(market, "_focus_labels", counted_labels)
+        ledger = load_ledger(store)
+        build_report(ledger, str(tmp_path / "rep"), tops=[5, 10], intervals=[1],
+                     focus_n=5, charts=False)
+        assert len(built) == 1
+        assert calls == [range(ledger.n_days)] and len(swept) == ledger.n_days
+
+        built.clear()
+        assert run(["hhi", "--store", store, "--scheme", "a1",
+                    "--out", str(tmp_path / "a1.csv")]) == 0
+        assert built == []
+
 
 class TestAuxiliaryOutputs:
     def test_stability_summary_json(self, store, tmp_path):
@@ -811,6 +842,68 @@ class TestLongHistoryMemory:
         done = _run_in_256_mib([*command, "--out", str(out), "--store", long_store])
         assert done.returncode == 0, done.stderr
         assert len(read_csv(out)[2]) == 2000
+
+
+class TestReportTieGroups:
+    """20 000 equal balances: every day's top 10 is cut from a tie group of
+    20 000 candidates.  Kept unordered for 500 days they would take about
+    160 MB; `report` orders each day's ids as it arrives and keeps 10."""
+
+    @pytest.fixture(scope="class")
+    def tied_store(self, tmp_path_factory):
+        width, days = 20_000, 500
+        lines = [rec("mint", 0, [], [[f"h{i:05d}", 1_000] for i in range(width)])]
+        lines += [rec(f"t{d}", d * DAY, [["h00000", 1]], [["h00001", 1]])
+                  for d in range(1, days)]
+        store = tmp_path_factory.mktemp("tied") / "store"
+        save_ledger(parse_ledger(lines), str(store))
+        return str(store)
+
+    def test_report_runs_in_256_mib(self, tied_store, tmp_path):
+        out = tmp_path / "report"
+        done = _run_in_256_mib(["report", "--tops", "10", "--intervals", "1", "--focus", "10",
+                                "--no-charts", "--out", str(out), "--store", tied_store])
+        assert done.returncode == 0, done.stderr
+        assert len(read_csv(out / "hhi.csv")[2]) == 3 * 500
+
+
+# A ledger whose day-3 focus graph has a degree and a PageRank dispersion
+# of 3.0000000000000004 and 3.000000000000001, so `dispersion.svg` spans a
+# y range two ULPs wide.
+ULP_WIDE_EXPORT = [
+    rec("t0", 259200, [], [["d", 4]]),
+    rec("t1", 259200, [], [["f", 333332], ["e", 333332], ["a", 333333]]),
+    rec("t2", 259200, [["f", 192524], ["a", 101340]], [["\u00e9", 293864]]),
+    rec("t3", 0, [], [["b", 1], ["zz", 1], ["a", 1]]),
+    rec("t4", 1, [], [["\u00e9", 1000000]]),
+    rec("t5", 86399, [], [["zz", 4611686018427387903]]),
+    rec("t6", 0, [], [["zz", 1], ["zz", 1]]),
+]
+
+
+class TestChartTicks:
+    """A tick step below half an ULP of the tick value never moves it; the
+    tick loop must still end.  Both run in a bounded child."""
+
+    def test_ticks_over_a_range_two_ulps_wide(self):
+        code = ("from ledgerlens.svg import _nice_ticks; "
+                "print(_nice_ticks(3.0000000000000004, 3.000000000000001))")
+        done = subprocess.run([sys.executable, "-c", code], env=_child_env(),
+                              preexec_fn=_limit_address_space, capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "[3.0000000000000004]\n"
+
+    def test_report_charts_a_range_two_ulps_wide(self, tmp_path):
+        store = tmp_path / "store"
+        save_ledger(parse_ledger(ULP_WIDE_EXPORT), str(store))
+        out = tmp_path / "report"
+        done = _run_in_256_mib(["report", "--tops", "1,3", "--intervals", "1,2", "--focus", "2",
+                                "--out", str(out), "--store", str(store)])
+        assert done.returncode == 0, done.stderr
+        day3 = sorted(r[2] for r in read_csv(out / "dispersion.csv")[2] if r[0] == "3")
+        assert day3 == ["3.0000000000000004", "3.000000000000001"]
+        assert (out / "charts" / "dispersion.svg").read_text().startswith("<svg")
 
 
 class TestBlasThreads:

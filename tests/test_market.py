@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -11,10 +13,11 @@ from ledgerlens import (
     d_hhi,
     generate,
     hhi,
+    hhi_by_scheme,
     hhi_series,
     label_propagation,
 )
-from ledgerlens import market
+from ledgerlens import Ranking, market
 from ledgerlens.market import (
     HHISeries,
     _focus_labels,
@@ -619,6 +622,99 @@ class TestHHISeries:
         ledger = equal_wealth_ledger(n=4, days=4)
         with pytest.raises(ValueError, match="focus_n must be >= 1"):
             hhi_series(ledger, scheme, compute_rankings(ledger, 100), focus_n=focus_n)
+
+
+def late_tied_ledger():
+    """No address is funded and nothing is minted before day 2 (the epoch
+    is day 0); from day 2 twelve addresses hold equal balances, so a focus
+    of 5 cuts through a tie, and pairs of them trade every day after."""
+    lines = [rec("c0", 2 * DAY, [], [[f"h{i:02d}", 1000] for i in range(12)])]
+    for day in range(3, 9):
+        for k in range(3):
+            u, v = (day + 2 * k) % 12, (day + 2 * k + 1) % 12
+            lines.append(rec(f"t{day}.{k}", day * DAY + k,
+                             [[f"h{u:02d}", 10]], [[f"h{v:02d}", 10]]))
+    return make_ledger(lines, epoch=0)
+
+
+def synth_ledger():
+    return generate(SynthConfig(seed=6, days=12, txs_per_day=40, pool=30,
+                                regime="preferential", alpha=1.0,
+                                initial_supply=10**9, reward=10**6))
+
+
+class TestHHIByScheme:
+    """`hhi_by_scheme` scores every scheme from one read of the rankings
+    and one set of A2/A3 labels; each series is the one `hhi_series`
+    gives for its scheme alone."""
+
+    @pytest.mark.parametrize("method,seed", [("label_propagation", 0),
+                                             ("label_propagation", 9),
+                                             ("modularity", 0)])
+    # 5 cuts through late_tied_ledger's tie; 50 is above every funded count.
+    @pytest.mark.parametrize("focus_n", [5, 50])
+    @pytest.mark.parametrize("make", [lambda: make_ledger([]), late_tied_ledger,
+                                      synth_ledger], ids=["empty", "late_tied", "synth"])
+    def test_every_order_of_schemes_matches_hhi_series(self, make, focus_n, method, seed):
+        ledger = make()
+        rankings = list(compute_rankings(ledger, focus_n))
+        alone = {s: hhi_series(ledger, s, rankings, focus_n, method, seed)
+                 for s in ("a1", "a2", "a3")}
+        for size in (1, 2, 3):
+            for schemes in itertools.permutations(("a1", "a2", "a3"), size):
+                batch = hhi_by_scheme(ledger, schemes, iter(rankings), focus_n, method, seed)
+                assert list(batch) == list(schemes)
+                for scheme, series in batch.items():
+                    assert series.scheme == scheme
+                    assert repr(series.values) == repr(alone[scheme].values)
+        funded = [d for d in range(ledger.n_days) if ledger.supply_at(d) > 0]
+        assert list(alone["a3"].values) == funded
+
+    def test_late_tied_ledger_cases(self):
+        # Days 0 and 1 have neither a funded address nor minted supply, and
+        # day 2's twelve equal balances fill a focus of 5 from a tie.
+        ledger = late_tied_ledger()
+        rankings = list(compute_rankings(ledger, 5))
+        assert [len(r) for r in rankings[:3]] == [0, 0, 5]
+        assert [ledger.supply_at(d) for d in range(3)] == [0, 0, 12_000]
+        series = hhi_by_scheme(ledger, ("a1", "a2", "a3"), rankings, focus_n=5)
+        assert all(sorted(s.values) == list(range(2, ledger.n_days)) for s in series.values())
+        # Equal balances with no trades yet: twelve singleton firms, or five
+        # and the V_o pseudo-firm of seven.
+        assert series["a1"].values[2] == series["a2"].values[2] == pytest.approx(10000 / 12)
+        assert series["a3"].values[2] == pytest.approx(10000 * (5 + 49) / 144)
+
+    def test_repeats_dropped_and_case_folded(self):
+        ledger = synth_ledger()
+        rankings = list(compute_rankings(ledger, 100))
+        batch = hhi_by_scheme(ledger, ["A3", "a1", "a3", "A1"], rankings)
+        assert list(batch) == ["a3", "a1"]
+        assert batch["a3"].values == hhi_series(ledger, "a3", rankings).values
+
+    def test_empty_focus_on_a_minted_day_scores_zero(self):
+        # A day whose ranking holds no address scores 0.0 under every
+        # scheme, the value of a supply that no firm holds.
+        ledger = make_ledger([rec("c0", 0, [], [["a", 50]])])
+        empty = Ranking(0, 100, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64),
+                        ledger.addresses)
+        batch = hhi_by_scheme(ledger, ("a1", "a2", "a3"), [empty])
+        assert {s: series.values for s, series in batch.items()} == {
+            "a1": {0: 0.0}, "a2": {0: 0.0}, "a3": {0: 0.0}}
+
+    @pytest.mark.parametrize("schemes", [("a1",), ("a2", "a3"), ("a1", "a2", "a3")])
+    def test_refusals(self, schemes):
+        ledger = equal_wealth_ledger(n=4, days=4)
+        rankings = list(compute_rankings(ledger, 100))
+        with pytest.raises(ValueError, match="unknown scheme 'a4'"):
+            hhi_by_scheme(ledger, (*schemes, "A4"), rankings)
+        for focus_n in (0, -5):
+            with pytest.raises(ValueError, match="focus_n must be >= 1"):
+                hhi_by_scheme(ledger, schemes, rankings, focus_n=focus_n)
+        with pytest.raises(ValueError, match="focus_n=6 deep"):
+            hhi_by_scheme(ledger, schemes, compute_rankings(ledger, 5), focus_n=6)
+        for wrong in (rankings[:-1], rankings + rankings[-1:]):
+            with pytest.raises(ValueError, match=r"hhi_series needs one ranking per day \(4\)"):
+                hhi_by_scheme(ledger, schemes, wrong)
 
 
 class TestDHHI:

@@ -225,3 +225,22 @@ class TestDispersionSeries:
         rankings = compute_rankings(ledger, 100)
         with pytest.raises(ValueError, match="n must be >= 1"):
             dispersion_series(ledger, rankings, ("degree",), focus_n=focus_n)
+
+    # two_day_ledger's day 1 has a focus graph of three nodes; two coinbases
+    # on days 0 and 1 give no day a graph of two nodes.
+    @pytest.mark.parametrize("make", [
+        two_day_ledger,
+        lambda: make_ledger([rec("c0", 0, [], [["A", 5]]), rec("c1", DAY, [], [["B", 5]])]),
+    ], ids=["graph_day", "no_graph_day"])
+    def test_unknown_metric_refused_before_any_day(self, make):
+        ledger = make()
+        read = []
+
+        def rankings():
+            for r in compute_rankings(ledger, 100):
+                read.append(r.day)
+                yield r
+
+        with pytest.raises(ValueError, match="unknown metric 'degre'"):
+            dispersion_series(ledger, rankings(), ("degree", "degre"))
+        assert read == []
