@@ -222,6 +222,8 @@ def _cmd_stability(args) -> int:
 def _cmd_dstatic(args) -> int:
     ledger, store_hash = _open_store(args)
     if args.svg:
+        if args.curve_day is None and not ledger.n_days:
+            raise ValueError("the ledger has no day to chart a curve for")
         curve_day = args.curve_day if args.curve_day is not None else ledger.n_days - 1
         check_curve_day(curve_day, ledger.n_days)
     elif args.curve_day is not None:

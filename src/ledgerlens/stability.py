@@ -14,22 +14,23 @@ Each day's ranking, cut at the largest N, becomes one list of ascending
 ids, with each id's position in its ranking and the start and stop of its
 tie run.  For each distinct interval, `np.searchsorted` over the keys
 ``day * span + id`` finds every id that day d shares with day d +
-interval, in ascending-id order within each pair.  Each N then needs no
-set operation of its own:
+interval.  Each N then needs no set operation of its own:
 
 * an id is in both top-N lists when both its positions are below N;
-* its tie rank in a list cut at N is ``(start + 1 + min(stop, N)) / 2``,
-  so a tie run cut at N averages only its kept positions;
+* twice its tie rank in a list cut at N is the integer ``start + 1 +
+  min(stop, N)``, so a tie run cut at N averages only its kept positions;
 * retention counts those ids per pair;
-* penalized Spearman merges each pair's two top-N lists into their
-  ascending-id union.
+* Spearman takes each pair's count and sums of x, y, x², y² and xy over
+  those doubled ranks with one `np.bincount` per sum, and penalized mode
+  adds the members only one list holds from that list's own sums.
 
-The kernel works on blocks of days, so its working set stays small however
-deep the lists are.  The rank vectors reach the Pearson step in ascending
-id order, and its sums are numpy pairwise sums (`pairwise_dot`, never a
-BLAS dot), so every value is made in one fixed order whatever the BLAS
-thread count.  `stability_series`, `spearman` and `retention` are batches
-of one through the same kernel.
+The sums are of integers, exact in float64 below 2**53 (lists up to
+119 000 deep; rounded, never wrapped, beyond), and each pair's coefficient
+is finished in Python ints, so no value depends on the order of its
+members, on the day blocks or on the BLAS thread count.  The kernel works
+on blocks of days, so its working set stays small however deep the lists
+are.  `stability_series`, `spearman` and `retention` are batches of one
+through the same kernel.
 """
 
 import math
@@ -38,7 +39,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .balances import Ranking, pairwise_dot
+from .balances import Ranking
 
 SPEARMAN_MODES = ("intersection", "penalized")
 METRICS = ("spearman", "retention")
@@ -79,18 +80,6 @@ class DistributionSummary:
             "min": self.min,
             "max": self.max,
         }
-
-
-def _pearson(x: np.ndarray, y: np.ndarray) -> float | None:
-    # np.add.reduce(x) / len(x) is the value x.mean() gives, without its
-    # per-call overhead.
-    xd = x - np.add.reduce(x) / len(x)
-    yd = y - np.add.reduce(y) / len(y)
-    den = pairwise_dot(xd, xd) * pairwise_dot(yd, yd)
-    if den <= 0.0:
-        return None
-    r = pairwise_dot(xd, yd) / math.sqrt(den)
-    return min(1.0, max(-1.0, r))
 
 
 # The kernel works on blocks of whole days holding about this many list
@@ -181,32 +170,35 @@ class _DayLists:
         return self.keys[entries] // self.span
 
 
-def _tie_ranks(start: np.ndarray, stop: np.ndarray, cut: int) -> np.ndarray:
-    """Tie ranks of the entries with tie runs [start, stop) in their lists
-    cut at `cut`: a run cut there averages only its kept positions, so each
-    value is exactly the one `Ranking.tie_ranks` gives on the truncated
-    ranking."""
-    return 0.5 * (start + (np.minimum(stop, cut) + 1.0))
+def _doubled_ranks(start: np.ndarray, stop: np.ndarray, cut: int) -> np.ndarray:
+    """Twice the tie ranks of the entries with tie runs [start, stop) in
+    their lists cut at `cut`, as exact integers in float64: a run cut there
+    averages only its kept positions, so each value is twice the one
+    `Ranking.tie_ranks` gives on the truncated ranking."""
+    return start + (np.minimum(stop, cut) + 1.0)
 
 
-def _pair_values(
-    metric: str, len_a: np.ndarray, len_b: np.ndarray, counts: np.ndarray,
-    x: np.ndarray | None, y: np.ndarray | None,
-) -> list[float | None]:
-    """One value per pair from its two list sizes, the count of ids it
-    shares (retention) or of its Spearman members, and for Spearman the
-    members' rank vectors, pair after pair in x and y, ascending by id."""
-    bounds = np.concatenate(([0], np.cumsum(counts))).tolist()
-    out: list[float | None] = []
-    for la, lb, a, b in zip(len_a.tolist(), len_b.tolist(), bounds, bounds[1:]):
-        if metric == "retention":
-            denom = max(la, lb)
-            out.append(1.0 if denom == 0 else (b - a) / denom)
-        elif not la or not lb or b - a < 2:
-            out.append(None)
+def _square_sums(lists: _DayLists, d0: int, d1: int, cut: int) -> np.ndarray:
+    """For each day d0..d1-1, the sum of the squared doubled ranks of its
+    list cut at `cut`."""
+    e0, e1 = int(lists.ptr[d0]), int(lists.ptr[d1])
+    kept = np.flatnonzero(lists.pos[e0:e1] < cut) + e0
+    x = _doubled_ranks(lists.start[kept], lists.stop[kept], cut)
+    return np.bincount(lists.day(kept) - d0, x * x, d1 - d0)
+
+
+def _pearson(*moments: np.ndarray) -> Iterator[float | None]:
+    """The Pearson coefficient of each pair from its moments m, Σx, Σy,
+    Σx², Σy² and Σxy (integers, one array each), or None when it has fewer
+    than two members or either side has no variance.  The moments become
+    Python ints, so the cross terms cannot wrap, and rounding starts only
+    at the final square root and division."""
+    for m, sx, sy, sxx, syy, sxy in zip(*(map(int, a.tolist()) for a in moments)):
+        vx, vy = m * sxx - sx * sx, m * syy - sy * sy
+        if m < 2 or vx <= 0 or vy <= 0:
+            yield None
         else:
-            out.append(_pearson(x[a:b], y[a:b]))
-    return out
+            yield min(1.0, max(-1.0, (m * sxy - sx * sy) / math.sqrt(vx * vy)))
 
 
 def _interval_values(
@@ -238,6 +230,7 @@ def _interval_values(
         pair = lists.day(ia) - d0
         deepest = np.maximum(pos[ia], pos[ib])
         a_start, a_stop, b_start, b_stop = start[ia], stop[ia], start[ib], stop[ib]
+        days = range(d0, d1)
         for n, metrics in by_n.items():
             cut = min(n, lists.max_size)  # the same lists, and fits int32
             len_a = np.minimum(lists.sizes[d0:d1], cut)
@@ -246,39 +239,33 @@ def _interval_values(
             # (Positions, not masks: `take` is several times faster than
             # boolean indexing here.)
             shared = np.flatnonzero(deepest < cut)
-            counts = np.bincount(pair.take(shared), minlength=d1 - d0)
-            for metric in metrics:
-                x = y = None
-                members = counts
-                if metric == "spearman" and mode == "penalized":
-                    # Each pair's union: the first list's members (rank
-                    # len_b + 1 where the second lacks them) merged by
-                    # (pair, id) with the second's members the first lacks
-                    # (rank len_a + 1).
-                    in_a = np.zeros(a1 - a0, dtype=bool)
-                    in_a[ia.take(shared) - a0] = True
-                    in_b = np.zeros(b1 - b0, dtype=bool)
-                    in_b[ib.take(shared) - b0] = True
-                    a_kept = np.flatnonzero(pos[a0:a1] < cut) + a0
-                    b_only = np.flatnonzero((pos[b0:b1] < cut) & ~in_b) + b0
-                    a_pair = lists.day(a_kept) - d0
-                    b_pair = lists.day(b_only) - d0 - interval
-                    ya = len_b[a_pair] + 1.0
-                    ya[in_a[a_kept - a0]] = _tie_ranks(b_start.take(shared),
-                                                       b_stop.take(shared), cut)
-                    # Two ascending runs: the stable sort merges them.
-                    order = np.argsort(np.concatenate((lists.keys[a_kept],
-                                                       lists.keys[b_only] - shift)),
-                                       kind="stable")
-                    x = np.concatenate((_tie_ranks(start[a_kept], stop[a_kept], cut),
-                                        len_a[b_pair] + 1.0))[order]
-                    y = np.concatenate((ya, _tie_ranks(start[b_only], stop[b_only], cut)))[order]
-                    members = np.bincount(np.concatenate((a_pair, b_pair)), minlength=d1 - d0)
-                elif metric == "spearman":
-                    x = _tie_ranks(a_start.take(shared), a_stop.take(shared), cut)
-                    y = _tie_ranks(b_start.take(shared), b_stop.take(shared), cut)
-                values[(metric, n)].update(
-                    zip(range(d0, d1), _pair_values(metric, len_a, len_b, members, x, y)))
+            in_pair = pair.take(shared)
+            m = np.bincount(in_pair, minlength=d1 - d0)
+            if "retention" in metrics:
+                denom = np.maximum(len_a, len_b)
+                values[("retention", n)].update(
+                    zip(days, np.where(denom == 0, 1.0, m / np.maximum(denom, 1)).tolist()))
+            if "spearman" not in metrics:
+                continue
+            x = _doubled_ranks(a_start.take(shared), a_stop.take(shared), cut)
+            y = _doubled_ranks(b_start.take(shared), b_stop.take(shared), cut)
+            sx, sy, sxx, syy, sxy = (np.bincount(in_pair, w, d1 - d0)
+                                     for w in (x, y, x * x, y * y, x * y))
+            if mode == "penalized":
+                # Each list's members that the other lacks join the pair at
+                # the other's absent rank, doubled 2 * len + 2.  A list's
+                # doubled ranks sum to len * (len + 1), since a tie run
+                # keeps the sum of its positions, so those members' sums
+                # are the list's sums less the shared ones.
+                pa, pb = 2.0 * len_a + 2, 2.0 * len_b + 2
+                only_a, only_b = len_a - m, len_b - m
+                ta, tb = len_a * (len_a + 1.0), len_b * (len_b + 1.0)
+                m, sx, sy, sxx, syy, sxy = (
+                    m + only_a + only_b, ta + only_b * pa, tb + only_a * pb,
+                    _square_sums(lists, d0, d1, cut) + only_b * pa * pa,
+                    _square_sums(lists, d0 + interval, d1 + interval, cut) + only_a * pb * pb,
+                    sxy + (ta - sx) * pb + (tb - sy) * pa)
+            values[("spearman", n)].update(zip(days, _pearson(m, sx, sy, sxx, syy, sxy)))
     return values
 
 

@@ -12,7 +12,11 @@ Wealth regimes:
 * ``uniform`` - senders uniform over funded addresses, receivers uniform
   over the whole pool.
 * ``preferential`` - receivers drawn with probability proportional to
-  (balance + 1) ** alpha; alpha 0 reduces to uniform.
+  (balance + 1) ** alpha; alpha 0 reduces to uniform.  Addresses that
+  `growth` adds start unfunded, so each is drawn with weight 1 against
+  the funded addresses' (balance + 1) ** alpha, and few of them ever
+  transact: the ledger's address set barely grows, where ``uniform``
+  reaches them.
 * ``hub`` - half the payments flow from random spokes into one of `hubs`
   hub addresses, half from hubs back out to random spokes.
 * ``churn`` - a rotating window of round(churn_rate * 100) current top-100

@@ -208,7 +208,11 @@ def dispersion(metric: MetricVector) -> float:
     if high == low:
         return 1.0
     avg = float(vals.sum()) / len(vals)
-    return (high - low) / (avg - low)
+    if low < avg < high:
+        return (high - low) / (avg - low)
+    # The float mean of a near-constant vector can round onto or past an
+    # extreme; the mean of the offsets from the minimum stays above zero.
+    return (high - low) / (float((vals - low).sum()) / len(vals))
 
 
 def dispersion_series(

@@ -25,6 +25,33 @@ def pearson_fsum(xs, ys) -> float | None:
     return cov / math.sqrt(vx * vy)
 
 
+def pearson_int(xs, ys) -> float | None:
+    """Pearson correlation of two int vectors from exact Python-int
+    moments: only the final division, square root and their operands are
+    rounded.  None when there are fewer than two members or either side has
+    no variance."""
+    m = len(xs)
+    sx, sy = sum(xs), sum(ys)
+    vx = m * sum(x * x for x in xs) - sx * sx
+    vy = m * sum(y * y for y in ys) - sy * sy
+    if m < 2 or vx == 0 or vy == 0:
+        return None
+    r = (m * sum(x * y for x, y in zip(xs, ys)) - sx * sy) / math.sqrt(vx * vy)
+    return min(1.0, max(-1.0, r))
+
+
+def spearman_int(a, b, mode) -> float | None:
+    """Spearman coefficient of two ranked lists of (key, value), largest
+    value first, as `pearson_int` of doubled average ranks (integers).
+    `intersection` keeps the keys both lists hold; `penalized` keeps every
+    key, an absentee at rank len + 1 of the list that lacks it."""
+    ra = {k: int(2 * r) for (k, _), r in zip(a, average_ranks([v for _, v in a]))}
+    rb = {k: int(2 * r) for (k, _), r in zip(b, average_ranks([v for _, v in b]))}
+    keys = set(ra) & set(rb) if mode == "intersection" else set(ra) | set(rb)
+    pa, pb = 2 * len(a) + 2, 2 * len(b) + 2
+    return pearson_int([ra.get(k, pa) for k in keys], [rb.get(k, pb) for k in keys])
+
+
 def average_ranks(values_desc) -> list[float]:
     """1-based ranks of a descending list, ties sharing their mean position."""
     n = len(values_desc)

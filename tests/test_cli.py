@@ -414,6 +414,20 @@ class TestEmptyLedger:
                     "--svg", "c.svg"]) == 1
         assert not (tmp_path / "d.csv").exists() and not (tmp_path / "c.svg").exists()
 
+    def test_dstatic_svg_names_the_missing_days(self, empty_store, tmp_path, monkeypatch,
+                                                capsys):
+        # With no --curve-day the refusal names the empty ledger, not a day
+        # -1 the command line never gave; a given day is named as given.
+        monkeypatch.chdir(tmp_path)
+        command = ["dstatic", "--store", empty_store, "--out", "d.csv", "--svg", "c.svg"]
+        assert run(command) == 1
+        assert capsys.readouterr().err == (
+            "ledgerlens: the ledger has no day to chart a curve for\n")
+        assert run(command + ["--curve-day", "0"]) == 1
+        assert capsys.readouterr().err == (
+            "ledgerlens: curve day 0 is not a day of the ledger (0 days)\n")
+        assert sorted(os.listdir(tmp_path)) == ["empty.jsonl", "store"]
+
 
 class TestExitCodes:
     def test_unknown_flag_is_usage_error(self, capsys):

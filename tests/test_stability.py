@@ -14,9 +14,9 @@ from ledgerlens import (
 from ledgerlens import stability
 from ledgerlens.balances import Ranking
 from ledgerlens.report import _cell, build_report
-from ledgerlens.stability import _pearson, stability_table
+from ledgerlens.stability import stability_table
 from conftest import make_ledger, rec
-from oracles import average_ranks, pearson_fsum
+from oracles import average_ranks, pearson_fsum, spearman_int
 
 
 def mk_ranking(ids, balances, day=0, n=None):
@@ -46,10 +46,6 @@ def oracle_spearman(rank_a, rank_b):
     return pearson_fsum([ra[i] for i in common], [rb[i] for i in common])
 
 
-# Reference stability: the per-pair algorithm on Python sets and {id: rank}
-# dicts that the array kernel replaced.  Same arithmetic (`_pearson` on
-# ascending-id vectors), so the kernel must match it exactly.
-
 def ref_tie_ranks(balances):
     m = len(balances)
     ranks = np.arange(1, m + 1, dtype=np.float64)
@@ -63,28 +59,15 @@ def ref_tie_ranks(balances):
     return ranks
 
 
-def ref_rank_by_id(ranking):
-    return {int(i): float(r) for i, r in zip(ranking.ids, ref_tie_ranks(ranking.balances))}
-
+# Reference stability: the per-pair algorithm on Python sets and {id: rank}
+# dicts that the array kernel replaced, with the kernel's arithmetic: the
+# Pearson coefficient of doubled tie ranks (integers) from exact Python-int
+# moments (`oracles.spearman_int`).  The kernel's sums are exact too, so it
+# must match exactly.
 
 def ref_spearman(rank_a, rank_b, mode):
-    ra = ref_rank_by_id(rank_a)
-    rb = ref_rank_by_id(rank_b)
-    if mode == "intersection":
-        common = sorted(set(ra) & set(rb))
-        if len(common) < 2:
-            return None
-        x = np.array([ra[i] for i in common])
-        y = np.array([rb[i] for i in common])
-    else:
-        universe = sorted(set(ra) | set(rb))
-        if len(universe) < 2:
-            return None
-        pa = float(len(rank_a) + 1)
-        pb = float(len(rank_b) + 1)
-        x = np.array([ra.get(i, pa) for i in universe])
-        y = np.array([rb.get(i, pb) for i in universe])
-    return _pearson(x, y)
+    return spearman_int(list(zip(rank_a.ids.tolist(), rank_a.balances.tolist())),
+                        list(zip(rank_b.ids.tolist(), rank_b.balances.tolist())), mode)
 
 
 def ref_series(rankings, n, interval, metric, mode):
@@ -197,6 +180,32 @@ class TestKernelMatchesReference:
             assert stability_series(rankings, 2, 3, metric).values == {}
             assert stability_series(rankings, 2, 50, metric).values == {}
 
+    @given(days=st.lists(day_rankings, min_size=2, max_size=6), n=st.integers(1, 16),
+           mode=st.sampled_from(["intersection", "penalized"]), seed=st.integers(0, 99))
+    def test_id_permutation_keeps_every_bit(self, days, n, mode, seed):
+        # Renaming the ids keeps every list's order, so every coefficient
+        # is made from the same integer sums whatever order the ids sort in.
+        rankings = [mk_ranking(list(d), list(d.values()), day=i) for i, d in enumerate(days)]
+        new_id = np.random.default_rng(seed).permutation(1000)
+        renamed = [Ranking(r.day, r.n, new_id[r.ids], r.balances) for r in rankings]
+        specs = [("spearman", n, i) for i in range(1, len(days))]
+        for spec, series in stability_table(rankings, specs, mode).items():
+            assert stability_table(renamed, [spec], mode)[spec].values == series.values
+
+    @pytest.mark.parametrize("mode", ["intersection", "penalized"])
+    def test_deep_pair_takes_python_int_sums(self, mode):
+        # 60 000 members a list: m * sum(x * x) passes 2**63, where int64
+        # arithmetic would wrap.
+        rng = np.random.default_rng(11)
+        pool = rng.permutation(70_000)
+        a = mk_ranking(pool[:60_000].tolist(), rng.integers(1, 5_000, 60_000).tolist())
+        b = mk_ranking(pool[10_000:].tolist(), rng.integers(1, 5_000, 60_000).tolist())
+        xs = [int(2 * r) for r in average_ranks(a.balances.tolist())]
+        assert len(xs) * sum(x * x for x in xs) > 2**63
+        got = stability_series([a, b], 60_000, 1, "spearman", mode).values[0]
+        assert got == ref_spearman(a, b, mode)
+        assert abs(got) > 1e-3
+
     @given(runs=st.lists(st.integers(1, 4), max_size=12))
     def test_tie_ranks_match_loop(self, runs):
         # Non-increasing balances built from run lengths: one run per value.
@@ -263,6 +272,26 @@ class TestSpearman:
                 assert got is None
             else:
                 assert got == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("mode", ["intersection", "penalized"])
+    def test_within_1e15_of_fsum_oracle(self, mode):
+        rng = np.random.default_rng(43)
+        for _ in range(300):
+            pool = rng.choice(400, size=150, replace=False)
+            cut = int(rng.integers(2, 100))
+            a = mk_ranking(pool[:100].tolist(), rng.integers(1, 12, 100).tolist())
+            b = mk_ranking(pool[50:].tolist(), rng.integers(1, 12, 100).tolist())
+            got = stability_series([a, b], cut, 1, "spearman", mode).values[0]
+            ra = dict(zip(a.ids[:cut].tolist(), average_ranks(a.balances[:cut].tolist())))
+            rb = dict(zip(b.ids[:cut].tolist(), average_ranks(b.balances[:cut].tolist())))
+            members = set(ra) & set(rb) if mode == "intersection" else set(ra) | set(rb)
+            want = pearson_fsum([ra.get(i, cut + 1.0) for i in members],
+                                [rb.get(i, cut + 1.0) for i in members]) \
+                if len(members) > 1 else None
+            if want is None:
+                assert got is None
+            else:
+                assert got == pytest.approx(want, rel=0, abs=1e-15)
 
     def test_penalized_mode_identical(self):
         a = mk_ranking([1, 2, 3], [9, 5, 2])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -204,6 +206,19 @@ class TestDispersion:
             vals = rng.random(int(rng.integers(2, 50)))
             vec = MetricVector("x", np.arange(len(vals)), vals)
             assert dispersion(vec) >= 1.0
+
+    @pytest.mark.parametrize("vals, want", [
+        ([0.01] * 3 + [math.nextafter(0.01, 1)], 4.0),
+        ([0.1] * 100 + [math.nextafter(0.1, 1)], 101.0),
+    ])
+    def test_near_constant_vector(self, vals, want):
+        # The float mean of these rounds onto the minimum (a division by
+        # zero) or past the maximum (a dispersion below 1); one node one
+        # ULP above the rest is the one-dominant case.
+        vals = np.array(vals)
+        mean = float(vals.sum()) / len(vals)
+        assert not vals.min() < mean < vals.max()
+        assert dispersion(MetricVector("x", np.arange(len(vals)), vals)) == want
 
     def test_too_few_nodes(self):
         with pytest.raises(ValueError):
