@@ -18,7 +18,7 @@ import sys
 from dataclasses import dataclass
 from itertools import chain, filterfalse, islice, repeat
 from operator import itemgetter
-from typing import IO, Iterable, Iterator, NamedTuple, NoReturn
+from typing import IO, Callable, Iterable, Iterator, NamedTuple, NoReturn
 
 import numpy as np
 
@@ -48,22 +48,30 @@ class AddressTable:
 
     Id 0 is always the COINBASE pseudo-address.  Ids are assigned in first
     appearance order on ingest, so a given input stream always produces the
-    same numbering.
+    same numbering.  The name -> id index is built when interning or
+    `id_of` first needs it, so a table that is only read (a loaded store)
+    keeps its names alone.
     """
 
     __slots__ = ("names", "_index", "_name_rank")
 
     def __init__(self, names: Iterable[str] = ()):
         """A table of COINBASE and then `names`, interned in order."""
-        self.names: list[str] = [COINBASE]
-        self._index: dict[str, int] = {COINBASE: 0}
+        self.names: list[str] = list(dict.fromkeys(chain((COINBASE,), names)))
+        self._index: dict[str, int] | None = None
         self._name_rank: np.ndarray | None = None
-        self._add(names)
+
+    def _ids(self) -> dict[str, int]:
+        """The name -> id index, built on first use."""
+        if self._index is None:
+            self._index = dict(zip(self.names, range(len(self.names))))
+        return self._index
 
     def _add(self, names: Iterable[str]) -> None:
         """Append the names not yet interned, in first-appearance order."""
-        fresh = list(filterfalse(self._index.__contains__, dict.fromkeys(names)))
-        self._index.update(zip(fresh, range(len(self.names), len(self.names) + len(fresh))))
+        index = self._ids()
+        fresh = list(filterfalse(index.__contains__, dict.fromkeys(names)))
+        index.update(zip(fresh, range(len(self.names), len(self.names) + len(fresh))))
         self.names += fresh
 
     def intern_all(self, names: list[str]) -> np.ndarray:
@@ -73,15 +81,16 @@ class AddressTable:
                            count=len(names))
 
     def intern(self, name: str) -> int:
-        idx = self._index.get(name)
+        index = self._ids()
+        idx = index.get(name)
         if idx is None:
             idx = len(self.names)
             self.names.append(name)
-            self._index[name] = idx
+            index[name] = idx
         return idx
 
     def id_of(self, name: str) -> int:
-        return self._index[name]
+        return self._ids()[name]
 
     def __len__(self) -> int:
         return len(self.names)
@@ -253,12 +262,16 @@ class Ledger:
     Transactions are ordered by (timestamp, txid).  Day 0 starts at the UTC
     midnight preceding the epoch (the first transaction by default) and each
     day covers a contiguous transaction range.
+
+    `txids` is the list of transaction ids, or a function that returns it:
+    a loaded store passes one, so the ids are decoded only when something
+    reads `txids` (serialization, `transaction`, a BalanceError).
     """
 
     def __init__(
         self,
         addresses: AddressTable,
-        txids: list[str],
+        txids: list[str] | Callable[[], list[str]],
         times: np.ndarray,
         in_ptr: np.ndarray,
         in_addr: np.ndarray,
@@ -270,7 +283,7 @@ class Ledger:
         out_of_order: int = 0,
     ):
         self.addresses = addresses
-        self.txids = txids
+        self._txids = txids
         self.times = times
         self.in_ptr = in_ptr
         self.in_addr = in_addr
@@ -280,7 +293,7 @@ class Ledger:
         self.out_val = out_val
         self.out_of_order = out_of_order
 
-        n = len(txids)
+        n = len(times)
         if n == 0:
             self.epoch_start = epoch_start
             self.days = np.zeros(0, dtype=np.int64)
@@ -326,12 +339,18 @@ class Ledger:
 
     # -- basic access --------------------------------------------------
 
+    @property
+    def txids(self) -> list[str]:
+        if callable(self._txids):
+            self._txids = self._txids()
+        return self._txids
+
     def __len__(self) -> int:
-        return len(self.txids)
+        return len(self.times)
 
     @property
     def genesis_time(self) -> int | None:
-        return int(self.times[0]) if len(self.txids) else None
+        return int(self.times[0]) if len(self.times) else None
 
     def transaction(self, i: int) -> Transaction:
         names = self.addresses.names
@@ -346,7 +365,7 @@ class Ledger:
         return Transaction(self.txids[i], int(self.times[i]), ins, outs)
 
     def __iter__(self) -> Iterator[Transaction]:
-        for i in range(len(self.txids)):
+        for i in range(len(self)):
             yield self.transaction(i)
 
     def day_range(self, day: int) -> tuple[int, int]:
@@ -389,7 +408,7 @@ class Ledger:
 
     def serialize(self, fp: IO[str]) -> None:
         """Write the canonical JSON-lines form (stable key order, compact)."""
-        for i in range(len(self.txids)):
+        for i in range(len(self)):
             fp.write(json.dumps(self.canonical_record(i), separators=(",", ":")))
             fp.write("\n")
 

@@ -5,8 +5,17 @@ Layout of a store directory::
 
     meta.json       store version, counts, epoch, content hash
     ledger.npz      flat transaction arrays + interned string blobs
+
+The content hash is the SHA-256 of every array's bytes in store order.
+Loading checks it, then the two string tables, then the arrays against
+each other (lengths, pointers, address ids, values, time order), so a
+damaged store is a StoreError even when its hash was recomputed.  A loaded
+ledger keeps the txid table packed, decoding it when `Ledger.txids` is
+first read, and an address table whose name index is built only when a
+name is looked up.
 """
 
+import functools
 import hashlib
 import json
 import os
@@ -18,7 +27,7 @@ import numpy as np
 # name because the benchmark's tracer (bench/tracer.py) wraps it here.
 from .balances import _apply_day
 from .errors import StoreError
-from .ledger import COINBASE, AddressTable, Ledger
+from .ledger import COINBASE, MAX_VALUE, AddressTable, Ledger, _segment_totals
 
 STORE_VERSION = 1
 
@@ -32,7 +41,7 @@ def _pack_strings(items: list[str]) -> np.ndarray:
 
 
 def _unpack_strings(arr: np.ndarray) -> list[str]:
-    items = json.loads(arr.tobytes().decode("utf-8"))
+    items = json.loads(str(arr, "utf-8"))
     if not isinstance(items, list) or not set(map(type, items)) <= {str}:
         raise ValueError("string table is not a list of strings")
     return items
@@ -54,7 +63,7 @@ def _columns(ledger: Ledger) -> dict[str, np.ndarray]:
 def _digest(cols: dict[str, np.ndarray]) -> str:
     h = hashlib.sha256()
     for name in _ARRAYS:
-        h.update(np.ascontiguousarray(cols[name]).tobytes())
+        h.update(np.ascontiguousarray(cols[name]))
     return h.hexdigest()[:16]
 
 
@@ -120,8 +129,57 @@ def load_meta(store_dir: str) -> dict:
     return meta
 
 
+def _inconsistency(cols: dict[str, np.ndarray], n_txids: int, n_names: int) -> str | None:
+    """Why the arrays of a store whose hash matches cannot be a ledger of
+    `n_txids` txids and `n_names` addresses, or None: each is a 1-D array of
+    its type; times are in order, one per txid; each side's pointers run
+    from 0 to its entry count without decreasing (every transaction has an
+    output); address ids name a real address (1 up to the table's last id)
+    and values are positive; and, as ingest checks, no transaction total
+    exceeds 2^63-1 or has outputs above its inputs, and neither does the
+    minted supply."""
+    for name in _ARRAYS:
+        dtype = np.uint8 if name in ("txids", "addresses") else np.int64
+        if cols[name].ndim != 1 or cols[name].dtype != dtype:
+            return f"{name} is not a 1-D {np.dtype(dtype)} array"
+    n = len(cols["times"])
+    if n_txids != n:
+        return f"txid table has {n_txids} entries for {n} transactions"
+    if (np.diff(cols["times"]) < 0).any():
+        return "times out of order"
+    for side, least in (("in", 0), ("out", 1)):
+        ptr, addr, val = (cols[f"{side}_{part}"] for part in ("ptr", "addr", "val"))
+        if len(ptr) != n + 1:
+            return f"{side}_ptr has {len(ptr)} entries for {n} transactions"
+        if len(addr) != len(val):
+            return f"{side}_addr and {side}_val differ in length"
+        if ptr[0] != 0 or ptr[-1] != len(addr) or (np.diff(ptr) < least).any():
+            return f"{side}_ptr does not run from 0 to the {len(addr)} {side} entries"
+        if len(addr) and not 1 <= addr.min() <= addr.max() < n_names:
+            return f"{side}_addr holds an address id outside 1..{n_names - 1}"
+        if (val <= 0).any():
+            return f"{side}_val holds a value <= 0"
+    in_lens = np.diff(cols["in_ptr"])
+    in_total = _segment_totals(cols["in_val"], in_lens)
+    out_total = _segment_totals(cols["out_val"], np.diff(cols["out_ptr"]))
+    if in_total is None or out_total is None:
+        return "a transaction total exceeds 2^63-1"
+    has_in = in_lens > 0
+    if (in_total[has_in] < out_total[has_in]).any():
+        return "a transaction's outputs exceed its inputs"
+    if sum(out_total[~has_in].tolist()) > MAX_VALUE:
+        return "minted supply exceeds 2^63-1"
+    return None
+
+
 def load_ledger(store_dir: str) -> Ledger:
-    """Reload a ledger from its binary cache."""
+    """Reload a ledger from its binary cache.
+
+    The arrays are checked against each other before the ledger is built,
+    so a damaged store whose hash was recomputed is a StoreError too.  The
+    txid table is decoded once to check it and kept packed: the ledger
+    decodes it again only when its txids are read.
+    """
     meta = load_meta(store_dir)
     path = os.path.join(store_dir, _LEDGER)
     if not os.path.exists(path):
@@ -139,15 +197,18 @@ def load_ledger(store_dir: str) -> Ledger:
             cols = {name: z[name] for name in _ARRAYS}
         if _digest(cols) != meta.get("content_hash"):
             raise StoreError(f"store at {store_dir!r} is corrupt (hash mismatch)")
-        txids = _unpack_strings(cols["txids"])
+        n_txids = len(_unpack_strings(cols["txids"]))
         names = _unpack_strings(cols["addresses"])
         addresses = AddressTable(names[1:])
         if names[:1] != [COINBASE] or len(addresses) != len(names):
             raise StoreError(f"store at {store_dir!r} is corrupt "
                              f"(address table repeats a name or lacks {COINBASE} first)")
+        why = _inconsistency(cols, n_txids, len(addresses))
+        if why is not None:
+            raise StoreError(f"store at {store_dir!r} is corrupt ({why})")
         return Ledger(
             addresses=addresses,
-            txids=txids,
+            txids=functools.partial(_unpack_strings, cols["txids"]),
             times=cols["times"],
             in_ptr=cols["in_ptr"],
             in_addr=cols["in_addr"],
@@ -158,5 +219,5 @@ def load_ledger(store_dir: str) -> Ledger:
             epoch_start=epoch_start,
             out_of_order=out_of_order,
         )
-    except (zipfile.BadZipFile, EOFError, KeyError, OSError, ValueError) as exc:
+    except (zipfile.BadZipFile, EOFError, KeyError, OSError, ValueError, RecursionError) as exc:
         raise StoreError(f"store at {store_dir!r} has an unreadable {_LEDGER} ({exc})") from exc

@@ -2,11 +2,13 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from ledgerlens import parse_ledger
+from ledgerlens.store import _digest
 
 DAY = 86_400
 
@@ -17,6 +19,19 @@ def rec(txid, time, ins, outs):
 
 def make_ledger(lines, epoch=None):
     return parse_ledger(iter(lines), epoch=epoch)
+
+
+def rewrite_arrays(store, change) -> None:
+    """Apply `change` to the arrays of a saved store's ledger.npz and
+    recompute meta.json's hash, so only the load checks can refuse it."""
+    store = Path(store)
+    with np.load(store / "ledger.npz") as z:
+        arrays = dict(z)
+    change(arrays)
+    np.savez(store / "ledger.npz", **arrays)
+    meta = json.loads((store / "meta.json").read_text())
+    meta["content_hash"] = _digest(arrays)
+    (store / "meta.json").write_text(json.dumps(meta))
 
 
 @pytest.fixture

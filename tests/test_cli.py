@@ -13,7 +13,8 @@ from ledgerlens import compute_snapshots, hhi, load_ledger, parse_ledger, save_l
 from ledgerlens import cli
 from ledgerlens.cli import run
 from ledgerlens.report import build_report
-from conftest import DAY, rec
+from ledgerlens.store import _pack_strings
+from conftest import DAY, rec, rewrite_arrays
 
 
 def read_csv(path):
@@ -677,6 +678,26 @@ class TestExitCodes:
         meta.write_bytes(meta.read_bytes()[:40])
         assert run(["dstatic", "--store", store, "--out", str(tmp_path / "d.csv")]) == 2
         assert "meta.json" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("damage", ["short_txids", "huge_address_id"])
+    @pytest.mark.parametrize("command", [["snapshot", "--dump-day", "0"],
+                                         ["hhi", "--scheme", "a2"], ["report"]],
+                             ids=["snapshot", "hhi", "report"])
+    def test_inconsistent_store_is_data_error(self, store, tmp_path, capsys, damage, command):
+        def change(arrays):
+            if damage == "short_txids":
+                txids = json.loads(arrays["txids"].tobytes())
+                arrays["txids"] = _pack_strings(txids[:-1])
+            else:
+                arrays["out_addr"][0] = 10**6
+
+        rewrite_arrays(store, change)
+        out = tmp_path / "out"
+        assert run(command + ["--store", store, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("ledgerlens: store at ")
+        assert "is corrupt" in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", [["hhi", "--scheme", "a2"], ["report"]],
                              ids=["hhi", "report"])

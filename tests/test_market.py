@@ -1,4 +1,6 @@
 import itertools
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from ledgerlens import (
     label_propagation,
 )
 from ledgerlens import Ranking, market
+from ledgerlens.ledger import AddressTable, Ledger
 from ledgerlens.market import (
     HHISeries,
     _focus_labels,
@@ -373,6 +376,57 @@ class TestFocusPairWeights:
                 focus_ids = np.sort(np.asarray(focus, dtype=np.int64))
                 assert (_focus_pair_weights(ledger, day, focus_ids, pairs)
                         == reference_pair_weights(ledger, day, focus_ids))
+        # Built a chunk of one transaction, or of a few, at a time: the
+        # same index as the one chunk above.
+        for budget in (1, 7):
+            with mock.patch.object(market, "_CHUNK_ENTRIES", budget):
+                chunked = _PairIndex(ledger, np.asarray(union, dtype=np.int64))
+            for name in ("ids", "keys", "stamps", "start", "first"):
+                assert np.array_equal(getattr(chunked, name), getattr(pairs, name))
+
+    def test_chunks_expand_each_transaction_once(self, monkeypatch):
+        ledger = two_clique_ledger()
+        spans = []
+        expand = ledger._expand
+
+        def recording(start, stop, focus):
+            spans.append((start, stop))
+            return expand(start, stop, focus)
+
+        monkeypatch.setattr(ledger, "_expand", recording)
+        ids = np.arange(1, len(ledger.addresses))
+        for budget, chunks in ((1 << 16, 1), (1, len(ledger))):
+            spans.clear()
+            monkeypatch.setattr(market, "_CHUNK_ENTRIES", budget)
+            _PairIndex(ledger, ids)
+            assert len(spans) == chunks
+            assert [a for a, _ in spans] == [0] + [b for _, b in spans[:-1]]
+            assert spans[-1][1] == len(ledger)
+
+    def test_build_memory_is_one_chunk(self, monkeypatch):
+        # 50 000 transactions of two inputs and two outputs, none touching
+        # the three focus addresses: the build's traced peak stays far
+        # below the ledger's own entry arrays, which a whole-ledger
+        # expansion would exceed.
+        rng = np.random.default_rng(5)
+        n, names = 50_000, [f"x{i}" for i in range(1000)]
+        ptr = np.arange(0, 2 * n + 1, 2, dtype=np.int64)
+        in_addr, out_addr = rng.integers(4, len(names) + 1, (2, 2 * n))
+        ledger = Ledger(AddressTable(names), ["t"] * n, np.arange(n, dtype=np.int64),
+                        ptr, in_addr, np.ones(2 * n, dtype=np.int64),
+                        ptr.copy(), out_addr, np.ones(2 * n, dtype=np.int64), None)
+        entry_bytes = sum(a.nbytes for a in (ledger.in_addr, ledger.in_val,
+                                             ledger.out_addr, ledger.out_val))
+        monkeypatch.setattr(market, "_CHUNK_ENTRIES", 4096)
+        _PairIndex(ledger, np.array([1, 2, 3]))  # imports what the build needs
+        tracemalloc.start()
+        try:
+            pairs = _PairIndex(ledger, np.array([1, 2, 3]))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(pairs.stamps) == 0
+        assert peak < entry_bytes / 4
 
     def test_self_loops_and_idle_ids(self):
         ledger = make_ledger([

@@ -1,13 +1,14 @@
 import json
 import os
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from ledgerlens import (
+    BalanceError,
     StoreError,
     SynthConfig,
+    compute_rankings,
     compute_snapshots,
     generate,
     load_ledger,
@@ -15,12 +16,20 @@ from ledgerlens import (
 )
 from ledgerlens.balances import snapshot_at
 from ledgerlens.store import _pack_strings, content_hash, load_meta
-from conftest import make_ledger, rec
+from conftest import DAY, make_ledger, rec, rewrite_arrays
 
 
 @pytest.fixture
 def ledger():
     return generate(SynthConfig(seed=9, days=10, txs_per_day=40, pool=30, growth=1.0))
+
+
+def three_records():
+    return make_ledger([
+        rec("c0", 0, [], [["alice", 5000], ["bob", 3000]]),
+        rec("p1", DAY + 10, [["alice", 2000]], [["carol", 1500], ["bob", 400]]),
+        rec("p2", 2 * DAY + 5, [["bob", 1000], ["carol", 500]], [["dave", 1400]]),
+    ])
 
 
 class TestLedgerStore:
@@ -76,19 +85,104 @@ class TestLedgerStore:
         # table check can refuse the store.
         store = tmp_path / "store"
         save_ledger(ledger, str(store))
-        with np.load(store / "ledger.npz") as z:
-            arrays = dict(z)
-        bad = names(list(ledger.addresses.names))
-        arrays["addresses"] = _pack_strings(bad)
-        np.savez(store / "ledger.npz", **arrays)
-        meta = json.loads((store / "meta.json").read_text())
-        fake = SimpleNamespace(**{k: getattr(ledger, k) for k in (
-            "times", "in_ptr", "in_addr", "in_val", "out_ptr", "out_addr", "out_val",
-            "txids")}, addresses=SimpleNamespace(names=bad))
-        meta["content_hash"] = content_hash(fake)
-        (store / "meta.json").write_text(json.dumps(meta))
+        rewrite_arrays(store, lambda a: a.update(
+            addresses=_pack_strings(names(list(ledger.addresses.names)))))
         with pytest.raises(StoreError, match=match):
             load_ledger(str(store))
+
+    @pytest.mark.parametrize("txids,match", [
+        (lambda txids: _pack_strings({"a": 1}), "unreadable"),         # not a list
+        (lambda txids: _pack_strings(txids[:-1] + [7]), "unreadable"),  # not strings
+        (lambda txids: np.frombuffer(b"[" * 100_000, dtype=np.uint8), "unreadable"),
+        (lambda txids: _pack_strings(txids[:-1]),
+         "corrupt .txid table has 312 entries for 313 "),
+        (lambda txids: _pack_strings(txids + ["extra"]), "corrupt .txid table has 314 entries"),
+    ], ids=["object", "int", "nested", "short", "long"])
+    def test_bad_txid_table(self, ledger, tmp_path, txids, match):
+        store = tmp_path / "store"
+        save_ledger(ledger, str(store))
+        rewrite_arrays(store, lambda a: a.update(txids=txids(list(ledger.txids))))
+        with pytest.raises(StoreError, match=match):
+            load_ledger(str(store))
+
+    @pytest.mark.parametrize("change,match", [
+        (lambda a: a.update(out_addr=np.where(np.arange(len(a["out_addr"])) == 3,
+                                              10**6, a["out_addr"])),
+         "out_addr holds an address id outside 1..39"),
+        (lambda a: a.update(in_addr=np.where(np.arange(len(a["in_addr"])) == 0,
+                                             0, a["in_addr"])),
+         "in_addr holds an address id outside"),
+        (lambda a: a.update(in_ptr=a["in_ptr"][:-1]), "in_ptr has 313 entries for 313 "),
+        (lambda a: a.update(out_ptr=a["out_ptr"] + 1), "out_ptr does not run from 0"),
+        (lambda a: a.update(out_ptr=np.concatenate((a["out_ptr"][:-1],
+                                                    a["out_ptr"][-1:] - 1))),
+         "out_ptr does not run from 0"),
+        (lambda a: a.update(in_ptr=np.where(np.arange(len(a["in_ptr"])) == 200,
+                                            a["in_ptr"][-1], a["in_ptr"])),
+         "in_ptr does not run from 0"),
+        # The first transaction's outputs moved to the second: it has none.
+        (lambda a: a["out_ptr"].__setitem__(1, 0), "out_ptr does not run from 0"),
+        (lambda a: a.update(in_val=a["in_val"][:-1]), "in_addr and in_val differ"),
+        (lambda a: a.update(out_val=-a["out_val"]), "out_val holds a value <= 0"),
+        (lambda a: a.update(times=a["times"][::-1].copy()), "times out of order"),
+        (lambda a: a["out_val"].fill(2**62), "a transaction total exceeds 2.63-1"),
+        (lambda a: a.update(out_val=a["out_val"] + 10**12),
+         "a transaction's outputs exceed its inputs"),
+        (lambda a: a["out_val"].__setitem__(a["out_ptr"][:-1][np.diff(a["in_ptr"]) == 0], 2**62),
+         "minted supply exceeds 2.63-1"),
+        (lambda a: a.update(in_addr=a["in_addr"].astype(np.int32)),
+         "in_addr is not a 1-D int64 array"),
+        (lambda a: a.update(times=a["times"][1:].reshape(2, -1)),
+         "times is not a 1-D int64 array"),
+        (lambda a: a.update(txids=a["txids"].view(np.int8)),
+         "txids is not a 1-D uint8 array"),
+    ], ids=["out_addr_huge", "in_addr_coinbase", "in_ptr_short", "out_ptr_offset",
+            "out_ptr_short_end", "in_ptr_decreasing", "no_output", "in_val_short",
+            "negative_value", "times_reversed", "total_overflow", "outputs_above_inputs",
+            "minted_overflow", "int32", "two_d", "txids_int8"])
+    def test_inconsistent_arrays(self, ledger, tmp_path, change, match):
+        store = tmp_path / "store"
+        save_ledger(ledger, str(store))
+        rewrite_arrays(store, change)
+        with pytest.raises(StoreError, match=f"is corrupt .{match}"):
+            load_ledger(str(store))
+
+    def test_balance_error_names_txid(self, tmp_path):
+        # "t1" spends more than "a" holds; the loaded ledger names it.
+        bad = make_ledger([rec("c0", 0, [], [["a", 5]]),
+                           rec("t1", DAY, [["a", 9]], [["b", 9]])])
+        save_ledger(bad, str(tmp_path / "store"))
+        loaded = load_ledger(str(tmp_path / "store"))
+        with pytest.raises(BalanceError, match="transaction 't1' .day 1. drives the balance "
+                                               "of 'a' negative"):
+            list(compute_rankings(loaded, 5))
+
+    def test_txids_decoded_on_first_read(self, ledger, tmp_path):
+        save_ledger(ledger, str(tmp_path / "store"))
+        loaded = load_ledger(str(tmp_path / "store"))
+        assert len(loaded) == len(ledger)
+        assert loaded.genesis_time == ledger.genesis_time
+        list(compute_rankings(loaded, 5))
+        assert callable(loaded._txids)
+        assert loaded.txids == ledger.txids
+        assert loaded.transaction(3) == ledger.transaction(3)
+
+    def test_loaded_table_has_no_name_index(self, ledger, tmp_path):
+        save_ledger(ledger, str(tmp_path / "store"))
+        table = load_ledger(str(tmp_path / "store")).addresses
+        assert table._index is None
+        name = ledger.addresses.names[7]
+        assert table.id_of(name) == 7
+        assert table.intern(name) == 7 and table.intern("fresh") == len(ledger.addresses)
+
+    def test_golden_content_hash(self, tmp_path):
+        # Pins the digest: the bytes of each array in store order.
+        assert content_hash(three_records()) == "80c339c512ebf4ea"
+        meta = save_ledger(three_records(), str(tmp_path / "store"))
+        assert meta["content_hash"] == "80c339c512ebf4ea"
+        assert load_meta(str(tmp_path / "store"))["content_hash"] == "80c339c512ebf4ea"
+        assert load_ledger(str(tmp_path / "store")).canonical_bytes() == (
+            three_records().canonical_bytes())
 
     def test_meta_without_hash_is_corrupt(self, ledger, tmp_path):
         store = tmp_path / "store"
