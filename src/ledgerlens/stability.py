@@ -8,34 +8,35 @@ keeps the union and assigns absentees rank len(list)+1.  Pairs with fewer
 than two usable members, or with no rank variance, yield None rather than a
 number.
 
-Every series comes from one kernel, `stability_table`, which builds any
-set of (metric, N, interval) series over the same rankings in one pass.
-Each day's ranking, cut at the largest N, becomes one list of ascending
-ids, with each id's position in its ranking and the start and stop of its
-tie run.  For each distinct interval, `np.searchsorted` over the keys
-``day * span + id`` finds every id that day d shares with day d +
-interval.  Each N then needs no set operation of its own:
+Every series comes from one kernel, `stability_table`, which reads the
+rankings once, a day at a time, and holds the lists of the last
+max(interval) + 1 days: each ranking cut at the largest N, as ascending ids
+with each id's position and the start and stop of its tie run.  Day d is
+paired with day d - i for each distinct interval i, and one match scores
+every (metric, N) of that interval:
 
-* an id is in both top-N lists when both its positions are below N;
-* twice its tie rank in a list cut at N is the integer ``start + 1 +
+* one `np.searchsorted` finds the ids the two lists share;
+* an id is in both top-N lists when the deeper of its two positions is
+  below N, so with the shared ids in depth order each N is a prefix;
+* twice an id's tie rank in a list cut at N is the integer ``start + 1 +
   min(stop, N)``, so a tie run cut at N averages only its kept positions;
-* retention counts those ids per pair;
-* Spearman takes each pair's count and sums of x, y, x², y² and xy over
-  those doubled ranks with one `np.bincount` per sum, and penalized mode
-  adds the members only one list holds from that list's own sums.
+* retention is the prefix length over the longer list's length;
+* Spearman takes the prefix's count and sums of x, y, x², y² and xy over
+  those doubled ranks, and penalized mode adds the members only one list
+  holds from that list's own sums.
 
 The sums are of integers, exact in float64 below 2**53 (lists up to
-119 000 deep; rounded, never wrapped, beyond), and each pair's coefficient
-is finished in Python ints, so no value depends on the order of its
-members, on the day blocks or on the BLAS thread count.  The kernel works
-on blocks of days, so its working set stays small however deep the lists
-are.  `stability_series`, `spearman` and `retention` are batches of one
-through the same kernel.
+119 000 deep; rounded, never wrapped, beyond), and each coefficient is
+finished in Python ints, so no value depends on the order of its members
+or on the BLAS thread count.  Memory is O(max interval x N).
+`stability_series`, `spearman` and `retention` are batches of one through
+the same kernel.
 """
 
 import math
+from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -82,92 +83,34 @@ class DistributionSummary:
         }
 
 
-# The kernel works on blocks of whole days holding about this many list
-# entries (one day at least), so its working set beyond the day lists stays
-# near 3 MB however deep the lists are.
-_BLOCK_ENTRIES = 1 << 15
-
-
 def _check_mode(mode: str) -> None:
     if mode not in SPEARMAN_MODES:
         raise ValueError(f"unknown spearman mode {mode!r}")
 
 
-def _blocks(ptr: np.ndarray, last: int) -> Iterator[tuple[int, int]]:
-    """Consecutive day ranges [d0, d1) covering days 0..last-1, each
-    holding at most _BLOCK_ENTRIES entries of `ptr` or a single day."""
-    d0 = 0
-    while d0 < last:
-        d1 = int(np.searchsorted(ptr, ptr[d0] + _BLOCK_ENTRIES, side="right")) - 1
-        d1 = min(max(d1, d0 + 1), last)
-        yield d0, d1
-        d0 = d1
+class _DayList:
+    """One day's ranking cut at `depth`: its ids ascending, each id's
+    0-based position in the ranking and the [start, stop) positions of its
+    tie run, plus the sums of its squared doubled ranks by cut."""
 
+    def __init__(self, ranking: Ranking, depth: int):
+        # Balances descend, so a tie run is the positions of one balance.
+        neg = -ranking.balances[:depth]
+        ids = ranking.ids[:depth]
+        self.pos = np.argsort(ids)
+        self.ids = ids[self.pos]
+        self.start = np.searchsorted(neg, neg, "left")[self.pos]
+        self.stop = np.searchsorted(neg, neg, "right")[self.pos]
+        self._squares: dict[int, int] = {}
 
-def _join(parts: list[np.ndarray], dtype) -> np.ndarray:
-    """The concatenation of `parts`, which it empties, so that the parts
-    can be freed before the next column is joined."""
-    out = np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
-    parts.clear()
-    return out
-
-
-def _sort_block(block: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, ...]:
-    """The (ids, balances) lists of consecutive days as entries sorted by
-    (day, id): each entry's id, its 0-based position in its list, and the
-    [start, stop) positions of its tie run."""
-    sizes = np.array([len(ids) for ids, _ in block], dtype=np.int64)
-    ids, bal = (np.concatenate(c) for c in zip(*block))
-    total = len(ids)
-    pos = np.arange(total) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-    # A tie run opens at a day's first entry and wherever the balance
-    # changes.
-    opens = pos == 0
-    opens[1:] |= bal[1:] != bal[:-1]
-    heads = np.flatnonzero(opens)
-    lengths = np.diff(np.append(heads, total))
-    start = np.repeat(pos[heads], lengths)
-    span = int(ids.max()) + 1 if total else 1
-    order = np.argsort(np.repeat(np.arange(len(block)), sizes) * span + ids)
-    return (ids[order], pos[order].astype(np.int32), start[order].astype(np.int32),
-            (start + np.repeat(lengths, lengths))[order].astype(np.int32))
-
-
-class _DayLists:
-    """Every day's ranking cut at `depth`, as one array of entries sorted by
-    (day, id): ``keys = day * span + id``, each id's 0-based position in its
-    ranking, and the [start, stop) positions of its tie run.  Day d holds
-    entries ``ptr[d]:ptr[d + 1]``, ``sizes[d]`` of them.  The rankings are
-    read once, as they come, and sorted in blocks of about _BLOCK_ENTRIES
-    entries, so no more than one block of them is held at a time."""
-
-    def __init__(self, rankings: Iterable[Ranking], depth: int):
-        sizes: list[int] = []
-        columns: tuple[list[np.ndarray], ...] = ([], [], [], [])
-        block: list[tuple[np.ndarray, np.ndarray]] = []
-        held = 0
-        for r in rankings:
-            ids = r.ids[:depth]
-            block.append((ids, r.balances[:depth]))
-            sizes.append(len(ids))
-            held += len(ids)
-            if held >= _BLOCK_ENTRIES:
-                for column, part in zip(columns, _sort_block(block)):
-                    column.append(part)
-                block, held = [], 0
-        if block:
-            for column, part in zip(columns, _sort_block(block)):
-                column.append(part)
-        self.sizes = np.array(sizes, dtype=np.int64)
-        self.ptr = np.concatenate(([0], np.cumsum(self.sizes)))
-        self.max_size = max(sizes, default=0)
-        ids, self.pos, self.start, self.stop = (
-            _join(c, dtype) for c, dtype in zip(columns, (np.int64,) + (np.int32,) * 3))
-        self.span = int(ids.max()) + 1 if len(ids) else 1
-        self.keys = np.repeat(np.arange(len(sizes)), self.sizes) * self.span + ids
-
-    def day(self, entries: np.ndarray) -> np.ndarray:
-        return self.keys[entries] // self.span
+    def square_sum(self, cut: int) -> int:
+        """The sum of the squared doubled ranks of this list cut at `cut`."""
+        cut = min(cut, len(self.ids))  # the same list
+        if cut not in self._squares:
+            kept = self.pos < cut
+            x = _doubled_ranks(self.start[kept], self.stop[kept], cut)
+            self._squares[cut] = int(np.einsum("i,i", x, x))
+        return self._squares[cut]
 
 
 def _doubled_ranks(start: np.ndarray, stop: np.ndarray, cut: int) -> np.ndarray:
@@ -178,95 +121,61 @@ def _doubled_ranks(start: np.ndarray, stop: np.ndarray, cut: int) -> np.ndarray:
     return start + (np.minimum(stop, cut) + 1.0)
 
 
-def _square_sums(lists: _DayLists, d0: int, d1: int, cut: int) -> np.ndarray:
-    """For each day d0..d1-1, the sum of the squared doubled ranks of its
-    list cut at `cut`."""
-    e0, e1 = int(lists.ptr[d0]), int(lists.ptr[d1])
-    kept = np.flatnonzero(lists.pos[e0:e1] < cut) + e0
-    x = _doubled_ranks(lists.start[kept], lists.stop[kept], cut)
-    return np.bincount(lists.day(kept) - d0, x * x, d1 - d0)
+def _pearson(m: int, sx: int, sy: int, sxx: int, syy: int, sxy: int) -> float | None:
+    """The Pearson coefficient of a pair from its moments m, Σx, Σy, Σx²,
+    Σy² and Σxy (Python ints, so the cross terms cannot wrap, and rounding
+    starts only at the final square root and division), or None when it
+    has fewer than two members or either side has no variance."""
+    vx, vy = m * sxx - sx * sx, m * syy - sy * sy
+    if m < 2 or vx <= 0 or vy <= 0:
+        return None
+    return min(1.0, max(-1.0, (m * sxy - sx * sy) / math.sqrt(vx * vy)))
 
 
-def _pearson(*moments: np.ndarray) -> Iterator[float | None]:
-    """The Pearson coefficient of each pair from its moments m, Σx, Σy,
-    Σx², Σy² and Σxy (integers, one array each), or None when it has fewer
-    than two members or either side has no variance.  The moments become
-    Python ints, so the cross terms cannot wrap, and rounding starts only
-    at the final square root and division."""
-    for m, sx, sy, sxx, syy, sxy in zip(*(map(int, a.tolist()) for a in moments)):
-        vx, vy = m * sxx - sx * sx, m * syy - sy * sy
-        if m < 2 or vx <= 0 or vy <= 0:
-            yield None
-        else:
-            yield min(1.0, max(-1.0, (m * sxy - sx * sy) / math.sqrt(vx * vy)))
-
-
-def _interval_values(
-    lists: _DayLists,
-    interval: int,
-    specs: Sequence[tuple[str, int]],
-    mode: str,
-) -> dict[tuple[str, int], dict[int, float | None]]:
-    """The values of the (day, day + interval) pairs of every (metric, n)
-    in `specs`, by day."""
-    values: dict[tuple[str, int], dict[int, float | None]] = {s: {} for s in specs}
-    by_n: dict[int, list[str]] = {}
-    for metric, n in specs:
-        by_n.setdefault(n, []).append(metric)
-    shift = interval * lists.span
-    ptr, pos, start, stop = lists.ptr, lists.pos, lists.start, lists.stop
-    for d0, d1 in _blocks(ptr, len(lists.sizes) - interval):
-        a0, a1 = int(ptr[d0]), int(ptr[d1])
-        b0, b1 = int(ptr[d0 + interval]), int(ptr[d1 + interval])
-        # The ids of day d's list found in day d + interval's, ascending by
-        # (d, id): entry ia of the first list is entry ib of the second.
-        target = lists.keys[a0:a1] + shift
-        hay = lists.keys[b0:b1]
-        j = np.minimum(np.searchsorted(hay, target), max(len(hay) - 1, 0))
-        found = hay[j] == target if len(hay) else np.zeros(len(target), dtype=bool)
-        ia = np.flatnonzero(found) + a0
-        ib = j[found] + b0
-        del target, j, found
-        pair = lists.day(ia) - d0
-        deepest = np.maximum(pos[ia], pos[ib])
-        a_start, a_stop, b_start, b_stop = start[ia], stop[ia], start[ib], stop[ib]
-        days = range(d0, d1)
-        for n, metrics in by_n.items():
-            cut = min(n, lists.max_size)  # the same lists, and fits int32
-            len_a = np.minimum(lists.sizes[d0:d1], cut)
-            len_b = np.minimum(lists.sizes[d0 + interval:d1 + interval], cut)
-            # An id is in both top-n lists when both its positions are.
-            # (Positions, not masks: `take` is several times faster than
-            # boolean indexing here.)
-            shared = np.flatnonzero(deepest < cut)
-            in_pair = pair.take(shared)
-            m = np.bincount(in_pair, minlength=d1 - d0)
-            if "retention" in metrics:
-                denom = np.maximum(len_a, len_b)
-                values[("retention", n)].update(
-                    zip(days, np.where(denom == 0, 1.0, m / np.maximum(denom, 1)).tolist()))
-            if "spearman" not in metrics:
-                continue
-            x = _doubled_ranks(a_start.take(shared), a_stop.take(shared), cut)
-            y = _doubled_ranks(b_start.take(shared), b_stop.take(shared), cut)
-            sx, sy, sxx, syy, sxy = (np.bincount(in_pair, w, d1 - d0)
-                                     for w in (x, y, x * x, y * y, x * y))
-            if mode == "penalized":
-                # Each list's members that the other lacks join the pair at
-                # the other's absent rank, doubled 2 * len + 2.  A list's
-                # doubled ranks sum to len * (len + 1), since a tie run
-                # keeps the sum of its positions, so those members' sums
-                # are the list's sums less the shared ones.
-                pa, pb = 2.0 * len_a + 2, 2.0 * len_b + 2
-                only_a, only_b = len_a - m, len_b - m
-                ta, tb = len_a * (len_a + 1.0), len_b * (len_b + 1.0)
-                m, sx, sy, sxx, syy, sxy = (
-                    m + only_a + only_b, ta + only_b * pa, tb + only_a * pb,
-                    _square_sums(lists, d0, d1, cut) + only_b * pa * pa,
-                    _square_sums(lists, d0 + interval, d1 + interval, cut) + only_a * pb * pb,
-                    sxy + (ta - sx) * pb + (tb - sy) * pa)
-            values[("spearman", n)].update(zip(days, _pearson(m, sx, sy, sxx, syy, sxy)))
-    return values
+def _pair_values(
+    a: _DayList, b: _DayList, by_n: dict[int, list[str]], mode: str
+) -> Iterator[tuple[str, int, float | None]]:
+    """(metric, n, value) for each n of `by_n` and each of its metrics, on
+    the pair of lists (a, b)."""
+    # The ids of a found in b: entry ia of a is entry ib of b.
+    j = np.minimum(np.searchsorted(b.ids, a.ids), max(len(b.ids) - 1, 0))
+    found = b.ids[j] == a.ids if len(b.ids) else np.zeros(len(a.ids), dtype=bool)
+    ia, ib = np.flatnonzero(found), j[found]
+    # An id is in both top-n lists when the deeper of its two positions is
+    # below n, so in depth order each n's shared ids are a prefix.
+    deepest = np.maximum(a.pos[ia], b.pos[ib])
+    order = np.argsort(deepest)
+    ia, ib = ia[order], ib[order]
+    # Row 0 holds the shared ids' tie runs in a, row 1 in b.
+    starts = np.array((a.start[ia], b.start[ib]))
+    stops = np.array((a.stop[ia], b.stop[ib]))
+    lens = [(min(len(a.ids), n), min(len(b.ids), n)) for n in by_n]
+    # Cut at the longer list's length, which keeps what a cut at n keeps.
+    cuts = [max(ls) for ls in lens]
+    shared = np.searchsorted(deepest[order], cuts).tolist()
+    for (n, metrics), (len_a, len_b), cut, m in zip(by_n.items(), lens, cuts, shared):
+        if "retention" in metrics:
+            yield "retention", n, 1.0 if cut == 0 else m / cut
+        if "spearman" not in metrics:
+            continue
+        ranks = _doubled_ranks(starts[:, :m], stops[:, :m], cut)
+        sx, sy = map(int, ranks.sum(axis=1).tolist())
+        (sxx, sxy), (_, syy) = (map(int, row)
+                                for row in np.einsum("ij,kj->ik", ranks, ranks).tolist())
+        if mode == "penalized":
+            # Each list's members that the other lacks join the pair at the
+            # other's absent rank, doubled 2 * len + 2.  A list's doubled
+            # ranks sum to len * (len + 1), since a tie run keeps the sum
+            # of its positions, so those members' sums are the list's sums
+            # less the shared ones.
+            pa, pb = 2 * len_a + 2, 2 * len_b + 2
+            only_a, only_b = len_a - m, len_b - m
+            ta, tb = len_a * (len_a + 1), len_b * (len_b + 1)
+            m, sx, sy, sxx, syy, sxy = (
+                m + only_a + only_b, ta + only_b * pa, tb + only_a * pb,
+                a.square_sum(cut) + only_b * pa * pa, b.square_sum(cut) + only_a * pb * pb,
+                sxy + (ta - sx) * pb + (tb - sy) * pa)
+        yield "spearman", n, _pearson(m, sx, sy, sxx, syy, sxy)
 
 
 def stability_table(
@@ -278,10 +187,12 @@ def stability_table(
     rankings, keyed by spec in the order given (repeats dropped).
 
     Each series is the one `stability_series` describes; Spearman series
-    use `mode`.  The rankings are read once, in one pass, and each distinct
-    interval matches its day pairs once for all of its specs.
+    use `mode`.  The rankings are read once, in one pass, holding the last
+    max(interval) + 1 days' lists, and each pair of days is matched once
+    for all the specs of its interval.
     """
     specs = list(dict.fromkeys(specs))
+    by_interval: dict[int, dict[int, list[str]]] = {}
     for metric, n, interval in specs:
         if interval < 1:
             raise ValueError("interval must be >= 1")
@@ -291,13 +202,21 @@ def stability_table(
             raise ValueError("n must be >= 1")
         if metric == "spearman":
             _check_mode(mode)
+        by_interval.setdefault(interval, {}).setdefault(n, []).append(metric)
     values: dict[tuple[str, int, int], dict[int, float | None]] = {s: {} for s in specs}
     if specs:
-        lists = _DayLists(rankings, max(n for _, n, _ in specs))
-        for interval in dict.fromkeys(i for _, _, i in specs):
-            at = [(m, n) for m, n, i in specs if i == interval]
-            for (m, n), vals in _interval_values(lists, interval, at, mode).items():
-                values[(m, n, interval)] = vals
+        depth = max(n for _, n, _ in specs)
+        longest = max(by_interval)
+        held: deque[_DayList] = deque()
+        for day, ranking in enumerate(rankings):
+            held.append(_DayList(ranking, depth))
+            if len(held) > longest + 1:
+                held.popleft()
+            for interval, by_n in by_interval.items():
+                if interval < len(held):
+                    for metric, n, value in _pair_values(held[-1 - interval], held[-1],
+                                                         by_n, mode):
+                        values[(metric, n, interval)][day - interval] = value
     return {s: StabilitySeries(*s, values[s]) for s in specs}
 
 

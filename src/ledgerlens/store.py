@@ -8,11 +8,12 @@ Layout of a store directory::
 
 The content hash is the SHA-256 of every array's bytes in store order.
 Loading checks it, then the two string tables, then the arrays against
-each other (lengths, pointers, address ids, values, time order), so a
-damaged store is a StoreError even when its hash was recomputed.  A loaded
-ledger keeps the txid table packed, decoding it when `Ledger.txids` is
-first read, and an address table whose name index is built only when a
-name is looked up.
+each other (lengths, pointers, address ids, values, time order), then
+meta.json's epoch and out-of-order count, so a damaged store is a
+StoreError even when its hash was recomputed, and so is an edited
+meta.json (the hash does not cover it).  A loaded ledger keeps the txid
+table packed, decoding it when `Ledger.txids` is first read, and an
+address table whose name index is built only when a name is looked up.
 """
 
 import functools
@@ -26,8 +27,9 @@ import numpy as np
 # `_apply_day` is not called here; it stays importable under this module's
 # name because the benchmark's tracer (bench/tracer.py) wraps it here.
 from .balances import _apply_day
-from .errors import StoreError
-from .ledger import COINBASE, MAX_VALUE, AddressTable, Ledger, _segment_totals
+from .errors import LedgerError, StoreError
+from .ledger import (COINBASE, MAX_VALUE, MIN_TIME, SECONDS_PER_DAY, AddressTable, Ledger,
+                     _segment_totals)
 
 STORE_VERSION = 1
 
@@ -114,10 +116,12 @@ def load_meta(store_dir: str) -> dict:
     path = os.path.join(store_dir, _META)
     if not os.path.exists(path):
         raise StoreError(f"no store at {store_dir!r} (missing {_META})")
+    # ValueError covers bad JSON, bad UTF-8 and an integer too long for
+    # `int`; a deeply nested document is a RecursionError.
     try:
         with open(path, encoding="utf-8") as fp:
             meta = json.load(fp)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise StoreError(f"store at {store_dir!r} has an unreadable {_META} ({exc})") from exc
     if not isinstance(meta, dict):
         raise StoreError(f"store at {store_dir!r} has an unreadable {_META} (not a JSON object)")
@@ -172,13 +176,30 @@ def _inconsistency(cols: dict[str, np.ndarray], n_txids: int, n_names: int) -> s
     return None
 
 
+def _bad_meta(epoch_start, out_of_order) -> str | None:
+    """Why meta.json's epoch and out-of-order count are not ones ingest
+    writes, or None: the epoch is null or a whole UTC day in [MIN_TIME,
+    MAX_VALUE], and the count a non-negative integer (never a bool)."""
+    if epoch_start is not None:
+        if type(epoch_start) is not int:
+            return f"epoch_start is a {type(epoch_start).__name__}, not an integer or null"
+        if epoch_start % SECONDS_PER_DAY or not MIN_TIME <= epoch_start <= MAX_VALUE:
+            return f"epoch_start is not a UTC midnight in [{MIN_TIME}, {MAX_VALUE}]"
+    if type(out_of_order) is not int or out_of_order < 0:
+        return "out_of_order is not a non-negative integer"
+    return None
+
+
 def load_ledger(store_dir: str) -> Ledger:
     """Reload a ledger from its binary cache.
 
-    The arrays are checked against each other before the ledger is built,
-    so a damaged store whose hash was recomputed is a StoreError too.  The
-    txid table is decoded once to check it and kept packed: the ledger
-    decodes it again only when its txids are read.
+    The arrays are checked against each other, and meta.json's epoch and
+    out-of-order count against what ingest writes, before the ledger is
+    built.  A damaged store whose hash was recomputed, an edited meta.json
+    and an epoch after the first transaction or too many days before the
+    last are StoreErrors too.  The txid table is decoded once to check it
+    and kept packed: the ledger decodes it again only when its txids are
+    read.
     """
     meta = load_meta(store_dir)
     path = os.path.join(store_dir, _LEDGER)
@@ -203,21 +224,15 @@ def load_ledger(store_dir: str) -> Ledger:
         if names[:1] != [COINBASE] or len(addresses) != len(names):
             raise StoreError(f"store at {store_dir!r} is corrupt "
                              f"(address table repeats a name or lacks {COINBASE} first)")
-        why = _inconsistency(cols, n_txids, len(addresses))
+        why = _inconsistency(cols, n_txids, len(addresses)) or _bad_meta(epoch_start, out_of_order)
         if why is not None:
             raise StoreError(f"store at {store_dir!r} is corrupt ({why})")
-        return Ledger(
-            addresses=addresses,
-            txids=functools.partial(_unpack_strings, cols["txids"]),
-            times=cols["times"],
-            in_ptr=cols["in_ptr"],
-            in_addr=cols["in_addr"],
-            in_val=cols["in_val"],
-            out_ptr=cols["out_ptr"],
-            out_addr=cols["out_addr"],
-            out_val=cols["out_val"],
-            epoch_start=epoch_start,
-            out_of_order=out_of_order,
-        )
+        try:
+            return Ledger(addresses=addresses,
+                          txids=functools.partial(_unpack_strings, cols["txids"]),
+                          **{name: cols[name] for name in _ARRAYS[:-2]},
+                          epoch_start=epoch_start, out_of_order=out_of_order)
+        except LedgerError as exc:
+            raise StoreError(f"store at {store_dir!r} is corrupt ({exc})") from exc
     except (zipfile.BadZipFile, EOFError, KeyError, OSError, ValueError, RecursionError) as exc:
         raise StoreError(f"store at {store_dir!r} has an unreadable {_LEDGER} ({exc})") from exc

@@ -699,6 +699,23 @@ class TestExitCodes:
         assert "is corrupt" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("epoch", ["x", [], 3600])
+    @pytest.mark.parametrize("command", [["snapshot", "--dump-day", "0"], ["stability"],
+                                         ["report"]], ids=["snapshot", "stability", "report"])
+    def test_edited_epoch_is_data_error(self, store, tmp_path, capsys, epoch, command):
+        # meta.json is not hashed; an epoch ingest never writes is refused
+        # as a corrupt store, not a TypeError or an unnamed LedgerError.
+        meta_path = Path(store) / "meta.json"
+        meta = json.loads(meta_path.read_text())
+        meta["epoch_start"] = epoch
+        meta_path.write_text(json.dumps(meta))
+        out = tmp_path / "out"
+        assert run(command + ["--store", store, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert err.startswith(f"ledgerlens: store at {store!r} is corrupt (epoch_start ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("command", [["hhi", "--scheme", "a2"], ["report"]],
                              ids=["hhi", "report"])
     def test_modularity_without_networkx(self, store, tmp_path, monkeypatch, capsys, command):
@@ -855,7 +872,8 @@ class TestBoundedMemory:
 class TestLongHistoryMemory:
     """5000 funded addresses over 2000 days: every day's top-5000 ranking
     kept at once would take about 160 MB, but `dstatic`, `proportions` and
-    `hhi --scheme a1` hold one day's ranking at a time."""
+    `hhi --scheme a1` hold one day's ranking at a time, and `stability`
+    the lists of the last interval + 1 days."""
 
     @pytest.fixture(scope="class")
     def long_store(self, tmp_path_factory):
@@ -867,16 +885,19 @@ class TestLongHistoryMemory:
         save_ledger(parse_ledger(lines), str(store))
         return str(store)
 
-    @pytest.mark.parametrize("command", [
-        ["dstatic", "--top", "5000"],
-        ["proportions", "--tops", "5000"],
-        ["hhi", "--scheme", "a1", "--focus", "5000"],
-    ], ids=["dstatic", "proportions", "hhi_a1"])
-    def test_long_history_runs_in_256_mib(self, long_store, tmp_path, command):
+    # A stability row is a day pair, so its series is `interval` days short.
+    @pytest.mark.parametrize("command, rows", [
+        (["dstatic", "--top", "5000"], 2000),
+        (["proportions", "--tops", "5000"], 2000),
+        (["hhi", "--scheme", "a1", "--focus", "5000"], 2000),
+        (["stability", "--top", "5000"], 1999),
+        (["stability", "--top", "5000", "--interval", "5", "--mode", "penalized"], 1995),
+    ], ids=["dstatic", "proportions", "hhi_a1", "stability", "stability_penalized"])
+    def test_long_history_runs_in_256_mib(self, long_store, tmp_path, command, rows):
         out = tmp_path / "out.csv"
         done = _run_in_256_mib([*command, "--out", str(out), "--store", long_store])
         assert done.returncode == 0, done.stderr
-        assert len(read_csv(out)[2]) == 2000
+        assert len(read_csv(out)[2]) == rows
 
 
 class TestReportTieGroups:

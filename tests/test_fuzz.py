@@ -4,7 +4,9 @@ refuses with one `ledgerlens:` line, and stability answers match oracles.
 An export holds at most 20 records over a few days: tied values, values of
 2**62, repeated and non-ASCII names, spends of up to an address's balance
 and records written out of time order.  Each goes through `ingest` and then
-every analysis command, in-process through `cli.run`.
+every analysis command, in-process through `cli.run`.  A second test
+damages each store first: a truncated or byte-flipped `ledger.npz`, or a
+`meta.json` field set to any JSON value.
 """
 
 import contextlib
@@ -16,6 +18,7 @@ import tempfile
 
 from hypothesis import given, settings, strategies as st
 
+from ledgerlens import load_ledger
 from ledgerlens.cli import run
 from conftest import DAY
 from oracles import spearman_int
@@ -171,3 +174,59 @@ def test_every_command_answers_or_refuses(records, top, interval, focus):
             for d, metric, n, i, v in body:
                 got[(metric, int(n), int(i))][int(d)] = value(v)
             assert got == {spec: expected(days, *spec, mode) for spec in specs}
+
+
+# Any JSON value, with whole days near the exports' times among them.
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.integers(-3, 3).map(lambda k: k * DAY),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                  max_size=3),
+    max_leaves=4)
+
+
+@settings(max_examples=25, deadline=None)
+@given(records=exports().filter(len), data=st.data())
+def test_damaged_store_answers_or_refuses(records, data):
+    # A damaged store is refused in one line with exit 2, or answers only
+    # if it still holds the ledger that was ingested (a flipped byte the
+    # zip layer ignores, or a meta.json edit ingest could have written).
+    with tempfile.TemporaryDirectory() as tmp:
+        out = functools.partial(os.path.join, tmp)
+        store, npz, meta_path = out("store"), out("store", "ledger.npz"), out("store", "meta.json")
+        with open(out("x.jsonl"), "w", encoding="utf-8") as fp:
+            fp.writelines(json.dumps(r) + "\n" for r in records)
+        if call(["ingest", "--input", out("x.jsonl"), "--out", store]):
+            return
+        ingested = load_ledger(store).canonical_bytes()
+        with open(meta_path) as fp:
+            meta = json.load(fp)
+        last = str(meta["days"] - 1)
+        with open(npz, "rb") as fp:
+            blob = bytearray(fp.read())
+        kind = data.draw(st.sampled_from(["truncate", "flip", "meta"]))
+        if kind == "truncate":
+            del blob[data.draw(st.integers(0, len(blob) - 1)):]
+        elif kind == "flip":
+            blob[data.draw(st.integers(0, len(blob) - 1))] ^= data.draw(st.integers(1, 255))
+        else:
+            meta[data.draw(st.sampled_from(sorted(meta)))] = data.draw(JSON_VALUES)
+            with open(meta_path, "w") as fp:
+                json.dump(meta, fp)
+        with open(npz, "wb") as fp:
+            fp.write(blob)
+        for argv in (["snapshot", "--dump-day", last], ["proportions"],
+                     ["stability", "--mode", "penalized", "--summary", out("s.json")],
+                     ["dstatic", "--svg", out("c.svg")],
+                     ["dispersion", "--value-weighted"],
+                     ["hhi", "--scheme", "a3", "--dhhi", out("d.csv")], ["report"]):
+            argv = argv[:1] + ["--store", store, "--out", out(argv[0])] + argv[1:]
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                code = run(argv)
+            err = err.getvalue()
+            if code:
+                assert code == 2 and err.startswith("ledgerlens: ") and err.count("\n") == 1, \
+                    (kind, argv, code, err)
+            else:
+                assert kind != "truncate" and load_ledger(store).canonical_bytes() == ingested

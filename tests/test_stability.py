@@ -11,7 +11,6 @@ from ledgerlens import (
     stability_series,
     summarize,
 )
-from ledgerlens import stability
 from ledgerlens.balances import Ranking
 from ledgerlens.report import _cell, build_report
 from ledgerlens.stability import stability_table
@@ -112,22 +111,17 @@ class TestKernelMatchesReference:
                                  st.integers(1, 16), st.integers(1, 9)),
                        min_size=1, max_size=8),
         mode=st.sampled_from(["intersection", "penalized"]),
-        block=st.sampled_from([None, 1, 7]),
     )
     # An empty day, a tie run of three cut at N = 1, 2 and 3, and intervals
     # as long as the history and longer.
     @example(days=[{1: 3, 2: 3, 3: 3, 4: 1}, {}, {3: 3, 2: 3, 1: 2, 5: 1}],
              specs=[("spearman", 2, 1), ("spearman", 3, 2), ("retention", 1, 1),
                     ("retention", 2, 2), ("spearman", 2, 3), ("retention", 3, 9)],
-             mode="penalized", block=None)
-    def test_table_equals_reference(self, days, specs, mode, block):
-        # One call for several series, also with day blocks of one entry
-        # or a few, gives each the reference series.
+             mode="penalized")
+    def test_table_equals_reference(self, days, specs, mode):
+        # One call for several series gives each the reference series.
         rankings = [mk_ranking(list(d), list(d.values()), day=i) for i, d in enumerate(days)]
-        with pytest.MonkeyPatch.context() as patch:
-            if block:
-                patch.setattr(stability, "_BLOCK_ENTRIES", block)
-            table = stability_table(rankings, specs, mode)
+        table = stability_table(rankings, specs, mode)
         assert list(table) == list(dict.fromkeys(specs))
         for (metric, n, interval), series in table.items():
             assert (series.metric, series.top_n, series.interval) == (metric, n, interval)

@@ -15,8 +15,12 @@ from ledgerlens import (
     save_ledger,
 )
 from ledgerlens.balances import snapshot_at
+from ledgerlens.ledger import MAX_VALUE, MIN_TIME
 from ledgerlens.store import _pack_strings, content_hash, load_meta
 from conftest import DAY, make_ledger, rec, rewrite_arrays
+
+
+NOT_MIDNIGHT = f"epoch_start is not a UTC midnight in [{MIN_TIME}, {MAX_VALUE}]"
 
 
 @pytest.fixture
@@ -202,8 +206,52 @@ class TestLedgerStore:
         with pytest.raises(StoreError, match="epoch_start in meta.json"):
             load_ledger(str(store))
 
-    @pytest.mark.parametrize("content", [None, b"[1, 2]", b"\xff\xfe{"],
-                             ids=["truncated", "not_object", "not_utf8"])
+    @pytest.mark.parametrize("field, value, message", [
+        ("epoch_start", "x", "epoch_start is a str, not an integer or null"),
+        ("epoch_start", [], "epoch_start is a list, not an integer or null"),
+        ("epoch_start", True, "epoch_start is a bool, not an integer or null"),
+        ("epoch_start", 0.0, "epoch_start is a float, not an integer or null"),
+        ("epoch_start", 3600, NOT_MIDNIGHT),
+        ("epoch_start", MIN_TIME - DAY, NOT_MIDNIGHT),
+        ("epoch_start", (MAX_VALUE // DAY + 1) * DAY, NOT_MIDNIGHT),
+        ("epoch_start", DAY, "transaction precedes the configured epoch"),
+        ("epoch_start", -200_000 * DAY, "ledger spans 200003 days, more than 100000"),
+        ("out_of_order", -1, "out_of_order is not a non-negative integer"),
+        ("out_of_order", "3", "out_of_order is not a non-negative integer"),
+        ("out_of_order", False, "out_of_order is not a non-negative integer"),
+        ("out_of_order", None, "out_of_order is not a non-negative integer"),
+    ], ids=["epoch_str", "epoch_list", "epoch_bool", "epoch_float", "epoch_not_midnight",
+            "epoch_below_min", "epoch_above_max", "epoch_after_first", "epoch_span",
+            "count_negative", "count_str", "count_bool", "count_null"])
+    def test_edited_meta_is_corrupt(self, tmp_path, field, value, message):
+        # meta.json is not covered by the hash: each value here is one
+        # ingest never writes, or one the ledger's times refute.
+        store = tmp_path / "store"
+        save_ledger(three_records(), str(store))
+        meta = json.loads((store / "meta.json").read_text())
+        meta[field] = value
+        (store / "meta.json").write_text(json.dumps(meta))
+        with pytest.raises(StoreError) as info:
+            load_ledger(str(store))
+        assert str(info.value) == f"store at {str(store)!r} is corrupt ({message})"
+
+    @pytest.mark.parametrize("field, value", [("epoch_start", -DAY), ("epoch_start", None),
+                                              ("out_of_order", 7)],
+                             ids=["epoch_day_before", "epoch_null", "count"])
+    def test_edited_meta_that_ingest_could_write_loads(self, tmp_path, field, value):
+        store = tmp_path / "store"
+        save_ledger(three_records(), str(store))
+        meta = json.loads((store / "meta.json").read_text())
+        meta[field] = value
+        (store / "meta.json").write_text(json.dumps(meta))
+        loaded = load_ledger(str(store))
+        assert getattr(loaded, field) == (0 if value is None else value)
+        assert loaded.n_days == (4 if value == -DAY else 3)
+
+    @pytest.mark.parametrize("content", [None, b"[1, 2]", b"\xff\xfe{", b"[" * 100_000,
+                                         b'{"epoch_start": 1' + b"0" * 5000 + b"}"],
+                             ids=["truncated", "not_object", "not_utf8", "nested",
+                                  "long_integer"])
     def test_unreadable_meta_names_meta(self, ledger, tmp_path, content):
         # None: meta.json cut to 40 bytes.
         store = tmp_path / "store"
