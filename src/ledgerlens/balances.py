@@ -89,13 +89,6 @@ class Ranking:
     def __len__(self) -> int:
         return len(self.balances)
 
-    def entries(self) -> list[tuple[str, int]]:
-        names = self.addresses.names
-        return [(names[i], int(b)) for i, b in zip(self.ids, self.balances)]
-
-    def members(self) -> frozenset:
-        return frozenset(int(i) for i in self.ids)
-
     def tie_ranks(self) -> np.ndarray:
         """1-based positions with tied balances averaged (fractional ranks)."""
         # Runs of equal balances share the mean of their positions: run
@@ -106,13 +99,14 @@ class Ranking:
         return np.repeat(0.5 * (starts + 1 + stops), stops - starts)
 
     def truncated(self, n: int) -> "Ranking":
-        """The top `n` of this ranking; `n` must be at least 1."""
+        """The top `n` of this ranking, on copied arrays (a slice would keep
+        the parent's whole arrays alive); `n` must be at least 1."""
         if n < 1:
             raise ValueError("n must be >= 1")
         if n >= len(self):
             return self
-        return Ranking(self.day, n, self.ids[:n], self.balances[:n], self.addresses,
-                       self.funded_total, self.funded_sq)
+        return Ranking(self.day, n, self.ids[:n].copy(), self.balances[:n].copy(),
+                       self.addresses, self.funded_total, self.funded_sq)
 
 
 def pairwise_dot(x: np.ndarray, y: np.ndarray) -> float:

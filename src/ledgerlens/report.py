@@ -10,7 +10,7 @@ import hashlib
 import json
 import math
 import os
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -184,17 +184,37 @@ def build_report(
     }
     cfg = config_hash(params)
 
-    max_top = max(max(tops), focus_n)
-    # Read several times, so kept whole: O(days x N).  Reading each day's
-    # ids as it arrives orders them now, so the day drops its whole tie
-    # group at the cut instead of holding it until stability reads them.
-    rankings = []
-    for ranking in compute_rankings(ledger, max_top):
-        ranking.ids
-        rankings.append(ranking)
     all_days = range(ledger.n_days)
     supplies = [ledger.supply_at(d) for d in all_days]
     days = list(window(dict.fromkeys(all_days), day_range))
+    # One walk over the day rankings: each day gives its proportions row
+    # and D_static value, leaves its top `focus_n` for dispersion and HHI,
+    # and passes on to stability, which holds the last max(interval) + 1.
+    prop = np.zeros((ledger.n_days, len(tops)))
+    d_static_values: dict[int, float] = {}
+    focus: list[Ranking] = []
+    curve: list[Ranking] = []
+    curve_at = ledger.n_days - 1 if curve_day is None else curve_day
+
+    def walk() -> Iterator[Ranking]:
+        for ranking in compute_rankings(ledger, max(max(tops), focus_n)):
+            d = ranking.day
+            prop[d] = proportion_series([ranking], [supplies[d]], tops)[0]
+            d_static_values.update(d_static_series([ranking], max(tops), scaling).values)
+            focus.append(ranking.truncated(focus_n))
+            if d == curve_at:
+                curve.append(ranking)
+            yield ranking
+
+    # Ranking stability: every distinct (metric, N, interval) series comes
+    # from one stability_table call and feeds the CSV, the JSON bundle and
+    # the charts.  It reads the whole walk.
+    stab = stability_table(
+        walk(),
+        [(metric, n, interval) for metric in ("spearman", "retention")
+         for n, interval in [(focus_n, i) for i in intervals] + [(t, 1) for t in tops]],
+        spearman_mode,
+    )
 
     bundle: dict = {
         "meta": {
@@ -215,7 +235,6 @@ def build_report(
 
     # Top-N supply proportions (matrix rows cover the full history; emission
     # is windowed).
-    prop = proportion_series(rankings, supplies, tops)
     write_csv(os.path.join(out_dir, "proportions.csv"),
               *proportions_table(prop, tops, days), cfg)
     write_csv(os.path.join(out_dir, "proportions_long.csv"),
@@ -242,15 +261,7 @@ def build_report(
         "values": [[float(v) for v in diff[d]] for d in days],
     }
 
-    # Ranking stability: every distinct (metric, N, interval) series comes
-    # from one stability_table call and feeds the CSV, the JSON bundle and
-    # the charts.
-    stab = stability_table(
-        rankings,
-        [(metric, n, interval) for metric in ("spearman", "retention")
-         for n, interval in [(focus_n, i) for i in intervals] + [(t, 1) for t in tops]],
-        spearman_mode,
-    )
+    # Ranking stability, windowed like every series.
     for s in stab.values():
         s.values = window(s.values, day_range)
     stability_rows: list[tuple] = []
@@ -273,7 +284,7 @@ def build_report(
     bundle["stability"] = {"series": series_bundle, "summaries": summaries}
 
     # Static decentralization degree.
-    ds = window(d_static_series(rankings, max(tops), scaling).values, day_range)
+    ds = window(d_static_values, day_range)
     write_csv(os.path.join(out_dir, "d_static.csv"), *day_table("d_static", ds), cfg)
     bundle["d_static"] = {
         "scaling": scaling,
@@ -283,7 +294,7 @@ def build_report(
 
     # Dispersion of graph centralities.
     disp = dispersion_series(
-        ledger, rankings, ("degree", "pagerank"), focus_n,
+        ledger, focus, ("degree", "pagerank"), focus_n,
         value_weighted=value_weighted,
     )
     disp = {m: window(vals, day_range) for m, vals in disp.items()}
@@ -295,7 +306,7 @@ def build_report(
     # HHI under the three clustering schemes, from one set of A2/A3 firm
     # labels, plus the dynamic degree.  The dynamic degree normalizes over
     # the full computed series before windowing.
-    hhi = hhi_by_scheme(ledger, ("a1", "a2", "a3"), rankings, focus_n=focus_n, method=method)
+    hhi = hhi_by_scheme(ledger, ("a1", "a2", "a3"), focus, focus_n=focus_n, method=method)
     hhi_values = {scheme: window(s.values, day_range) for scheme, s in hhi.items()}
     write_csv(os.path.join(out_dir, "hhi.csv"), *hhi_table(hhi_values), cfg)
     bundle["hhi"] = {
@@ -310,7 +321,7 @@ def build_report(
         _write_charts(
             out_dir, days, tops, intervals, focus_n,
             prop[days] if days else prop[:0], diff[days] if days else diff[:0],
-            diff_xs, stab, rankings, ds, disp, hhi_values, dyn, curve_day, cfg,
+            diff_xs, stab, curve[0] if curve else None, ds, disp, hhi_values, dyn, cfg,
         )
 
     write_json(os.path.join(out_dir, "report.json"), bundle)
@@ -319,7 +330,7 @@ def build_report(
 
 def _write_charts(
     out_dir, days, tops, intervals, focus_n, prop, diff, diff_xs, stab,
-    rankings, ds, disp, hhi_values, dyn, curve_day, cfg,
+    curve, ds, disp, hhi_values, dyn, cfg,
 ):
     chart_dir = os.path.join(out_dir, "charts")
     os.makedirs(chart_dir, exist_ok=True)
@@ -363,11 +374,8 @@ def _write_charts(
             box_plot(groups, os.path.join(chart_dir, f"{metric}_{stem}_box.svg"),
                      box_title.format(metric), box_x, metric, meta=svg_meta)
 
-    if rankings:
-        day = curve_day if curve_day is not None else len(rankings) - 1
-        if len(rankings[day]):
-            curve_chart(os.path.join(chart_dir, "cumulative_curve.svg"),
-                        rankings[day], max(tops), cfg)
+    if curve is not None and len(curve):
+        curve_chart(os.path.join(chart_dir, "cumulative_curve.svg"), curve, max(tops), cfg)
     line_chart(
         day_lines({"d_static": ds}),
         os.path.join(chart_dir, "d_static.svg"),

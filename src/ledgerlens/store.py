@@ -125,11 +125,10 @@ def load_meta(store_dir: str) -> dict:
         raise StoreError(f"store at {store_dir!r} has an unreadable {_META} ({exc})") from exc
     if not isinstance(meta, dict):
         raise StoreError(f"store at {store_dir!r} has an unreadable {_META} (not a JSON object)")
-    if meta.get("store_version") != STORE_VERSION:
-        raise StoreError(
-            f"store version {meta.get('store_version')!r} unsupported "
-            f"(expected {STORE_VERSION})"
-        )
+    version = meta.get("store_version")
+    # JSON true and 1.0 compare equal to 1; only the integer is a version.
+    if type(version) is not int or version != STORE_VERSION:
+        raise StoreError(f"store version {version!r} unsupported (expected {STORE_VERSION})")
     return meta
 
 

@@ -21,6 +21,10 @@ _MARGIN_L = 64.0
 _MARGIN_R = 16.0
 _MARGIN_T = 34.0
 _MARGIN_B = 46.0
+_WIDTH = 880
+_HEIGHT = 460
+# Outlier circles drawn per box, smallest values first.
+_MAX_FLIERS = 50
 
 
 def _fmt(v: float) -> str:
@@ -53,18 +57,16 @@ def _nice_ticks(lo: float, hi: float, target: int = 6) -> list[float]:
 
 
 class _Canvas:
-    def __init__(self, width: int, height: int, title: str, meta: str = ""):
-        self.width = width
-        self.height = height
+    def __init__(self, title: str, meta: str = ""):
         self.parts: list[str] = [
-            f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-            f'height="{height}" viewBox="0 0 {width} {height}">',
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{_WIDTH}" '
+            f'height="{_HEIGHT}" viewBox="0 0 {_WIDTH} {_HEIGHT}">',
         ]
         if meta:
             self.parts.append(f"<!-- {meta} -->")
         self.parts += [
-            f'<rect width="{width}" height="{height}" fill="white"/>',
-            f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" '
+            f'<rect width="{_WIDTH}" height="{_HEIGHT}" fill="white"/>',
+            f'<text x="{_WIDTH / 2:.1f}" y="20" text-anchor="middle" '
             f'font-family="sans-serif" font-size="14">{title}</text>',
         ]
 
@@ -108,8 +110,8 @@ def open_output(path: str):
 
 def _frame(c: _Canvas, x_lo, x_hi, y_lo, y_hi, x_label, y_label):
     """Draw axes plus ticks; returns (sx, sy) data-to-pixel mappers."""
-    px_lo, px_hi = _MARGIN_L, c.width - _MARGIN_R
-    py_lo, py_hi = c.height - _MARGIN_B, _MARGIN_T
+    px_lo, px_hi = _MARGIN_L, _WIDTH - _MARGIN_R
+    py_lo, py_hi = _HEIGHT - _MARGIN_B, _MARGIN_T
 
     def sx(v: float) -> float:
         return px_lo + (v - x_lo) / (x_hi - x_lo) * (px_hi - px_lo)
@@ -126,7 +128,7 @@ def _frame(c: _Canvas, x_lo, x_hi, y_lo, y_hi, x_label, y_label):
         c.line(px_lo - 4, sy(t), px_lo, sy(t))
         c.text(px_lo - 8, sy(t) + 3, _fmt(t), anchor="end")
         c.line(px_lo, sy(t), px_hi, sy(t), color="#eee", width=0.5)
-    c.text((px_lo + px_hi) / 2, c.height - 8, x_label, size=11)
+    c.text((px_lo + px_hi) / 2, _HEIGHT - 8, x_label, size=11)
     c.text(14, (py_lo + py_hi) / 2, y_label, size=11, anchor="middle")
     return sx, sy
 
@@ -137,8 +139,6 @@ def line_chart(
     title: str,
     x_label: str = "day",
     y_label: str = "value",
-    width: int = 880,
-    height: int = 460,
     meta: str = "",
 ) -> None:
     """Write a multi-series line chart (`-` for standard output); series
@@ -156,7 +156,7 @@ def line_chart(
     pad = 0.05 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
 
-    c = _Canvas(width, height, title, meta)
+    c = _Canvas(title, meta)
     sx, sy = _frame(c, x_lo, x_hi, y_lo, y_hi, x_label, y_label)
     for i, (label, (xs, ys)) in enumerate(series.items()):
         color = PALETTE[i % len(PALETTE)]
@@ -167,7 +167,7 @@ def line_chart(
         ]
         if pts:
             c.polyline(pts, color)
-        c.text(width - _MARGIN_R - 4, _MARGIN_T + 12 + 13 * i, label,
+        c.text(_WIDTH - _MARGIN_R - 4, _MARGIN_T + 12 + 13 * i, label,
                anchor="end", color=color)
     with open_output(path) as fp:
         fp.write(c.render())
@@ -179,9 +179,6 @@ def box_plot(
     title: str,
     x_label: str = "group",
     y_label: str = "value",
-    width: int = 880,
-    height: int = 460,
-    max_fliers: int = 50,
     meta: str = "",
 ) -> None:
     """Write boxplots (quartile boxes, 1.5*IQR whiskers, outlier circles);
@@ -195,9 +192,9 @@ def box_plot(
     pad = 0.05 * (y_hi - y_lo)
     y_lo, y_hi = y_lo - pad, y_hi + pad
 
-    c = _Canvas(width, height, title, meta)
-    px_lo, px_hi = _MARGIN_L, width - _MARGIN_R
-    py_lo, py_hi = height - _MARGIN_B, _MARGIN_T
+    c = _Canvas(title, meta)
+    px_lo, px_hi = _MARGIN_L, _WIDTH - _MARGIN_R
+    py_lo, py_hi = _HEIGHT - _MARGIN_B, _MARGIN_T
 
     def sy(v: float) -> float:
         return py_lo + (v - y_lo) / (y_hi - y_lo) * (py_hi - py_lo)
@@ -229,10 +226,10 @@ def box_plot(
         c.line(cx, sy(q3), cx, sy(w_hi))
         c.line(cx - box_w / 4, sy(w_lo), cx + box_w / 4, sy(w_lo))
         c.line(cx - box_w / 4, sy(w_hi), cx + box_w / 4, sy(w_hi))
-        fliers = np.sort(arr[(arr < lo_bound) | (arr > hi_bound)])[:max_fliers]
+        fliers = np.sort(arr[(arr < lo_bound) | (arr > hi_bound)])[:_MAX_FLIERS]
         for v in fliers:
             c.circle(cx, sy(float(v)))
-    c.text((px_lo + px_hi) / 2, height - 8, x_label, size=11)
+    c.text((px_lo + px_hi) / 2, _HEIGHT - 8, x_label, size=11)
     c.text(14, (py_lo + py_hi) / 2, y_label, size=11)
     with open_output(path) as fp:
         fp.write(c.render())

@@ -36,6 +36,8 @@ import numpy as np
 from .ledger import AddressTable, Ledger, SECONDS_PER_DAY
 
 REGIMES = ("uniform", "preferential", "hub", "churn")
+# A payment's fee: amount * FEE_PER_1024 / 1024 rounded down, below the amount.
+FEE_PER_1024 = 1
 
 
 @dataclass(frozen=True)
@@ -53,7 +55,6 @@ class SynthConfig:
     reward: int = 50 * 10**8
     halving_days: int = 0
     amount_frac: float = 0.5
-    fee_per_1024: int = 1
 
     def validate(self) -> None:
         if self.days < 0 or self.txs_per_day < 0:
@@ -80,8 +81,6 @@ class SynthConfig:
             raise ValueError("initial_supply too small for the pool")
         if not 0.0 < self.amount_frac <= 1.0:
             raise ValueError("amount_frac must be in (0, 1]")
-        if self.fee_per_1024 < 0 or self.fee_per_1024 >= 1024:
-            raise ValueError("fee_per_1024 must be in [0, 1024)")
 
     def _initial_weight_total(self) -> int:
         if self.regime == "churn":
@@ -265,7 +264,7 @@ def _payments_day(b: _Builder, cfg: SynthConfig, rng: np.random.Generator, base:
     start = bal[senders]
     raw = (rng.random(k) * start * cfg.amount_frac).astype(np.int64)
     amounts = np.clip(raw, 1, start)
-    fees = np.minimum(amounts * cfg.fee_per_1024 >> 10, amounts - 1)
+    fees = np.minimum(amounts * FEE_PER_1024 >> 10, amounts - 1)
     b.add_payments(base + 1, senders, receivers, amounts, fees)
 
 
@@ -316,7 +315,7 @@ def _hub_day(
     senders = np.concatenate(senders_l)
     receivers = np.concatenate(receivers_l)
     amounts = np.concatenate(amounts_l)
-    fees = np.minimum(amounts * cfg.fee_per_1024 >> 10, amounts - 1)
+    fees = np.minimum(amounts * FEE_PER_1024 >> 10, amounts - 1)
     b.add_payments(base + 1, senders, receivers, amounts, fees)
 
 

@@ -18,6 +18,7 @@ from .errors import ConvergenceError
 from .ledger import AddressTable, Ledger
 
 FOCUS_N = 100
+DAMPING = 0.85
 
 
 @dataclass
@@ -149,12 +150,12 @@ def degree_centrality(graph: TransactionGraph) -> MetricVector:
 
 def pagerank(
     graph: TransactionGraph,
-    damping: float = 0.85,
     tol: float = 1e-10,
     max_iter: int = 200,
     weighted_by_value: bool = False,
 ) -> MetricVector:
-    """Damped PageRank over the multiplicity-weighted directed graph.
+    """PageRank, damped by `DAMPING`, over the multiplicity-weighted
+    directed graph.
 
     Dangling mass is redistributed uniformly each sweep; iteration stops
     when the L1 change drops below `tol` and the result is normalized to
@@ -183,7 +184,7 @@ def pagerank(
         contrib = rank[pos_src] * w / safe_out[pos_src]
         incoming = np.bincount(pos_dst, weights=contrib, minlength=n)
         loose = float(rank[dangling].sum())
-        fresh = damping * incoming + (damping * loose + (1.0 - damping)) / n
+        fresh = DAMPING * incoming + (DAMPING * loose + (1.0 - DAMPING)) / n
         residual = float(np.abs(fresh - rank).sum())
         rank = fresh
         if residual < tol:

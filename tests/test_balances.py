@@ -20,6 +20,12 @@ def top(snap, n):
     return rank_balances(snap.balances, n, snap.addresses, snap.day)
 
 
+def entries(ranking):
+    """The ranking's (address, balance) pairs, largest first."""
+    names = ranking.addresses.names
+    return [(names[i], int(b)) for i, b in zip(ranking.ids, ranking.balances)]
+
+
 def share(snap, n):
     """Top-n share of the day's minted supply, through proportion_series."""
     return float(proportion_series([top(snap, n)], [snap.total_supply], [n])[0, 0])
@@ -104,12 +110,12 @@ class TestTopN:
             rec("c0", 0, [], [["A", 5], ["B", 3], ["C", 1]]),
         ])
         ranking = top(snapshots_list(ledger)[0], 2)
-        assert ranking.entries() == [("A", 5), ("B", 3)]
+        assert entries(ranking) == [("A", 5), ("B", 3)]
 
     def test_n_larger_than_funded(self):
         ledger = make_ledger([rec("c0", 0, [], [["A", 5], ["B", 3]])])
         ranking = top(snapshots_list(ledger)[0], 10)
-        assert ranking.entries() == [("A", 5), ("B", 3)]
+        assert entries(ranking) == [("A", 5), ("B", 3)]
 
     def test_tie_breaks_by_address(self):
         ledger = make_ledger([
@@ -118,14 +124,14 @@ class TestTopN:
         snap = snapshots_list(ledger)[0]
         ranking = top(snap, 3)
         oracle = sorted(snap.as_dict().items(), key=lambda kv: (-kv[1], kv[0]))
-        assert ranking.entries() == oracle
+        assert entries(ranking) == oracle
 
     def test_boundary_tie_cut_is_deterministic(self):
         ledger = make_ledger([
             rec("c0", 0, [], [["d", 5], ["c", 5], ["b", 5], ["a", 9]]),
         ])
         ranking = top(snapshots_list(ledger)[0], 2)
-        assert ranking.entries() == [("a", 9), ("b", 5)]
+        assert entries(ranking) == [("a", 9), ("b", 5)]
 
     def test_zero_balances_excluded(self):
         ledger = make_ledger([
@@ -133,7 +139,7 @@ class TestTopN:
             rec("p1", DAY, [["B", 3]], [["A", 3]]),
         ])
         ranking = top(snapshots_list(ledger)[-1], 10)
-        assert [a for a, _ in ranking.entries()] == ["A"]
+        assert [a for a, _ in entries(ranking)] == ["A"]
 
     def test_tie_ranks_average(self):
         ledger = make_ledger([
@@ -149,6 +155,15 @@ class TestTopN:
         ranking = top(snapshots_list(ledger)[0], 8)
         with pytest.raises(ValueError, match="n must be >= 1"):
             ranking.truncated(n)
+
+    def test_truncated_owns_its_arrays(self):
+        # A view would keep the parent's whole arrays alive with the top n.
+        ledger = make_ledger([rec("c0", 0, [], [[f"h{i}", 10 + i] for i in range(8)])])
+        ranking = top(snapshots_list(ledger)[0], 8)
+        cut = ranking.truncated(3)
+        assert entries(cut) == entries(ranking)[:3]
+        assert not np.shares_memory(cut.ids, ranking.ids)
+        assert not np.shares_memory(cut.balances, ranking.balances)
 
 
 def reference_rank_balances(balances, n, addresses, day):
@@ -227,7 +242,7 @@ class TestRankKernel:
         balances = np.array([0, 7, 7, 7, 7, 9], dtype=np.int64)
         assert_same_ranking(balances, n, table)
         ranking = rank_balances(balances, 5, table, 0)
-        assert ranking.entries() == [("Z", 9), ("a", 7), ("a\x00", 7), ("b", 7), ("\xe9", 7)]
+        assert entries(ranking) == [("Z", 9), ("a", 7), ("a\x00", 7), ("b", 7), ("\xe9", 7)]
 
     @pytest.mark.parametrize("n", [1, 3, 10])
     def test_all_zero(self, n):
@@ -239,12 +254,12 @@ class TestRankKernel:
     def test_name_rank_refreshes_after_intern(self):
         table = table_of(["b", "c"])
         balances = np.array([0, 5, 5], dtype=np.int64)
-        assert rank_balances(balances, 1, table, 0).entries() == [("b", 5)]
+        assert entries(rank_balances(balances, 1, table, 0)) == [("b", 5)]
         table.intern("\x00")
         balances = np.append(balances, 5)
         assert len(table.name_rank) == len(table)
         assert_same_ranking(balances, 1, table)
-        assert rank_balances(balances, 1, table, 0).entries() == [("\x00", 5)]
+        assert entries(rank_balances(balances, 1, table, 0)) == [("\x00", 5)]
 
     @given(ranking_inputs())
     def test_funded_totals_cover_every_funded_address(self, case):
@@ -317,7 +332,7 @@ class TestRankingsPass:
     def test_matches_snapshot_path(self, simple_ledger):
         rankings = compute_rankings(simple_ledger, 5)
         for snap, ranking in zip(compute_snapshots(simple_ledger), rankings):
-            assert ranking.entries() == top(snap, 5).entries()
+            assert entries(ranking) == entries(top(snap, 5))
 
     def test_proportion_series_matches_pointwise(self, simple_ledger):
         rankings = compute_rankings(simple_ledger, 5)

@@ -872,8 +872,9 @@ class TestBoundedMemory:
 class TestLongHistoryMemory:
     """5000 funded addresses over 2000 days: every day's top-5000 ranking
     kept at once would take about 160 MB, but `dstatic`, `proportions` and
-    `hhi --scheme a1` hold one day's ranking at a time, and `stability`
-    the lists of the last interval + 1 days."""
+    `hhi --scheme a1` hold one day's ranking at a time, `stability` the
+    lists of the last interval + 1 days, and `report` those lists plus
+    each day's top `--focus`."""
 
     @pytest.fixture(scope="class")
     def long_store(self, tmp_path_factory):
@@ -899,11 +900,19 @@ class TestLongHistoryMemory:
         assert done.returncode == 0, done.stderr
         assert len(read_csv(out)[2]) == rows
 
+    def test_report_runs_in_256_mib(self, long_store, tmp_path):
+        out = tmp_path / "report"
+        done = _run_in_256_mib(["report", "--no-charts", "--tops", "5000", "--out", str(out),
+                                "--store", long_store])
+        assert done.returncode == 0, done.stderr
+        assert len(read_csv(out / "d_static.csv")[2]) == 2000
+
 
 class TestReportTieGroups:
     """20 000 equal balances: every day's top 10 is cut from a tie group of
     20 000 candidates.  Kept unordered for 500 days they would take about
-    160 MB; `report` orders each day's ids as it arrives and keeps 10."""
+    160 MB; `report`'s one walk orders each day's ids as the day passes,
+    which drops its candidates, and keeps its top 10."""
 
     @pytest.fixture(scope="class")
     def tied_store(self, tmp_path_factory):

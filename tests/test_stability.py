@@ -335,7 +335,7 @@ class TestRetention:
         r = retention(a, b, 20)
         assert 0.0 <= r <= 1.0
         assert r == retention(b, a, 20)
-        assert (r == 1.0) == (a.members() == b.members())
+        assert (r == 1.0) == (set(a.ids.tolist()) == set(b.ids.tolist()))
 
 
 class TestSeries:

@@ -15,8 +15,9 @@ from ledgerlens import (
     save_ledger,
 )
 from ledgerlens.balances import snapshot_at
+from ledgerlens.cli import run
 from ledgerlens.ledger import MAX_VALUE, MIN_TIME
-from ledgerlens.store import _pack_strings, content_hash, load_meta
+from ledgerlens.store import STORE_VERSION, _pack_strings, content_hash, load_meta
 from conftest import DAY, make_ledger, rec, rewrite_arrays
 
 
@@ -234,6 +235,23 @@ class TestLedgerStore:
         with pytest.raises(StoreError) as info:
             load_ledger(str(store))
         assert str(info.value) == f"store at {str(store)!r} is corrupt ({message})"
+
+    @pytest.mark.parametrize("version", [True, 1.0], ids=["bool", "float"])
+    def test_edited_store_version_is_refused(self, tmp_path, capsys, version):
+        # Both compare equal to the integer version 1; neither is one.
+        store = tmp_path / "store"
+        save_ledger(three_records(), str(store))
+        meta = json.loads((store / "meta.json").read_text())
+        meta["store_version"] = version
+        (store / "meta.json").write_text(json.dumps(meta))
+        message = f"store version {version!r} unsupported (expected {STORE_VERSION})"
+        with pytest.raises(StoreError) as info:
+            load_ledger(str(store))
+        assert str(info.value) == message
+        capsys.readouterr()
+        assert run(["snapshot", "--store", str(store), "--dump-day", "0", "--out",
+                    str(tmp_path / "snap.csv")]) == 2
+        assert capsys.readouterr().err == f"ledgerlens: {message}\n"
 
     @pytest.mark.parametrize("field, value", [("epoch_start", -DAY), ("epoch_start", None),
                                               ("out_of_order", 7)],

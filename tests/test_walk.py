@@ -92,7 +92,7 @@ def test_ids_are_ordered_on_first_read():
     # ... and the first read orders them once, dropping the candidates.
     ids = ranking.ids
     assert ranking._candidates is None and ranking.ids is ids
-    assert [name for name, _ in ranking.entries()] == (
+    assert [ledger.addresses.names[i] for i in ids] == (
         [f"big{i}" for i in range(4, -1, -1)] + [f"t{i:02d}" for i in range(5)])
 
 
