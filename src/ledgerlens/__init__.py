@@ -20,10 +20,7 @@ from .errors import (
 from .ledger import (
     COINBASE,
     AddressTable,
-    Edge,
     Ledger,
-    Transaction,
-    expand_edges,
     parse_ledger,
 )
 from .lorenz import CumulativeCurve, cumulative_curve, d_static, d_static_series
@@ -61,13 +58,13 @@ from .txgraph import (
 __all__ = [
     "__version__",
     "AddressTable", "BalanceError", "BalanceSnapshot", "COINBASE",
-    "ConvergenceError", "CumulativeCurve", "DistributionSummary", "Edge",
+    "ConvergenceError", "CumulativeCurve", "DistributionSummary",
     "HHISeries", "Ledger", "LedgerError", "MetricVector",
     "ParseError", "Ranking", "StabilitySeries", "StoreError",
-    "SynthConfig", "Transaction", "TransactionGraph", "build_day_graph",
+    "SynthConfig", "TransactionGraph", "build_day_graph",
     "classify", "cluster", "compute_rankings", "compute_snapshots",
     "cumulative_curve", "d_hhi", "d_static", "d_static_series",
-    "degree_centrality", "dispersion", "dispersion_series", "expand_edges",
+    "degree_centrality", "dispersion", "dispersion_series",
     "generate", "hhi", "hhi_by_scheme", "hhi_series", "label_propagation",
     "load_ledger", "pagerank", "parse_ledger", "retention", "save_ledger",
     "spearman", "stability_series", "stability_table", "summarize",

@@ -38,10 +38,6 @@ class BalanceSnapshot:
         names = self.addresses.names
         return {names[i]: int(self.balances[i]) for i in ids}
 
-    @property
-    def funded_count(self) -> int:
-        return int((self.balances > 0).sum())
-
 
 class Ranking:
     """Top-N addresses by balance for one day, largest first.
@@ -88,15 +84,6 @@ class Ranking:
 
     def __len__(self) -> int:
         return len(self.balances)
-
-    def tie_ranks(self) -> np.ndarray:
-        """1-based positions with tied balances averaged (fractional ranks)."""
-        # Runs of equal balances share the mean of their positions: run
-        # [s, e) of 0-based positions gets (s + 1 + e) / 2.
-        boundaries = np.flatnonzero(np.diff(self.balances) != 0) + 1
-        starts = np.concatenate(([0], boundaries))
-        stops = np.concatenate((boundaries, [len(self.balances)]))
-        return np.repeat(0.5 * (starts + 1 + stops), stops - starts)
 
     def truncated(self, n: int) -> "Ranking":
         """The top `n` of this ranking, on copied arrays (a slice would keep

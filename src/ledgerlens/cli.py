@@ -341,7 +341,7 @@ def _build_parser() -> _Parser:
                        help="emit only days inside this inclusive window")
 
     p = sub.add_parser("synth", help="generate a deterministic synthetic ledger")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--days", type=int, default=30)
     p.add_argument("--txs-per-day", type=int, default=100)
     p.add_argument("--pool", type=int, default=200)

@@ -1,11 +1,12 @@
-"""Transaction ledger model: JSON-lines parsing, canonical serialization,
+"""The ledger model: JSON-lines parsing, canonical serialization,
 day indexing, and N x M input/output edge expansion.
 
 A ledger is an immutable, totally ordered sequence of transactions.  Values
 are integer base units end to end; floating point only appears at reporting
 boundaries.  Internally transactions live in flat numpy arrays (one row per
 input/output entry) so that balance reconstruction and graph building stay
-vectorized; `Transaction` objects are materialized on demand.
+vectorized.  `canonical_record` reads one transaction back as its JSON
+record.
 
 Graphs expand a range of transactions into edges on request, keeping only
 the edges with an end in a focus set, so their memory is O(entries + focus
@@ -15,10 +16,9 @@ cache of them.
 
 import json
 import sys
-from dataclasses import dataclass
 from itertools import chain, filterfalse, islice, repeat
 from operator import itemgetter
-from typing import IO, Callable, Iterable, Iterator, NamedTuple, NoReturn
+from typing import IO, Callable, Iterable, NamedTuple, NoReturn
 
 import numpy as np
 
@@ -80,15 +80,6 @@ class AddressTable:
         return np.fromiter(map(self._index.__getitem__, names), dtype=np.int64,
                            count=len(names))
 
-    def intern(self, name: str) -> int:
-        index = self._ids()
-        idx = index.get(name)
-        if idx is None:
-            idx = len(self.names)
-            self.names.append(name)
-            index[name] = idx
-        return idx
-
     def id_of(self, name: str) -> int:
         return self._ids()[name]
 
@@ -112,80 +103,18 @@ class AddressTable:
         return rank
 
 
-@dataclass(frozen=True)
-class Transaction:
-    """One validated transaction.
-
-    Inputs and outputs are (address, value) pairs with distinct addresses
-    per side (duplicates are merged on parse).  An empty input list marks a
-    coinbase transaction; its outputs are newly minted coins.
-    """
-
-    txid: str
-    time: int
-    inputs: list[tuple[str, int]]
-    outputs: list[tuple[str, int]]
-
-    @property
-    def is_coinbase(self) -> bool:
-        return not self.inputs
-
-    @property
-    def input_total(self) -> int:
-        return sum(v for _, v in self.inputs)
-
-    @property
-    def output_total(self) -> int:
-        return sum(v for _, v in self.outputs)
-
-    @property
-    def minted(self) -> int:
-        return self.output_total if self.is_coinbase else 0
-
-    @property
-    def fee(self) -> int:
-        return 0 if self.is_coinbase else self.input_total - self.output_total
-
-
-class Edge(NamedTuple):
-    """A directed ledger edge produced by input/output expansion."""
-
-    src: str
-    dst: str
-    txid: str
-    day: int
-
-
 class EdgeArrays(NamedTuple):
     """Expanded edges of a transaction range, as flat arrays.
 
-    Edge i runs from address id `src[i]` to `dst[i]` in transaction `tx[i]`.
-    `values` carries the proportional value attributed to each edge and is
-    only populated when requested.
+    The i-th edge runs from address id `src[i]` to `dst[i]` in transaction
+    `tx[i]`.  `values` carries the proportional value attributed to each
+    edge and is only populated when requested.
     """
 
     src: np.ndarray
     dst: np.ndarray
     tx: np.ndarray
     values: np.ndarray | None
-
-
-def expand_edges(tx: Transaction, day: int = 0) -> list[Edge]:
-    """Expand a transaction into one edge per (input address, output address).
-
-    Duplicate addresses within a side are collapsed first, so the result has
-    exactly ``distinct_inputs * distinct_outputs`` edges.  A coinbase
-    transaction yields one edge from the COINBASE pseudo-address to each
-    output address.  Self-loop edges (same address on both sides) are kept;
-    graph construction drops them later.
-    """
-    outs = list(dict.fromkeys(a for a, _ in tx.outputs))
-    if tx.is_coinbase:
-        ins = [COINBASE]
-    else:
-        ins = list(dict.fromkeys(a for a, _ in tx.inputs))
-    txid = tx.txid
-    return [Edge(a, b, txid, day) for a in ins for b in outs]
 
 
 def _encodes(text: str) -> bool:
@@ -265,7 +194,7 @@ class Ledger:
 
     `txids` is the list of transaction ids, or a function that returns it:
     a loaded store passes one, so the ids are decoded only when something
-    reads `txids` (serialization, `transaction`, a BalanceError).
+    reads `txids` (serialization, a BalanceError).
     """
 
     def __init__(
@@ -315,7 +244,7 @@ class Ledger:
         self.epoch_start = epoch_start
         self.days = (times - epoch_start) // SECONDS_PER_DAY
         self.n_days = n_days
-        # Transaction range per day: tx i belongs to day d iff
+        # The transaction range of each day: tx i belongs to day d iff
         # _day_tx_ptr[d] <= i < _day_tx_ptr[d+1].
         self._day_tx_ptr = np.searchsorted(
             self.days, np.arange(self.n_days + 1, dtype=np.int64)
@@ -348,35 +277,11 @@ class Ledger:
     def __len__(self) -> int:
         return len(self.times)
 
-    @property
-    def genesis_time(self) -> int | None:
-        return int(self.times[0]) if len(self.times) else None
-
-    def transaction(self, i: int) -> Transaction:
-        names = self.addresses.names
-        ins = [
-            (names[self.in_addr[j]], int(self.in_val[j]))
-            for j in range(self.in_ptr[i], self.in_ptr[i + 1])
-        ]
-        outs = [
-            (names[self.out_addr[j]], int(self.out_val[j]))
-            for j in range(self.out_ptr[i], self.out_ptr[i + 1])
-        ]
-        return Transaction(self.txids[i], int(self.times[i]), ins, outs)
-
-    def __iter__(self) -> Iterator[Transaction]:
-        for i in range(len(self)):
-            yield self.transaction(i)
-
     def day_range(self, day: int) -> tuple[int, int]:
         """Half-open transaction-index range [start, stop) for one day."""
         if not 0 <= day < self.n_days:
             raise ValueError(f"day {day} outside ledger range")
         return int(self._day_tx_ptr[day]), int(self._day_tx_ptr[day + 1])
-
-    @property
-    def day_index(self) -> dict[int, tuple[int, int]]:
-        return {d: self.day_range(d) for d in range(self.n_days)}
 
     def supply_at(self, day: int) -> int:
         """Cumulative minted supply through the end of `day`."""

@@ -87,8 +87,8 @@ def _propagate(
     """Weighted label propagation on `n_graphs` graphs of `n` nodes each,
     swept in step.
 
-    Edge i joins nodes ``p[i] != q[i]`` of graph ``graph[i]`` with weight
-    ``w[i]``, finite and > 0.  Every node starts with its own position as
+    The i-th edge joins nodes ``p[i] != q[i]`` of graph ``graph[i]`` with
+    weight ``w[i]``, finite and > 0.  Every node starts with its own position as
     label.  A round visits the nodes in one `order` in every graph: each
     adopts the heaviest label among its neighbors, the smallest on a tie,
     each label's weight summed in the graph's edge order.  `order` is
@@ -443,9 +443,6 @@ def cluster(
 class HHISeries:
     scheme: str
     values: dict[int, float]
-
-    def classes(self) -> dict[int, str]:
-        return {d: classify(v) for d, v in self.values.items()}
 
 
 def hhi_series(

@@ -115,9 +115,10 @@ class _DayList:
 
 def _doubled_ranks(start: np.ndarray, stop: np.ndarray, cut: int) -> np.ndarray:
     """Twice the tie ranks of the entries with tie runs [start, stop) in
-    their lists cut at `cut`, as exact integers in float64: a run cut there
-    averages only its kept positions, so each value is twice the one
-    `Ranking.tie_ranks` gives on the truncated ranking."""
+    their lists cut at `cut`, as exact integers in float64.  A tie rank is
+    the 1-based position with tied balances averaged: run [s, e) of 0-based
+    positions ranks (s + 1 + e) / 2.  A run cut at `cut` averages only its
+    kept positions, so it ranks (s + 1 + min(e, cut)) / 2."""
     return start + (np.minimum(stop, cut) + 1.0)
 
 

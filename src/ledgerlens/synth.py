@@ -29,11 +29,12 @@ Wealth regimes:
 # numpy.random (about 10 ms) for the `np.random.Generator` hints.
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .ledger import AddressTable, Ledger, SECONDS_PER_DAY
+from .ledger import MAX_VALUE, AddressTable, Ledger, SECONDS_PER_DAY
 
 REGIMES = ("uniform", "preferential", "hub", "churn")
 # A payment's fee: amount * FEE_PER_1024 / 1024 rounded down, below the amount.
@@ -57,18 +58,20 @@ class SynthConfig:
     amount_frac: float = 0.5
 
     def validate(self) -> None:
+        if not 0 <= self.seed < 2**128:
+            raise ValueError("seed must be in [0, 2**128), the Philox key range")
         if self.days < 0 or self.txs_per_day < 0:
             raise ValueError("days and txs_per_day must be >= 0")
         if self.txs_per_day + 1 > SECONDS_PER_DAY:
             raise ValueError("txs_per_day must fit within one day of seconds")
         if self.pool < 1:
             raise ValueError("pool must be >= 1")
-        if self.growth < 0:
-            raise ValueError("growth must be >= 0")
+        if not (math.isfinite(self.growth) and self.growth >= 0):
+            raise ValueError("growth must be finite and >= 0")
         if self.regime not in REGIMES:
             raise ValueError(f"unknown regime {self.regime!r}")
-        if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0):
+            raise ValueError("alpha must be finite and >= 0")
         if not 0.0 <= self.churn_rate <= 1.0:
             raise ValueError("churn_rate must be in [0, 1]")
         if self.regime == "hub" and not 1 <= self.hubs <= self.pool:
@@ -77,10 +80,26 @@ class SynthConfig:
             raise ValueError("rewards must be >= 0")
         if self.halving_days < 0:
             raise ValueError("halving_days must be >= 0")
+        if self.days > 0 and self._minted() > MAX_VALUE:
+            raise ValueError("initial_supply plus every day's reward exceeds 2^63-1, "
+                             "the largest supply a ledger holds")
         if self.days > 0 and self.initial_supply < self._initial_weight_total():
             raise ValueError("initial_supply too small for the pool")
         if not 0.0 < self.amount_frac <= 1.0:
             raise ValueError("amount_frac must be in (0, 1]")
+
+    def _minted(self) -> int:
+        """The supply a chain of `days` >= 1 days mints, in Python ints: the
+        initial supply on day 0, then reward >> k on each later day of
+        halving period k (days [k * halving_days, (k + 1) * halving_days);
+        one period when halving_days is 0)."""
+        period = self.halving_days or self.days
+        total, k = self.initial_supply, 0
+        while self.reward >> k and k * period < self.days:
+            first, stop = max(k * period, 1), min((k + 1) * period, self.days)
+            total += (self.reward >> k) * (stop - first)
+            k += 1
+        return total
 
     def _initial_weight_total(self) -> int:
         if self.regime == "churn":
@@ -103,13 +122,15 @@ class _Builder:
         self.out_val: list[np.ndarray] = []
         self.n_tx = 0
 
-    def new_address(self) -> int:
-        idx = self.table.intern(f"a{len(self.table):07d}")
-        if idx >= len(self.balances):
-            self.balances = np.concatenate(
-                (self.balances, np.zeros(max(64, len(self.balances) // 2), dtype=np.int64))
-            )
-        return idx
+    def new_addresses(self, k: int) -> np.ndarray:
+        """Intern `k` fresh addresses, named by id; returns their ids."""
+        first = len(self.table)
+        ids = self.table.intern_all([f"a{i:07d}" for i in range(first, first + k)])
+        short = len(self.table) - len(self.balances)
+        if short > 0:
+            grow = max(64, len(self.balances) // 2, short)
+            self.balances = np.concatenate((self.balances, np.zeros(grow, dtype=np.int64)))
+        return ids
 
     def add_coinbase(self, time: int, out_ids: np.ndarray, out_vals: np.ndarray) -> None:
         self.times.append(np.array([time], dtype=np.int64))
@@ -187,6 +208,9 @@ def _gumbel_topk(rng: np.random.Generator, weights: np.ndarray, k: int) -> np.nd
 def _weighted_pick(rng: np.random.Generator, weights: np.ndarray, k: int) -> np.ndarray:
     """k indices drawn with replacement, probability proportional to weights."""
     cum = np.cumsum(weights)
+    if not np.isfinite(cum[-1]):
+        raise ValueError("alpha too large: the receiver weights (balance + 1) ** alpha "
+                         "overflow float64")
     u = rng.random(k) * cum[-1]
     return np.searchsorted(cum, u, side="right")
 
@@ -195,7 +219,7 @@ def generate(config: SynthConfig) -> Ledger:
     """Generate a deterministic ledger for a config (same config, same bytes)."""
     cfg = config
     cfg.validate()
-    rng = np.random.Generator(np.random.Philox(key=cfg.seed & (2**64 - 1)))
+    rng = np.random.Generator(np.random.Philox(key=cfg.seed))
 
     churn_count = round(cfg.churn_rate * 100) if cfg.regime == "churn" else 0
     capacity = 1 + cfg.pool + int(cfg.growth * cfg.days) + churn_count * cfg.days + 8
@@ -203,7 +227,7 @@ def generate(config: SynthConfig) -> Ledger:
     if cfg.days == 0:
         return b.finish()
 
-    pool_ids = np.array([b.new_address() for _ in range(cfg.pool)], dtype=np.int64)
+    pool_ids = b.new_addresses(cfg.pool)
 
     # Day-0 allocation.
     if cfg.regime == "churn":
@@ -219,11 +243,10 @@ def generate(config: SynthConfig) -> Ledger:
     for day in range(1, cfg.days):
         base = day * SECONDS_PER_DAY
 
-        # Pool growth.
+        # Pool growth: one address for each whole unit the running total holds.
         growth_acc += cfg.growth
-        while growth_acc >= 1.0:
-            b.new_address()
-            growth_acc -= 1.0
+        b.new_addresses(int(growth_acc))
+        growth_acc -= int(growth_acc)
 
         # Daily coinbase.
         reward = cfg.reward
@@ -257,7 +280,8 @@ def _payments_day(b: _Builder, cfg: SynthConfig, rng: np.random.Generator, base:
     k = min(cfg.txs_per_day, len(funded))
     senders = funded[_gumbel_topk(rng, np.ones(len(funded)), k)]
     if cfg.regime == "preferential":
-        weights = (bal[real].astype(np.float64) + 1.0) ** cfg.alpha
+        with np.errstate(over="ignore"):  # an overflow is refused in _weighted_pick
+            weights = (bal[real].astype(np.float64) + 1.0) ** cfg.alpha
         receivers = real[_weighted_pick(rng, weights, k)]
     else:
         receivers = real[(rng.random(k) * n_real).astype(np.int64)]
@@ -336,7 +360,7 @@ def _churn_day(b: _Builder, cfg: SynthConfig, day: int, base: int, count: int) -
     start = ((day - 1) * c) % top_size
     picks = top[[(start + j) % top_size for j in range(c)]]
     senders = picks.astype(np.int64)
-    receivers = np.array([b.new_address() for _ in range(c)], dtype=np.int64)
+    receivers = b.new_addresses(c)
     amounts = bal[senders].copy()
     fees = np.zeros(c, dtype=np.int64)
     b.add_payments(base + 1, senders, receivers, amounts, fees)

@@ -42,31 +42,6 @@ class TransactionGraph:
     def n_edges(self) -> int:
         return len(self.src)
 
-    @classmethod
-    def from_edges(
-        cls,
-        pairs: Iterable[tuple[int, int]],
-        counts: Iterable[int] | None = None,
-        day: int = 0,
-        nodes: Iterable[int] | None = None,
-    ) -> "TransactionGraph":
-        """Build a graph straight from (src, dst) pairs; parallel duplicates
-        accumulate, self-loops are dropped.  `nodes` can add isolated nodes
-        beyond the edge endpoints."""
-        pairs = list(pairs)
-        src = np.asarray([p[0] for p in pairs], dtype=np.int64)
-        dst = np.asarray([p[1] for p in pairs], dtype=np.int64)
-        cnt = (
-            np.asarray(list(counts), dtype=np.int64)
-            if counts is not None
-            else np.ones(len(src), dtype=np.int64)
-        )
-        graph = _aggregate(day, src, dst, cnt, None)
-        if nodes is not None:
-            extra = np.asarray(sorted(set(int(v) for v in nodes)), dtype=np.int64)
-            graph.nodes = np.unique(np.concatenate((graph.nodes, extra)))
-        return graph
-
 
 @dataclass
 class MetricVector:

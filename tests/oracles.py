@@ -209,6 +209,22 @@ def expand_ledger(ledger, with_values: bool = False):
                            day_ptr=day_ptr, values=values)
 
 
+def graph_of(pairs, nodes=None):
+    """A day-0 `TransactionGraph` of a list or array of (src, dst) pairs,
+    built by the aggregation `build_day_graph` runs (`txgraph._aggregate`):
+    parallel pairs fold into counts and self-loops drop.  `nodes` adds
+    isolated nodes beyond the edge ends.  Not an oracle: it feeds graphs to
+    the metrics that the oracles check."""
+    from ledgerlens.txgraph import _aggregate
+
+    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
+    graph = _aggregate(0, pairs[:, 0], pairs[:, 1],
+                       np.ones(len(pairs), dtype=np.int64), None)
+    if nodes is not None:
+        graph.nodes = np.union1d(graph.nodes, np.fromiter(nodes, dtype=np.int64))
+    return graph
+
+
 def connected_components(nodes, pairs) -> list[frozenset]:
     """Union-find components over undirected pairs."""
     parent = {int(v): int(v) for v in nodes}

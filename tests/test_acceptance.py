@@ -4,6 +4,7 @@ calibrated elsewhere.  Run with `pytest -s tests/test_acceptance.py` to see
 the per-criterion lines as they complete.
 """
 
+import json
 import time
 
 import numpy as np
@@ -11,27 +12,26 @@ import pytest
 
 from ledgerlens import (
     SynthConfig,
-    Transaction,
     compute_rankings,
     compute_snapshots,
     cumulative_curve,
     d_hhi,
     d_static,
     dispersion,
-    expand_edges,
     generate,
     hhi,
     classify,
     hhi_series,
     pagerank,
+    parse_ledger,
     spearman,
 )
 from ledgerlens.cli import run
 from ledgerlens.lorenz import d_static_series
 from ledgerlens.market import HHISeries
-from ledgerlens.txgraph import MetricVector, TransactionGraph
+from ledgerlens.txgraph import MetricVector
 
-from oracles import gini_pairwise_np, pagerank_dense
+from oracles import gini_pairwise_np, graph_of, pagerank_dense
 from test_stability import mk_ranking, oracle_spearman
 
 
@@ -42,8 +42,11 @@ def report(criterion: int, passed: bool, detail: str) -> None:
 
 class TestAcceptance:
     def test_01_edge_expansion(self):
+        # Each input holds 100 and each output 1, so inputs cover outputs;
+        # `time=i` keeps the ledger in file order.  The drawn values only
+        # keep the seed's stream of addresses.
         rng = np.random.default_rng(101)
-        txs = []
+        txs, lines = [], []
         for i in range(10_000):
             n_in = int(rng.integers(0, 21))  # 0 inputs = coinbase
             n_out = int(rng.integers(1, 21))
@@ -51,16 +54,22 @@ class TestAcceptance:
                    for v in rng.integers(0, 50, n_in)]
             outs = [(f"b{v}", int(rng.integers(1, 100)))
                     for v in rng.integers(0, 50, n_out)]
-            txs.append(Transaction(f"t{i}", 0, ins, outs))
+            txs.append(([a for a, _ in ins], [b for b, _ in outs]))
+            lines.append(json.dumps({"txid": f"t{i}", "time": i,
+                                     "in": [[a, 100] for a, _ in ins],
+                                     "out": [[b, 1] for b, _ in outs]}))
+        ledger = parse_ledger(lines)
+        focus = np.ones(len(ledger.addresses), dtype=bool)
 
         t0 = time.perf_counter()
-        counts = [len(expand_edges(tx)) for tx in txs]
+        edges = ledger._expand(0, len(ledger), focus)
         elapsed = time.perf_counter() - t0
+        counts = np.bincount(edges.tx, minlength=len(ledger)).tolist()
 
         exact = 0
-        for tx, got in zip(txs, counts):
-            n = len(set(a for a, _ in tx.inputs)) or 1  # coinbase pseudo-input
-            m = len(set(a for a, _ in tx.outputs))
+        for (ins, outs), got in zip(txs, counts):
+            n = len(set(ins)) or 1  # coinbase pseudo-input
+            m = len(set(outs))
             if got == n * m:
                 exact += 1
         report(
@@ -189,7 +198,7 @@ class TestAcceptance:
                 for a, b in zip(rng.integers(0, n, m), rng.integers(0, n, m))
                 if a != b
             ]
-            graph = TransactionGraph.from_edges(pairs, nodes=range(n))
+            graph = graph_of(pairs, nodes=range(n))
             if graph.n_nodes == 0:
                 continue
             vec = pagerank(graph)
@@ -206,13 +215,11 @@ class TestAcceptance:
         src = rng.integers(0, big_n, 500_000)
         dst = rng.integers(0, big_n, 500_000)
         keep = src != dst
-        big = TransactionGraph.from_edges(
-            list(zip(src[keep].tolist(), dst[keep].tolist())), nodes=range(big_n)
-        )
+        big = graph_of(np.column_stack((src[keep], dst[keep])), nodes=range(big_n))
         big_sum = float(pagerank(big).values.sum())
 
-        cyc2 = pagerank(TransactionGraph.from_edges([(0, 1), (1, 0)])).values
-        cyc3 = pagerank(TransactionGraph.from_edges([(0, 1), (1, 2), (2, 0)])).values
+        cyc2 = pagerank(graph_of([(0, 1), (1, 0)])).values
+        cyc3 = pagerank(graph_of([(0, 1), (1, 2), (2, 0)])).values
         cycle_err = max(
             float(np.abs(cyc2 - 0.5).max()), float(np.abs(cyc3 - 1 / 3).max())
         )

@@ -7,6 +7,7 @@ from ledgerlens.balances import (
     Ranking, adjacent_diff, proportion_series, rank_balances, snapshot_at,
 )
 from ledgerlens.ledger import AddressTable
+from ledgerlens.stability import _DayList, _doubled_ranks
 from conftest import DAY, make_ledger, rec
 
 BTC = 10**8
@@ -142,11 +143,13 @@ class TestTopN:
         assert [a for a, _ in entries(ranking)] == ["A"]
 
     def test_tie_ranks_average(self):
+        # Doubled tie ranks, as Spearman reads them: A and B share 1.5.
+        # The day list orders its entries by id, and ids ascend A, B, C.
         ledger = make_ledger([
             rec("c0", 0, [], [["A", 5], ["B", 5], ["C", 3]]),
         ])
-        ranking = top(snapshots_list(ledger)[0], 3)
-        assert ranking.tie_ranks().tolist() == [1.5, 1.5, 3.0]
+        day = _DayList(top(snapshots_list(ledger)[0], 3), 3)
+        assert _doubled_ranks(day.start, day.stop, 3).tolist() == [3.0, 3.0, 6.0]
 
     @pytest.mark.parametrize("n", [0, -5])
     def test_truncated_below_one(self, n):
@@ -203,8 +206,7 @@ def assert_same_ranking(balances, n, table):
 
 def table_of(names):
     table = AddressTable()
-    for name in names:
-        table.intern(name)
+    table.intern_all(names)
     return table
 
 
@@ -255,7 +257,7 @@ class TestRankKernel:
         table = table_of(["b", "c"])
         balances = np.array([0, 5, 5], dtype=np.int64)
         assert entries(rank_balances(balances, 1, table, 0)) == [("b", 5)]
-        table.intern("\x00")
+        table.intern_all(["\x00"])
         balances = np.append(balances, 5)
         assert len(table.name_rank) == len(table)
         assert_same_ranking(balances, 1, table)

@@ -9,8 +9,6 @@ from ledgerlens import (
     COINBASE,
     LedgerError,
     ParseError,
-    Transaction,
-    expand_edges,
     parse_ledger,
 )
 from ledgerlens.ledger import MAX_DAYS, MIN_TIME
@@ -23,16 +21,15 @@ class TestParse:
         ledger = make_ledger([])
         assert len(ledger) == 0
         assert ledger.n_days == 0
-        assert ledger.genesis_time is None
+        assert len(ledger.times) == 0
 
     def test_single_coinbase(self):
         ledger = make_ledger([rec("c0", 0, [], [["a", 50_0000_0000]])])
         assert len(ledger) == 1
         assert ledger.n_days == 1
         assert ledger.supply_at(0) == 50_0000_0000
-        tx = ledger.transaction(0)
-        assert tx.is_coinbase
-        assert tx.minted == 50_0000_0000
+        assert ledger.canonical_record(0) == {
+            "txid": "c0", "time": 0, "in": [], "out": [["a", 50_0000_0000]]}
 
     def test_day_index_two_days(self):
         lines = [
@@ -42,7 +39,7 @@ class TestParse:
         ]
         ledger = make_ledger(lines)
         assert ledger.n_days == 2
-        assert ledger.day_index == {0: (0, 2), 1: (2, 3)}
+        assert [ledger.day_range(d) for d in range(ledger.n_days)] == [(0, 2), (2, 3)]
 
     def test_empty_day_in_middle(self):
         lines = [
@@ -74,8 +71,7 @@ class TestParse:
         ledger = make_ledger([
             rec("c0", 0, [], [["a", 30], ["a", 20]]),
         ])
-        tx = ledger.transaction(0)
-        assert tx.outputs == [("a", 50)]
+        assert ledger.canonical_record(0)["out"] == [["a", 50]]
 
     def test_fee_accounting(self, simple_ledger):
         assert simple_ledger.fees_through(1) == 0
@@ -237,58 +233,58 @@ class TestRoundTrip:
         assert json.loads(json.dumps(record)) == record
 
 
+def _everyone(ledger):
+    return np.ones(len(ledger.addresses), dtype=bool)
+
+
+def _expanded_pairs(ins, outs):
+    """The (input, output) address pairs that `Ledger._expand` gives the one
+    parsed transaction of `ins` and `outs`, every address in focus, checked
+    against the brute-force pairs of its distinct addresses (COINBASE the
+    one input of a coinbase)."""
+    ledger = make_ledger([rec("t", 0, ins, outs)])
+    edges = ledger._expand(0, 1, _everyone(ledger))
+    names = ledger.addresses.names
+    pairs = [(names[s], names[d]) for s, d in zip(edges.src.tolist(), edges.dst.tolist())]
+    assert edges.tx.tolist() == [0] * len(pairs)
+    assert len(set(pairs)) == len(pairs)
+    assert set(pairs) == brute_force_pairs(ins or [[COINBASE, 0]], outs)
+    return pairs
+
+
 class TestExpandEdges:
     def test_two_by_three(self):
-        tx = Transaction("t", 0,
-                         [("a", 5), ("b", 5)],
-                         [("x", 3), ("y", 3), ("z", 3)])
-        edges = expand_edges(tx)
-        assert len(edges) == 6
-        assert {(e.src, e.dst) for e in edges} == brute_force_pairs(tx.inputs, tx.outputs)
+        pairs = _expanded_pairs([["a", 5], ["b", 5]], [["x", 3], ["y", 3], ["z", 3]])
+        assert len(pairs) == 6
 
     def test_coinbase_single_output(self):
-        tx = Transaction("t", 0, [], [("x", 50)])
-        edges = expand_edges(tx, day=3)
-        assert len(edges) == 1
-        assert edges[0].src == COINBASE
-        assert edges[0].dst == "x"
-        assert edges[0].day == 3
+        assert _expanded_pairs([], [["x", 50]]) == [(COINBASE, "x")]
+        # An edge's day is its transaction's.
+        ledger = make_ledger([rec("t", 3 * DAY, [], [["x", 50]])], epoch=0)
+        assert ledger.days[ledger._expand(0, 1, _everyone(ledger)).tx].tolist() == [3]
 
     def test_duplicate_inputs_dedup(self):
-        tx = Transaction("t", 0, [("a", 1), ("a", 2)], [("b", 3)])
-        edges = expand_edges(tx)
-        assert len(edges) == 1
-        assert {(e.src, e.dst) for e in edges} == brute_force_pairs(tx.inputs, tx.outputs)
+        assert _expanded_pairs([["a", 1], ["a", 2]], [["b", 3]]) == [("a", "b")]
 
     def test_self_loop_kept_at_expansion(self):
-        tx = Transaction("t", 0, [("a", 5)], [("a", 5)])
-        assert [(e.src, e.dst) for e in expand_edges(tx)] == [("a", "a")]
+        assert _expanded_pairs([["a", 5]], [["a", 5]]) == [("a", "a")]
 
     @given(
         ins=st.lists(st.integers(0, 30), min_size=1, max_size=20),
         outs=st.lists(st.integers(0, 30), min_size=1, max_size=20),
     )
     def test_count_is_distinct_product(self, ins, outs):
-        tx = Transaction(
-            "t", 0,
-            [(f"i{v}", 1) for v in ins] + [("pad", len(outs))],
-            [(f"o{v}", 1) for v in outs],
-        )
-        edges = expand_edges(tx)
-        n_in = len(set(a for a, _ in tx.inputs))
-        n_out = len(set(a for a, _ in tx.outputs))
-        assert len(edges) == n_in * n_out
-        assert len(set(edges)) == len(edges)
-
-
-def _everyone(ledger):
-    return np.ones(len(ledger.addresses), dtype=bool)
+        ins = [[f"i{v}", 1] for v in ins] + [["pad", len(outs)]]
+        outs = [[f"o{v}", 1] for v in outs]
+        pairs = _expanded_pairs(ins, outs)
+        assert len(pairs) == len({a for a, _ in ins}) * len({b for b, _ in outs})
 
 
 class TestExpandedArrays:
     def test_matches_per_tx_expansion(self, simple_ledger):
-        # The reference whole-ledger expansion against the per-transaction
-        # one, then the focus expansion with every address in focus.
+        # The reference whole-ledger expansion against one built from each
+        # transaction's canonical record, then the focus expansion with
+        # every address in focus.
         arrays = expand_ledger(simple_ledger)
         names = simple_ledger.addresses.names
         got = [
@@ -299,8 +295,9 @@ class TestExpandedArrays:
         for d in range(simple_ledger.n_days):
             lo, hi = simple_ledger.day_range(d)
             for i in range(lo, hi):
-                for e in expand_edges(simple_ledger.transaction(i), day=d):
-                    expected.append((e.src, e.dst, e.day))
+                record = simple_ledger.canonical_record(i)
+                ins = [a for a, _ in record["in"]] or [COINBASE]
+                expected += [(a, b, d) for a in ins for b, _ in record["out"]]
         assert got == expected
         edges = simple_ledger._expand(0, len(simple_ledger), _everyone(simple_ledger))
         assert edges.src.tolist() == arrays.src.tolist()

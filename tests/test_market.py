@@ -546,7 +546,7 @@ class TestHHISeries:
     def test_classes_emitted(self):
         ledger = make_ledger([rec("c0", 0, [], [["a", 77]])])
         series = hhi_series(ledger, "a1", compute_rankings(ledger, 100))
-        assert series.classes() == {0: "highly_concentrated"}
+        assert {d: classify(v) for d, v in series.values.items()} == {0: "highly_concentrated"}
 
     @pytest.mark.parametrize("scheme", ["a2", "a3"])
     def test_series_matches_cluster_holdings(self, scheme):

@@ -13,7 +13,7 @@ from ledgerlens import (
 )
 from ledgerlens.balances import Ranking
 from ledgerlens.report import _cell, build_report
-from ledgerlens.stability import stability_table
+from ledgerlens.stability import _DayList, _doubled_ranks, stability_table
 from conftest import make_ledger, rec
 from oracles import average_ranks, pearson_fsum, spearman_int
 
@@ -201,14 +201,18 @@ class TestKernelMatchesReference:
         assert abs(got) > 1e-3
 
     @given(runs=st.lists(st.integers(1, 4), max_size=12))
+    @example(runs=[2, 1])  # balances 5, 5, 3: tie ranks 1.5, 1.5, 3
     def test_tie_ranks_match_loop(self, runs):
         # Non-increasing balances built from run lengths: one run per value.
+        # Ids ascend with position, so the day list keeps ranking order; a
+        # cut at c must rank as the ranking's top c alone would.
         balances = np.repeat(np.arange(len(runs), 0, -1), runs).astype(np.int64)
         ranking = Ranking(0, len(balances), np.arange(len(balances)), balances)
-        got = ranking.tie_ranks()
-        want = ref_tie_ranks(balances)
-        assert got.dtype == np.float64
-        assert got.tolist() == want.tolist()
+        day = _DayList(ranking, len(balances))
+        for c in range(len(balances) + 1):
+            got = _doubled_ranks(day.start[:c], day.stop[:c], c)
+            assert got.dtype == np.float64
+            assert got.tolist() == (2 * ref_tie_ranks(balances[:c])).tolist()
 
 
 class TestSpearman:

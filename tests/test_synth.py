@@ -1,4 +1,6 @@
+import hashlib
 import io
+import math
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from ledgerlens import (
     parse_ledger,
 )
 from ledgerlens.balances import proportion_series
+from ledgerlens.cli import run
 from ledgerlens.lorenz import d_static_series
 from oracles import expand_ledger
 
@@ -81,6 +84,65 @@ class TestBasics:
             generate(SynthConfig(halving_days=-1))
 
 
+# Configs that would wrap, overflow or crash, each as its SynthConfig
+# fields, the `synth` flags that set them and a field its refusal names.
+REFUSED = [
+    ({"growth": math.inf}, ["--growth", "inf"], "growth"),
+    ({"growth": math.nan}, ["--growth", "nan"], "growth"),
+    ({"alpha": math.inf}, ["--alpha", "inf"], "alpha"),
+    ({"alpha": math.nan}, ["--alpha", "nan"], "alpha"),
+    ({"initial_supply": 10**20}, ["--initial-supply", str(10**20)], "initial_supply"),
+    ({"reward": 10**20}, ["--reward", str(10**20)], "reward"),
+    # Fits int64 alone, but the supply minted by day 2 does not.
+    ({"reward": 2**63 - 1}, ["--reward", str(2**63 - 1)], "reward"),
+    # (balance + 1) ** 30 overflows float64 on the first payment day.
+    ({"regime": "preferential", "alpha": 30.0},
+     ["--regime", "preferential", "--alpha", "30"], "alpha"),
+    ({"seed": -1}, ["--seed", "-1"], "seed"),
+    ({"seed": -(2**64)}, ["--seed", str(-(2**64))], "seed"),
+    ({"seed": 2**128}, ["--seed", str(2**128)], "seed"),
+]
+
+
+class TestRefusedConfigs:
+    @pytest.mark.parametrize("fields, flags, name", REFUSED,
+                             ids=[" ".join(flags) for _, flags, _ in REFUSED])
+    def test_generate_refuses(self, fields, flags, name):
+        with pytest.raises(ValueError, match=name):
+            generate(SynthConfig(days=3, **fields))
+
+    @pytest.mark.parametrize("fields, flags, name", REFUSED,
+                             ids=[" ".join(flags) for _, flags, _ in REFUSED])
+    def test_cli_exits_1_without_output(self, fields, flags, name, tmp_path, capsys):
+        out = tmp_path / "chain.jsonl"
+        assert run(["synth", "--days", "3", *flags, "--out", str(out)]) == 1
+        assert name in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_seed_past_64_bits_is_its_own_chain(self):
+        cfg = SynthConfig(seed=5, days=6, txs_per_day=30, pool=40)
+        wide = SynthConfig(seed=2**64 + 5, days=6, txs_per_day=30, pool=40)
+        assert canonical(generate(wide)) != canonical(generate(cfg))
+        assert canonical(generate(SynthConfig(seed=2**128 - 1, days=2))) != canonical(
+            generate(SynthConfig(seed=2**64 - 1, days=2)))
+
+    @pytest.mark.parametrize("regime, extra, seed, digest", [
+        ("uniform", {"growth": 1.5}, 5, "df39b976d4540a52"),
+        ("uniform", {"growth": 1.5}, 2**64 - 1, "ae5b0175835c8569"),
+        ("preferential", {"alpha": 1.0, "growth": 2.0}, 5, "dd1f193009b2a60f"),
+        ("preferential", {"alpha": 1.0, "growth": 2.0}, 2**64 - 1, "ae96b0f185faa76a"),
+        ("hub", {"hubs": 3}, 5, "a4738b9b61028819"),
+        ("hub", {"hubs": 3}, 2**64 - 1, "05c9a4bacb609eb6"),
+        ("churn", {}, 5, "7b5e8f88780cb74c"),
+        ("churn", {}, 2**64 - 1, "a472368308c6a36e"),
+    ])
+    def test_seeds_below_2_64_keep_their_bytes(self, regime, extra, seed, digest):
+        # Pinned SHA-256 prefixes: a seed below 2**64 keys Philox as it did
+        # when keys were cut to 64 bits, so its chain keeps its bytes.
+        cfg = SynthConfig(seed=seed, days=6, txs_per_day=30, pool=40, regime=regime, **extra)
+        assert hashlib.sha256(canonical(generate(cfg))).hexdigest()[:16] == digest
+
+
 class TestRegimes:
     def test_uniform_top100_share_near_membership_share(self):
         # Measurement-calibrated law-of-large-numbers band: with small
@@ -94,7 +156,7 @@ class TestRegimes:
         last = list(compute_snapshots(ledger))[-1]
         ranking = list(compute_rankings(ledger, 100))[-1]
         share = proportion_series([ranking], [last.total_supply], [100])[0, 0]
-        target = 100 / last.funded_count
+        target = 100 / len(last.as_dict())
         assert abs(share - target) < 0.6 * target
 
     def test_preferential_concentrates_vs_uniform_alpha(self):

@@ -12,13 +12,9 @@ from ledgerlens import (
     dispersion_series,
     pagerank,
 )
-from ledgerlens.txgraph import MetricVector, TransactionGraph
+from ledgerlens.txgraph import MetricVector
 from conftest import DAY, make_ledger, rec
-from oracles import pagerank_dense
-
-
-def graph_of(pairs, counts=None, nodes=None):
-    return TransactionGraph.from_edges(pairs, counts=counts, nodes=nodes)
+from oracles import graph_of, pagerank_dense
 
 
 def two_day_ledger():
