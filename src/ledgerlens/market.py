@@ -72,6 +72,9 @@ def classify(value: float) -> str:
 
 
 _MAX_ROUNDS = 100
+# Cells of the dense (group, label) table one label-propagation step
+# scores: 512 KB of float64.
+_STEP_CELLS = 1 << 16
 
 
 def _propagate(
@@ -100,24 +103,30 @@ def _propagate(
     One step updates a run of consecutive nodes of `order` in every graph
     at once.  No node of a run neighbors another in any graph, so no vote
     reads a label that its own step changes, and the labels equal those
-    of updating the nodes one at a time.
+    of updating the nodes one at a time.  A step scores its k (node, graph)
+    groups in a dense k x n table of label weights, at most _STEP_CELLS
+    cells unless a single group needs more; a longer run is split into
+    consecutive steps, which updates the nodes in the same order.
     """
     order = np.arange(n)
     if seed:
         order = np.random.Generator(np.random.Philox(key=seed)).permutation(n)
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n)
-    # One voter entry per edge end, grouped by the node it votes for, in
-    # sweep order, and then by graph; lexsort is stable, so each (node,
-    # graph) group keeps the edge order.  Nodes with no voter in any graph
-    # keep their labels and have no entry.
+    # One voter entry per edge end, grouped by the sweep position of the
+    # node it votes for.  `graph` ascends and the sort is stable, so each
+    # node's entries run by graph, each (node, graph) group in edge order.
+    # A sort key of 16 bits or fewer is radix-sorted.  Nodes with no voter
+    # in any graph keep their labels and have no entry.
     node = np.column_stack((p, q)).ravel()
     voter = np.column_stack((q, p)).ravel()
-    g = np.repeat(graph, 2)
-    by = np.lexsort((g, rank[node]))
-    node, voter, g = node[by], voter[by], g[by]
+    sweep = rank[node].astype(np.min_scalar_type(max(n - 1, 0)))
+    by = sweep.argsort(kind="stable")
+    node, voter, sweep = node[by], voter[by], sweep[by]
+    g = np.repeat(graph, 2)[by]
     weight = np.repeat(w, 2)[by]
-    del by, rank
+    voter_sweep = rank[voter]
+    del by
     # A group is one node of one graph.
     opens = np.ones(len(node), dtype=bool)
     opens[1:] = (node[1:] != node[:-1]) | (g[1:] != g[:-1])
@@ -126,46 +135,43 @@ def _propagate(
     voter_at = g * n + voter
 
     # Cut the sweep into runs: a node that has a member of the current run
-    # among its voters starts the next run.
-    heads = [0] if len(node) else []  # first entry of each run
-    node_starts = np.flatnonzero(np.diff(node, prepend=-1))
-    bounds, voters = node_starts.tolist() + [len(node)], voter.tolist()
-    run: set[int] = set()
-    for v, a, b in zip(node[node_starts].tolist(), bounds, bounds[1:]):
-        if not run.isdisjoint(voters[a:b]):
-            heads.append(a)
-            run = set()
-        run.add(v)
-    del node, voter, g, opens, node_starts, voters
-    # Each entry is stamped with its group's rank in the run times n, so
-    # that adding the voter's label gives one (group, label) key per vote.
-    ends = heads[1:] + [len(group)]
-    group_heads = group[heads].tolist() + [len(node_at)]
-    row = (group - np.repeat(group_heads[:-1], np.diff([0] + ends))) * n
-    steps = [(row[a:b], voter_at[a:b], weight[a:b], node_at[c:d], np.arange(d - c) * n)
-             for a, b, c, d in zip(heads, ends, group_heads, group_heads[1:])]
+    # among its voters starts the next run.  The run holds every node with
+    # entries since the run's head, so that is the case when the node's
+    # latest earlier voter comes at or after the head.
+    node_starts = np.flatnonzero(np.diff(sweep, prepend=sweep[:1] + 1))
+    voter_sweep[voter_sweep > sweep] = -1
+    latest = (np.maximum.reduceat(voter_sweep, node_starts).tolist()
+              if len(node) else [])
+    heads = []  # first entry of each run
+    head = -1
+    for at, v, before in zip(node_starts.tolist(), sweep[node_starts].tolist(), latest):
+        if not heads or before >= head:
+            heads.append(at)
+            head = v
+    del node, voter, g, sweep, voter_sweep, opens, node_starts, latest
+    # Split runs into steps of at most _STEP_CELLS // n groups, at least one.
+    group_heads = []
+    per_step = max(_STEP_CELLS // max(n, 1), 1)
+    for c, d in zip(group[heads].tolist(), group[heads[1:]].tolist() + [len(node_at)]):
+        group_heads.extend(range(c, d, per_step))
+    group_heads.append(len(node_at))
+    entry_heads = np.searchsorted(group, group_heads).tolist()
+    # Each entry is stamped with its group's rank in the step times n, so
+    # that adding the voter's label gives its cell of the step's table.
+    row = (group - np.repeat(group_heads[:-1], np.diff(entry_heads))) * n
+    steps = [(row[a:b], voter_at[a:b], weight[a:b], node_at[c:d], (d - c) * n)
+             for a, b, c, d in zip(entry_heads, entry_heads[1:], group_heads, group_heads[1:])]
+    del row, voter_at, weight, group
     labels = np.tile(np.arange(n), n_graphs)
     # A round that changes nothing in a graph leaves it at a fixed point,
     # so sweeping it on with the rest of the block changes nothing either.
-    # A step scores only the (group, label) keys that receive a vote, so it
-    # costs O(e log e) for its e voter entries, whatever n is.
     for _ in range(max_rounds):
         changed = False
-        for rows, at, wts, own, firsts in steps:
-            # Sorted (group, label) keys; the stable sort keeps each key's
-            # votes in edge order, and bincount adds them in that order.
-            key = rows + labels[at]
-            by = key.argsort(kind="stable")
-            key = key[by]
-            opens = np.empty(len(key), dtype=bool)
-            opens[0] = True
-            np.not_equal(key[1:], key[:-1], out=opens[1:])
-            votes = np.bincount(opens.cumsum() - 1, wts[by])
-            keys = key[opens]
-            # Per group: its heaviest score, then the smallest key that has it.
-            starts = np.searchsorted(keys, firsts)
-            top = np.maximum.reduceat(votes, starts)[keys // n]
-            best = np.minimum.reduceat(np.where(votes == top, keys, keys[-1]), starts) - firsts
+        for rows, at, wts, own, cells in steps:
+            # bincount adds each cell's votes in edge order; argmax takes
+            # the heaviest label of each group, the smallest on a tie.
+            votes = np.bincount(rows + labels[at], wts, minlength=cells)
+            best = votes.reshape(-1, n).argmax(axis=1)
             if (best != labels[own]).any():
                 labels[own] = best
                 changed = True
@@ -252,7 +258,9 @@ def _modularity_communities(
 # Input plus output entries of the transactions one `_PairIndex` chunk
 # expands at once (a transaction with more is a chunk of its own): 5 chunks
 # for the 327k entries of 1000 days of 100 transactions, and a transient of
-# a few MB however long the history.
+# a few MB however long the history.  The same budget bounds the pair keys
+# and table slots of the days one lookup chunk gathers: about 40 days of a
+# 100-address focus over a 150-address union.
 _CHUNK_ENTRIES = 1 << 16
 
 
@@ -261,17 +269,17 @@ class _PairIndex:
 
     Built from the ledger's edges with an end in `focus_ids`, expanded a
     chunk of about _CHUNK_ENTRIES entries at a time: only those with both
-    ends there are kept, self-pairs are dropped, and each remaining edge is
-    stamped ``pair * n_days + day`` against the sorted unique pair keys
-    ``lo * len(ids) + hi`` (union positions, ``lo < hi``).
+    ends there are kept, self-pairs are dropped, and each remaining edge
+    becomes one event of its pair, in day order, against the sorted unique
+    pair keys ``lo * len(ids) + hi`` (union positions, ``lo < hi``).
     ``keys[start[i]:start[i + 1]]`` are the pairs whose lower end is union
-    position i.  The cumulative (day 0..t) count of a pair is then one
-    binary search.
+    position i.  `counts` holds each pair's events of the days before
+    `through`; a lookup that reads later days advances it, and one that
+    reads earlier days starts it again from day 0.
     """
 
     def __init__(self, ledger: Ledger, focus_ids: np.ndarray):
         self.ids = np.unique(focus_ids)
-        self.n_days = ledger.n_days
         u = len(self.ids)
         lut = np.zeros(len(ledger.addresses), dtype=bool)
         lut[self.ids] = True
@@ -291,32 +299,89 @@ class _PairIndex:
             pair_keys.append(lo * u + hi)
             days.append(ledger.days[edges.tx[keep]])
             start = stop
-        self.keys, pair = np.unique(_concat(pair_keys), return_inverse=True)
-        self.stamps = np.sort(pair * self.n_days + _concat(days))
+        # Transactions ascend by day, so the events do too.
+        self.keys, self.events = np.unique(_concat(pair_keys), return_inverse=True)
+        self.day_ptr = np.searchsorted(_concat(days), np.arange(ledger.n_days + 1))
         self.start = np.searchsorted(self.keys, np.arange(u + 1) * u)
-        # stamps[first[k]:] begins with pair k's stamps.
-        self.first = np.searchsorted(self.stamps, np.arange(len(self.keys)) * self.n_days)
+        self.hi = self.keys % u
+        self.counts = np.zeros(len(self.keys), dtype=np.int64)
+        self.through = 0
 
-    def lookup(self, day: int, focus_ids: np.ndarray):
+    def _advance(self, day: int) -> None:
+        """Count the events of the days before `day` into `counts`."""
+        if day < self.through:
+            self.counts[:] = 0
+            self.through = 0
+        np.add.at(self.counts, self.events[self.day_ptr[self.through]:self.day_ptr[day]], 1)
+        self.through = day
+
+    def lookups(self, days: Iterable[int], focus_ids: Iterable[np.ndarray]
+                ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Cumulative (day 0..day) edge counts between the sorted
-        `focus_ids`, which must lie inside the union: ``(p, q, w)`` with
-        positions ``p < q`` in `focus_ids` and float counts > 0, ascending
-        by (p, q)."""
-        pos = np.searchsorted(self.ids, focus_ids)
-        # Gather every key whose lower end is a focus member, then keep
-        # those whose upper end is one too.
+        ``focus_ids[i]`` on each of the ascending `days`, which must lie
+        inside the union: ``(p, q, w)`` with positions ``p < q`` in the
+        day's focus and float counts > 0, ascending by (p, q).  Days are
+        looked up a chunk at a time: one gather of the pair keys whose
+        lower end is a focus member, a (day, union position) table that
+        places the upper ends, and the running counts read at each day's
+        end."""
+        for chunk in self._chunks(days, focus_ids):
+            p, q, w, bounds = self._gather(chunk)
+            for a, b in zip(bounds, bounds[1:]):
+                yield p[a:b], q[a:b], w[a:b]
+
+    def _chunks(self, days: Iterable[int], focus_ids: Iterable[np.ndarray]) -> Iterator[list]:
+        """Consecutive (day, union positions of its focus) lists, each a
+        day or more, up to _CHUNK_ENTRIES gathered keys and table slots."""
+        u = len(self.ids)
+        chunk: list = []
+        size = 0
+        for day, ids in zip(days, focus_ids):
+            pos = np.searchsorted(self.ids, ids)
+            gathered = int(self.start[pos + 1].sum() - self.start[pos].sum())
+            if chunk and max(size + gathered, (len(chunk) + 1) * u) > _CHUNK_ENTRIES:
+                yield chunk
+                chunk, size = [], 0
+            chunk.append((day, pos))
+            size += gathered
+        if chunk:
+            yield chunk
+
+    def _gather(self, chunk: list) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
+        """The `lookups` of a chunk as flat ``p, q, w`` and the bounds of
+        each day in them."""
+        u = len(self.ids)
+        sizes = [len(pos) for _, pos in chunk]
+        pos = _concat([pos for _, pos in chunk])
+        # Each focus member's day (chunk index) and place in the day's
+        # focus, and a table of those places by (day, union position).
+        member_day = np.repeat(np.arange(len(chunk)), sizes)
+        local = np.arange(len(pos)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        table = np.full(len(chunk) * u, -1, dtype=np.int64)
+        table[member_day * u + pos] = local
+        # Gather every key whose lower end is a member, then keep those
+        # whose upper end is a member of the same day.
         begin = self.start[pos]
         length = self.start[pos + 1] - begin
         k = np.arange(int(length.sum()))
         k += np.repeat(begin - (np.cumsum(length) - length), length)
-        p = np.repeat(np.arange(len(pos)), length)
-        hi = self.keys[k] % len(self.ids)
-        q = np.minimum(np.searchsorted(pos, hi), len(pos) - 1)
-        inside = pos[q] == hi
-        p, q, k = p[inside], q[inside], k[inside]
-        counts = np.searchsorted(self.stamps, k * self.n_days + day, side="right") - self.first[k]
+        j = np.repeat(member_day, length)
+        q = table[j * u + self.hi[k]]
+        inside = q >= 0
+        j, p, q, k = j[inside], np.repeat(local, length)[inside], q[inside], k[inside]
+        # Each day's counts, read as the running counts reach its end.
+        bounds = np.searchsorted(j, np.arange(len(chunk) + 1)).tolist()
+        counts = np.empty(len(k), dtype=np.int64)
+        for (day, _), a, b in zip(chunk, bounds, bounds[1:]):
+            self._advance(day + 1)
+            counts[a:b] = self.counts[k[a:b]]
         nz = counts > 0
-        return p[nz], q[nz], counts[nz].astype(np.float64)
+        bounds = np.searchsorted(j[nz], np.arange(len(chunk) + 1)).tolist()
+        return p[nz], q[nz], counts[nz].astype(np.float64), bounds
+
+    def lookup(self, day: int, focus_ids: np.ndarray):
+        """`lookups` of one day."""
+        return next(self.lookups([day], [focus_ids]))
 
 
 def _focus_pair_weights(
@@ -357,8 +422,10 @@ def _focus_labels(
 ) -> Iterator[list[int]]:
     """Yield the firm label of each of the sorted ``focus_ids[i]`` on day
     ``days[i]``: communities of the cumulative focus graph, each named by
-    its smallest member id.  `method` has passed check_method.  Label
-    propagation sweeps consecutive days together, up to _BLOCK_SLOTS a
+    its smallest member id.  `method` has passed check_method; `days`
+    ascend.  Label propagation reads the days' focus pairs from
+    `pairs.lookups` as they are needed, and sweeps consecutive days
+    together, up to _BLOCK_SLOTS a
     block, padded to the block's largest focus size.  The ascending sweep
     order (seed 0) is the same for every size, but a seeded order depends
     on it, so a seeded block holds days of one focus size."""
@@ -371,8 +438,7 @@ def _focus_labels(
         return
     block: list = []
     width = voters = 0
-    for day, ids in zip(days, focus_ids):
-        found = pairs.lookup(day, ids)
+    for ids, found in zip(focus_ids, pairs.lookups(days, focus_ids)):
         slots = max(width, len(ids)) * (len(block) + 1) + voters + 2 * len(found[0])
         if block and ((seed and len(ids) != width) or slots > _BLOCK_SLOTS):
             yield from _sweep_block(block, width, seed)
@@ -478,8 +544,8 @@ def hhi_by_scheme(
     balances; the share base is the total minted supply of the day.  Days
     with no minted supply are skipped.  A2 and A3 share one set of firm
     labels: every day's focus pairs are looked up in one pair index over
-    the union of the days' focus sets, and label propagation sweeps a
-    block of days at once.
+    the union of the days' focus sets, a chunk of days at a time, and label
+    propagation sweeps a block of days at once.
     """
     schemes = _check(schemes, method, focus_n)
     communities = any(scheme != "a1" for scheme in schemes)

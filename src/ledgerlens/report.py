@@ -161,7 +161,9 @@ def build_report(
     inside the window are emitted.  Returns the JSON-serializable bundle
     that was written to report.json.  An unknown `method`, a `curve_day`
     outside the ledger, or `tops`, `intervals` or `focus_n` that
-    `check_counts` refuses, is rejected before anything is written.
+    `check_counts` refuses, is rejected before anything is written.  With
+    `charts`, a curve day that has no funded address is rejected after the
+    walk, before any file of the bundle is written.
     """
     check_method(method)
     check_counts("tops", tops)
@@ -215,6 +217,8 @@ def build_report(
          for n, interval in [(focus_n, i) for i in intervals] + [(t, 1) for t in tops]],
         spearman_mode,
     )
+    if charts and curve and not len(curve[0]):
+        raise ValueError(f"curve day {curve_at} has no funded address to chart")
 
     bundle: dict = {
         "meta": {
@@ -374,7 +378,7 @@ def _write_charts(
             box_plot(groups, os.path.join(chart_dir, f"{metric}_{stem}_box.svg"),
                      box_title.format(metric), box_x, metric, meta=svg_meta)
 
-    if curve is not None and len(curve):
+    if curve is not None:
         curve_chart(os.path.join(chart_dir, "cumulative_curve.svg"), curve, max(tops), cfg)
     line_chart(
         day_lines({"d_static": ds}),

@@ -39,6 +39,10 @@ from .ledger import MAX_VALUE, AddressTable, Ledger, SECONDS_PER_DAY
 REGIMES = ("uniform", "preferential", "hub", "churn")
 # A payment's fee: amount * FEE_PER_1024 / 1024 rounded down, below the amount.
 FEE_PER_1024 = 1
+# The most addresses a config may make room for: the pool, `growth` a day
+# and the churn regime's fresh addresses.  `generate` sizes its balance
+# table for all of them before the first day (128 MiB at this bound).
+MAX_ADDRESSES = 2**24
 
 
 @dataclass(frozen=True)
@@ -87,6 +91,18 @@ class SynthConfig:
             raise ValueError("initial_supply too small for the pool")
         if not 0.0 < self.amount_frac <= 1.0:
             raise ValueError("amount_frac must be in (0, 1]")
+        if self.growth * self.days > MAX_ADDRESSES or self._capacity() > MAX_ADDRESSES:
+            raise ValueError("pool plus growth * days plus churned addresses exceeds "
+                             f"{MAX_ADDRESSES}, the most addresses synth generates")
+
+    def _capacity(self) -> int:
+        """The addresses a chain may make: COINBASE, the pool, int(growth *
+        days) and the churn regime's fresh addresses of every day."""
+        return 1 + self.pool + int(self.growth * self.days) + self._churn_count() * self.days
+
+    def _churn_count(self) -> int:
+        """Top-100 members the churn regime replaces each day."""
+        return round(self.churn_rate * 100) if self.regime == "churn" else 0
 
     def _minted(self) -> int:
         """The supply a chain of `days` >= 1 days mints, in Python ints: the
@@ -221,9 +237,8 @@ def generate(config: SynthConfig) -> Ledger:
     cfg.validate()
     rng = np.random.Generator(np.random.Philox(key=cfg.seed))
 
-    churn_count = round(cfg.churn_rate * 100) if cfg.regime == "churn" else 0
-    capacity = 1 + cfg.pool + int(cfg.growth * cfg.days) + churn_count * cfg.days + 8
-    b = _Builder(capacity)
+    churn_count = cfg._churn_count()
+    b = _Builder(cfg._capacity() + 8)
     if cfg.days == 0:
         return b.finish()
 

@@ -9,13 +9,13 @@ max/min/mean dispersion that summarizes how top-heavy a metric is.
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .balances import Ranking
 from .errors import ConvergenceError
-from .ledger import AddressTable, Ledger
+from .ledger import AddressTable, Ledger, _concat
 
 FOCUS_N = 100
 DAMPING = 0.85
@@ -59,33 +59,106 @@ class MetricVector:
 
 
 def _aggregate(
-    day: int,
+    first_day: int,
+    n_days: int,
+    day: np.ndarray,
     src: np.ndarray,
     dst: np.ndarray,
-    cnt: np.ndarray,
-    val: np.ndarray | None,
-) -> TransactionGraph:
+    values: np.ndarray | None,
+) -> list[TransactionGraph]:
+    """The graphs of the `n_days` days from `first_day` on, from edges
+    given by day offset, source, destination and (or None) value.  Self-loops
+    are dropped; a day's parallel edges fold into a count and a value sum,
+    which adds in edge order, from one sort of packed (day, src, dst) keys
+    over block node positions."""
     keep = src != dst
-    src, dst, cnt = src[keep], dst[keep], cnt[keep]
-    if val is not None:
-        val = val[keep]
-    if len(src) == 0:
-        z = np.zeros(0, dtype=np.int64)
-        return TransactionGraph(day, z, z.copy(), z.copy(), z.copy(),
-                                np.zeros(0) if val is not None else None)
-    hi = int(max(src.max(), dst.max())) + 1
-    packed = src * hi + dst
-    uniq, inverse = np.unique(packed, return_inverse=True)
-    counts = np.zeros(len(uniq), dtype=np.int64)
-    np.add.at(counts, inverse, cnt)
+    day, src, dst = day[keep], src[keep], dst[keep]
+    nodes, at = np.unique(np.concatenate((src, dst)), return_inverse=True)
+    m = len(nodes)
+    key = (day * m + at[:len(src)]) * m + at[len(src):]
+    uniq, inverse = np.unique(key, return_inverse=True)
+    counts = np.bincount(inverse, minlength=len(uniq))
     weights = None
-    if val is not None:
-        weights = np.zeros(len(uniq), dtype=np.float64)
-        np.add.at(weights, inverse, val)
-    u_src = uniq // hi
-    u_dst = uniq % hi
-    nodes = np.unique(np.concatenate((u_src, u_dst)))
-    return TransactionGraph(day, nodes, u_src, u_dst, counts, weights)
+    if values is not None:
+        weights = np.bincount(inverse, weights=values[keep], minlength=len(uniq))
+    pair = uniq % (m * m)
+    u_src, u_dst = nodes[pair // m], nodes[pair % m]
+    # Each day's nodes, from its (day, node) keys.
+    day_nodes = np.unique(np.concatenate((uniq // m, (uniq // (m * m)) * m + pair % m)))
+    edge_bounds = np.searchsorted(uniq, np.arange(n_days + 1) * (m * m)).tolist()
+    node_bounds = np.searchsorted(day_nodes, np.arange(n_days + 1) * m).tolist()
+    day_nodes = nodes[day_nodes % m]
+    return [TransactionGraph(first_day + d, day_nodes[node_bounds[d]:node_bounds[d + 1]],
+                             u_src[a:b], u_dst[a:b], counts[a:b],
+                             weights[a:b] if weights is not None else None)
+            for d, (a, b) in enumerate(zip(edge_bounds, edge_bounds[1:]))]
+
+
+# Input plus output entries of the days one `_day_graphs` block expands at
+# once (a day with more is a block of its own): about 100 days of 100
+# transactions or 6 of 1200, and a transient of about 2.5 MB.
+_BLOCK_ENTRIES = 1 << 15
+
+
+def _day_graphs(
+    ledger: Ledger,
+    first_day: int,
+    focus: Iterable[np.ndarray],
+    value_weighted: bool,
+) -> Iterator[TransactionGraph]:
+    """The focus graph of each day from `first_day` on, one day per item
+    of `focus` (the day's focus ids), read lazily.
+
+    Days are built a block at a time, up to _BLOCK_ENTRIES entries: one
+    expansion over the union of the block's focus sets, whose edges are
+    kept where an end is in the focus of the edge's own day, found among
+    sorted (day, id) keys.  Parallel edges of a day are counted from one
+    sort of packed (day, src, dst) keys; `value_weighted` sums add in edge
+    order, as the edges of the day alone would.
+    """
+    bounds = ledger.in_ptr + ledger.out_ptr
+    lut = np.zeros(len(ledger.addresses), dtype=bool)
+    block: list[np.ndarray] = []
+    block_start = 0  # the block's first transaction
+    for day, ids in enumerate(focus, start=first_day):
+        start, stop = ledger.day_range(day)
+        if block and bounds[stop] - bounds[block_start] > _BLOCK_ENTRIES:
+            yield from _block_graphs(ledger, day - len(block), block, lut, value_weighted)
+            block = []
+        if not block:
+            block_start = start
+        block.append(ids)
+    if block:
+        yield from _block_graphs(ledger, day + 1 - len(block), block, lut, value_weighted)
+
+
+def _block_graphs(
+    ledger: Ledger,
+    first_day: int,
+    block: list[np.ndarray],
+    lut: np.ndarray,
+    value_weighted: bool,
+) -> list[TransactionGraph]:
+    """`_day_graphs` of one block; `lut` is all False and is left so."""
+    n_days = len(block)
+    union = _concat(block)
+    lut[union] = True
+    start, stop = ledger.day_range(first_day)[0], ledger.day_range(first_day + n_days - 1)[1]
+    edges = ledger._expand(start, stop, lut, with_values=value_weighted)
+    lut[union] = False
+    # Sorted (day, id) keys of each day's focus.
+    width = len(lut)
+    members = np.sort(np.repeat(np.arange(n_days), [len(ids) for ids in block]) * width + union)
+    j = ledger.days[edges.tx] - first_day
+
+    def in_focus(ids: np.ndarray) -> np.ndarray:
+        key = j * width + ids
+        at = np.minimum(np.searchsorted(members, key), len(members) - 1)
+        return members[at] == key
+
+    keep = in_focus(edges.src) | in_focus(edges.dst)
+    values = edges.values[keep] if value_weighted else None
+    return _aggregate(first_day, n_days, j[keep], edges.src[keep], edges.dst[keep], values)
 
 
 def build_day_graph(
@@ -104,11 +177,8 @@ def build_day_graph(
         focus_ids = focus.ids
     else:
         focus_ids = np.fromiter((int(f) for f in focus), dtype=np.int64)
-    lut = np.zeros(len(ledger.addresses), dtype=bool)
-    lut[focus_ids] = True
-    edges = ledger._expand(*ledger.day_range(day), lut, with_values=value_weighted)
-    return _aggregate(day, edges.src, edges.dst, np.ones(len(edges.src), dtype=np.int64),
-                      edges.values)
+    (graph,) = _day_graphs(ledger, day, [focus_ids], value_weighted)
+    return graph
 
 
 def degree_centrality(graph: TransactionGraph) -> MetricVector:
@@ -204,16 +274,16 @@ def dispersion_series(
     day rankings are read in one pass, each one day behind the graph it
     focuses; day 0 has no predecessor and days whose graph has fewer than
     two nodes are skipped.  An unknown metric is refused before any day
-    is read.
+    is read.  The graphs are built a block of days at a time
+    (`_day_graphs`); degree and PageRank run on each day's graph.
     """
     for m in metrics:
         if m not in ("degree", "pagerank"):
             raise ValueError(f"unknown metric {m!r}")
     out: dict[str, dict[int, float]] = {m: {} for m in metrics}
     previous = itertools.islice(rankings, max(ledger.n_days - 1, 0))
-    for d, ranking in enumerate(previous, start=1):
-        graph = build_day_graph(ledger, d, ranking.truncated(focus_n),
-                                value_weighted=value_weighted)
+    focus = (ranking.truncated(focus_n).ids for ranking in previous)
+    for graph in _day_graphs(ledger, 1, focus, value_weighted):
         if graph.n_nodes < 2:
             continue
         for m in metrics:
@@ -221,5 +291,5 @@ def dispersion_series(
                 vec = degree_centrality(graph)
             else:
                 vec = pagerank(graph, weighted_by_value=value_weighted)
-            out[m][d] = dispersion(vec)
+            out[m][graph.day] = dispersion(vec)
     return out

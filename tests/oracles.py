@@ -218,8 +218,8 @@ def graph_of(pairs, nodes=None):
     from ledgerlens.txgraph import _aggregate
 
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    graph = _aggregate(0, pairs[:, 0], pairs[:, 1],
-                       np.ones(len(pairs), dtype=np.int64), None)
+    (graph,) = _aggregate(0, 1, np.zeros(len(pairs), dtype=np.int64), pairs[:, 0], pairs[:, 1],
+                          None)
     if nodes is not None:
         graph.nodes = np.union1d(graph.nodes, np.fromiter(nodes, dtype=np.int64))
     return graph

@@ -587,8 +587,8 @@ class TestExitCodes:
 
     def test_curve_day_without_funded_address(self, tmp_path, monkeypatch, capsys):
         # Days 0-2 of this store exist but hold no funded address, so there
-        # is no curve to chart: `dstatic` refuses before writing anything,
-        # and `report` leaves the chart out.
+        # is no curve to chart: `dstatic` and `report` with charts refuse
+        # with the same message before writing any file of their output.
         src = tmp_path / "late.jsonl"
         src.write_text(rec("c0", 3 * 86_400, [], [["a", 5]]) + "\n"
                        + rec("p1", 4 * 86_400, [["a", 5]], [["b", 5]]) + "\n")
@@ -601,8 +601,13 @@ class TestExitCodes:
         assert not (tmp_path / "d.csv").exists() and not (tmp_path / "c.svg").exists()
         assert run(["dstatic", "--store", store, "--out", "d.csv", "--svg", "c.svg",
                     "--curve-day", "3"]) == 0
-        assert run(["report", "--store", store, "--out", "rep", "--curve-day", "1"]) == 0
-        assert not (tmp_path / "rep" / "charts" / "cumulative_curve.svg").exists()
+        assert run(["report", "--store", store, "--out", "rep", "--curve-day", "1"]) == 1
+        assert "curve day 1 has no funded address" in capsys.readouterr().err
+        assert list((tmp_path / "rep").iterdir()) == []
+        assert run(["report", "--store", store, "--out", "rep", "--curve-day", "1",
+                    "--no-charts"]) == 0
+        assert (tmp_path / "rep" / "report.json").exists()
+        assert not (tmp_path / "rep" / "charts").exists()
 
     @pytest.mark.parametrize("day", ["30", "-3"])
     def test_report_bad_curve_day_writes_nothing(self, store, tmp_path, day):
@@ -874,7 +879,9 @@ class TestLongHistoryMemory:
     kept at once would take about 160 MB, but `dstatic`, `proportions` and
     `hhi --scheme a1` hold one day's ranking at a time, `stability` the
     lists of the last interval + 1 days, and `report` those lists plus
-    each day's top `--focus`."""
+    each day's top `--focus`.  `hhi --scheme a3` keeps each day's top
+    `--focus` and looks up and sweeps the days' focus graphs a block of
+    days at a time."""
 
     @pytest.fixture(scope="class")
     def long_store(self, tmp_path_factory):
@@ -891,9 +898,10 @@ class TestLongHistoryMemory:
         (["dstatic", "--top", "5000"], 2000),
         (["proportions", "--tops", "5000"], 2000),
         (["hhi", "--scheme", "a1", "--focus", "5000"], 2000),
+        (["hhi", "--scheme", "a3", "--focus", "2000"], 2000),
         (["stability", "--top", "5000"], 1999),
         (["stability", "--top", "5000", "--interval", "5", "--mode", "penalized"], 1995),
-    ], ids=["dstatic", "proportions", "hhi_a1", "stability", "stability_penalized"])
+    ], ids=["dstatic", "proportions", "hhi_a1", "hhi_a3", "stability", "stability_penalized"])
     def test_long_history_runs_in_256_mib(self, long_store, tmp_path, command, rows):
         out = tmp_path / "out.csv"
         done = _run_in_256_mib([*command, "--out", str(out), "--store", long_store])

@@ -146,18 +146,27 @@ def lp_graphs(draw):
 
 @st.composite
 def lp_batches(draw):
-    """Several graphs on nodes 0..n-1, edgeless ones among them, as
-    positional edge lists without self-loops."""
+    """Several graphs swept at a width of n nodes, edgeless ones among them,
+    as positional edge lists without self-loops, and a step cell budget.
+    Under seed 0 a graph may have fewer nodes than the width, as in a block
+    of days of mixed focus sizes; a seeded order depends on the width, so
+    seeded graphs have all n."""
     n = draw(st.integers(1, 12))
-    if n > 1:
-        # q = p + a nonzero offset, so p != q.
-        edge = st.tuples(st.integers(0, n - 1), st.integers(1, n - 1), WEIGHTS).map(
-            lambda e: (e[0], (e[0] + e[1]) % n, e[2]))
-        graph = st.one_of(st.just([]), st.lists(edge, max_size=30))
-    else:
+    seed = draw(SEEDS)
+    graphs, widths = [], []
+    for _ in range(draw(st.integers(1, 6))):
+        width = draw(st.integers(1, n)) if seed == 0 else n
         graph = st.just([])
-    graphs = draw(st.lists(graph, min_size=1, max_size=6))
-    return n, graphs, draw(SEEDS), draw(MAX_ROUNDS)
+        if width > 1:
+            # q = p + a nonzero offset, so p != q.
+            edge = st.tuples(st.integers(0, width - 1), st.integers(1, width - 1),
+                             WEIGHTS).map(lambda e, k=width: (e[0], (e[0] + e[1]) % k, e[2]))
+            graph = st.one_of(graph, st.lists(edge, max_size=30))
+        graphs.append(draw(graph))
+        widths.append(width)
+    # One group a step, a few, or the default budget.
+    cells = draw(st.sampled_from([1, 2 * n, market._STEP_CELLS]))
+    return n, graphs, widths, seed, draw(MAX_ROUNDS), cells
 
 
 class TestLabelPropagation:
@@ -220,19 +229,26 @@ class TestLabelPropagation:
 
     @given(lp_batches())
     # A path needs more rounds than a single edge; one graph is edgeless.
-    @example((8, [[(i, i + 1, 1.0) for i in range(7)], [(3, 4, 2.5)], []], 0, 100))
-    @example((8, [[(i, i + 1, 1.0) for i in range(7)], [(3, 4, 2.5)], []], 7, 100))
+    @example((8, [[(i, i + 1, 1.0) for i in range(7)], [(3, 4, 2.5)], []], [8, 8, 8], 0,
+              100, 1 << 16))
+    @example((8, [[(i, i + 1, 1.0) for i in range(7)], [(3, 4, 2.5)], []], [8, 8, 8], 7,
+              100, 1 << 16))
+    # The same, one group a step and narrower graphs padded to the width.
+    @example((8, [[(i, i + 1, 0.5) for i in range(7)], [(0, 2, 2.5), (1, 2, 1.25)], []],
+              [8, 3, 1], 0, 100, 1))
     @settings(max_examples=300, deadline=None)
     def test_batch_matches_each_graph_alone(self, batch):
-        n, graphs, seed, max_rounds = batch
+        n, graphs, widths, seed, max_rounds, cells = batch
         edges = [e for g in graphs for e in g]
         graph = np.repeat(np.arange(len(graphs)), [len(g) for g in graphs])
         p, q = (np.asarray([e[i] for e in edges], dtype=np.int64) for i in (0, 1))
         w = np.asarray([e[2] for e in edges], dtype=np.float64)
-        labels = _propagate(n, graph, p, q, w, len(graphs), seed, max_rounds)
-        for row, g in zip(labels.tolist(), graphs):
-            alone = reference_label_propagation(range(n), g, seed=seed, max_rounds=max_rounds)
-            assert row == [alone[v] for v in range(n)]
+        with mock.patch.object(market, "_STEP_CELLS", cells):
+            labels = _propagate(n, graph, p, q, w, len(graphs), seed, max_rounds)
+        for row, g, width in zip(labels.tolist(), graphs, widths):
+            alone = reference_label_propagation(range(width), g, seed=seed,
+                                                max_rounds=max_rounds)
+            assert row == [alone[v] for v in range(width)] + list(range(width, n))
 
     @pytest.mark.parametrize("nodes,edge", [
         ([1, 2], (1, 3, 1.0)),
@@ -381,8 +397,29 @@ class TestFocusPairWeights:
         for budget in (1, 7):
             with mock.patch.object(market, "_CHUNK_ENTRIES", budget):
                 chunked = _PairIndex(ledger, np.asarray(union, dtype=np.int64))
-            for name in ("ids", "keys", "stamps", "start", "first"):
+            for name in ("ids", "keys", "events", "day_ptr", "start", "hi"):
                 assert np.array_equal(getattr(chunked, name), getattr(pairs, name))
+
+    @given(pair_ledgers(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_block_lookups_match_rescan(self, ledger, data):
+        # Each day its own focus out of the union, looked up in chunks cut
+        # inside the day range: one day, a few, or all.  A second pass
+        # starts the running counts again from day 0.
+        ids = st.sampled_from(range(len(ledger.addresses)))
+        union = data.draw(st.lists(ids, unique=True), "union")
+        focus = [np.sort(np.asarray(data.draw(st.lists(st.sampled_from(union), unique=True)
+                                              if union else st.just([])), dtype=np.int64))
+                 for _ in range(ledger.n_days)]
+        pairs = _PairIndex(ledger, np.asarray(union, dtype=np.int64))
+        budget = data.draw(st.sampled_from([1, 5, 20, 1 << 16]), "budget")
+        with mock.patch.object(market, "_CHUNK_ENTRIES", budget):
+            for _ in range(2):
+                found = list(pairs.lookups(range(ledger.n_days), focus))
+                assert len(found) == ledger.n_days
+                for day, (focus_ids, (p, q, w)) in enumerate(zip(focus, found)):
+                    assert (list(zip(focus_ids[p].tolist(), focus_ids[q].tolist(), w.tolist()))
+                            == reference_pair_weights(ledger, day, focus_ids))
 
     def test_chunks_expand_each_transaction_once(self, monkeypatch):
         ledger = two_clique_ledger()
@@ -425,7 +462,7 @@ class TestFocusPairWeights:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(pairs.stamps) == 0
+        assert len(pairs.events) == 0
         assert peak < entry_bytes / 4
 
     def test_self_loops_and_idle_ids(self):

@@ -15,6 +15,7 @@ from ledgerlens import (
 from ledgerlens.balances import proportion_series
 from ledgerlens.cli import run
 from ledgerlens.lorenz import d_static_series
+from ledgerlens.synth import MAX_ADDRESSES
 from oracles import expand_ledger
 
 
@@ -101,6 +102,10 @@ REFUSED = [
     ({"seed": -1}, ["--seed", "-1"], "seed"),
     ({"seed": -(2**64)}, ["--seed", str(-(2**64))], "seed"),
     ({"seed": 2**128}, ["--seed", str(2**128)], "seed"),
+    # Room for more addresses than MAX_ADDRESSES: numpy's "Maximum allowed
+    # dimension exceeded", and an allocation of 21.8 TiB.
+    ({"growth": 1e300}, ["--growth", "1e300"], "growth"),
+    ({"growth": 1e12}, ["--growth", "1e12"], "growth"),
 ]
 
 
@@ -118,6 +123,18 @@ class TestRefusedConfigs:
         assert run(["synth", "--days", "3", *flags, "--out", str(out)]) == 1
         assert name in capsys.readouterr().err
         assert not out.exists()
+
+    def test_address_bound(self):
+        # 1 + pool + int(growth * days) + churned addresses, up to the bound.
+        churn = {"regime": "churn", "initial_supply": 2**62}
+        SynthConfig(days=4, pool=MAX_ADDRESSES - 1).validate()
+        SynthConfig(days=4, pool=1, growth=(MAX_ADDRESSES - 2) / 4).validate()
+        SynthConfig(days=4, pool=MAX_ADDRESSES - 41, **churn).validate()
+        for cfg in (SynthConfig(days=4, pool=MAX_ADDRESSES),
+                    SynthConfig(days=4, pool=1, growth=(MAX_ADDRESSES - 1) / 4),
+                    SynthConfig(days=4, pool=MAX_ADDRESSES - 40, **churn)):
+            with pytest.raises(ValueError, match="growth"):
+                cfg.validate()
 
     def test_seed_past_64_bits_is_its_own_chain(self):
         cfg = SynthConfig(seed=5, days=6, txs_per_day=30, pool=40)

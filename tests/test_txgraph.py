@@ -1,7 +1,10 @@
 import math
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ledgerlens import (
     ConvergenceError,
@@ -12,9 +15,10 @@ from ledgerlens import (
     dispersion_series,
     pagerank,
 )
-from ledgerlens.txgraph import MetricVector
+from ledgerlens import txgraph
+from ledgerlens.txgraph import MetricVector, _day_graphs
 from conftest import DAY, make_ledger, rec
-from oracles import graph_of, pagerank_dense
+from oracles import expand_ledger, graph_of, pagerank_dense
 
 
 def two_day_ledger():
@@ -166,6 +170,87 @@ class TestPageRank:
     def test_value_weighted_requires_values(self):
         with pytest.raises(ValueError):
             pagerank(graph_of([(1, 2)]), weighted_by_value=True)
+
+
+def reference_day_graph(ledger, day, focus_ids, value_weighted):
+    """Day `day` of the whole-ledger expansion: edges with an end in the
+    focus, self-loops dropped, parallel edges counted and their values
+    summed in edge order.  Returns nodes, (src, dst) pairs, counts and
+    value sums (None without `value_weighted`)."""
+    edges = expand_ledger(ledger, with_values=value_weighted)
+    focus = set(focus_ids)
+    counts, sums = {}, {}
+    for i in range(edges.day_ptr[day], edges.day_ptr[day + 1]):
+        pair = int(edges.src[i]), int(edges.dst[i])
+        if pair[0] == pair[1] or focus.isdisjoint(pair):
+            continue
+        counts[pair] = counts.get(pair, 0) + 1
+        if value_weighted:
+            sums[pair] = sums.get(pair, 0.0) + float(edges.values[i])
+    pairs = sorted(counts)
+    return (sorted({x for pair in pairs for x in pair}), pairs, [counts[x] for x in pairs],
+            [sums[x] for x in pairs] if value_weighted else None)
+
+
+NAMES = [f"a{i}" for i in range(5)]
+
+
+@st.composite
+def graph_ledgers(draw):
+    """Up to six days of coinbases and payments among five addresses, with
+    self-loops and days that have no transaction, and a focus set for each
+    day (COINBASE among the ids, and empty sets)."""
+    n_days = draw(st.integers(1, 6))
+    lines = [rec("c0", 0, [], [[x, 1000] for x in NAMES])]
+    side = st.lists(st.sampled_from(NAMES), max_size=3, unique=True)
+    for t in range(draw(st.integers(0, 14))):
+        day = draw(st.integers(0, n_days - 1))
+        ins = [[a, draw(st.integers(9, 20))] for a in draw(side)]
+        outs = [[b, draw(st.integers(1, 3))] for b in draw(side.filter(bool))]
+        lines.append(rec(f"t{t}", day * DAY + t + 1, ins, outs))
+    ledger = make_ledger(lines)
+    ids = st.integers(0, len(ledger.addresses) - 1)
+    focus = [np.asarray(draw(st.lists(ids, unique=True)), dtype=np.int64)
+             for _ in range(ledger.n_days)]
+    return ledger, focus
+
+
+def parallel_values_case():
+    """Day 1 pays b from a three times, 0.1, 0.2 and 0.3 of a unit by input
+    share: summed in edge order they make 0.6000000000000001, in reverse
+    0.6."""
+    ledger = make_ledger(
+        [rec("c0", 0, [], [["a", 100], ["c", 100]])]
+        + [rec(f"t{k}", DAY + k, [["a", k], ["c", 10 - k]], [["b", 1]]) for k in (1, 2, 3)])
+    a = ledger.addresses.id_of("a")
+    return ledger, [np.array([a]), np.array([a])]
+
+
+class TestDayGraphBlocks:
+    @given(graph_ledgers(), st.sampled_from([1, 8, 1 << 15]), st.booleans())
+    @example(parallel_values_case(), 1 << 15, True)
+    @settings(max_examples=150, deadline=None)
+    def test_blocks_match_each_day_alone(self, case, budget, value_weighted):
+        # Blocks of one day, a few or all: every day's graph is the one
+        # `build_day_graph` gives for the day alone, and the reference's.
+        ledger, focus = case
+        with mock.patch.object(txgraph, "_BLOCK_ENTRIES", budget):
+            graphs = list(_day_graphs(ledger, 0, iter(focus), value_weighted))
+        assert [g.day for g in graphs] == list(range(ledger.n_days))
+        for day, (graph, focus_ids) in enumerate(zip(graphs, focus)):
+            alone = build_day_graph(ledger, day, focus_ids.tolist(), value_weighted)
+            nodes, pairs, counts, sums = reference_day_graph(ledger, day, focus_ids,
+                                                             value_weighted)
+            for g in (graph, alone):
+                assert g.nodes.tolist() == nodes
+                assert list(zip(g.src.tolist(), g.dst.tolist())) == pairs
+                assert g.counts.tolist() == counts
+                assert (g.weights.tolist() if value_weighted else g.weights) == sums
+
+    def test_day_outside_ledger(self):
+        ledger = two_day_ledger()
+        with pytest.raises(ValueError, match="outside ledger range"):
+            list(_day_graphs(ledger, 1, iter([np.array([1]), np.array([1])]), False))
 
 
 class TestDispersion:
