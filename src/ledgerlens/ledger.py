@@ -16,9 +16,9 @@ cache of them.
 
 import json
 import sys
-from itertools import chain, filterfalse, islice, repeat
+from itertools import chain, islice, repeat
 from operator import itemgetter
-from typing import IO, Callable, Iterable, NamedTuple, NoReturn
+from typing import IO, Iterable, NamedTuple, NoReturn
 
 import numpy as np
 
@@ -43,6 +43,39 @@ MIN_TIME = -(2**63 // SECONDS_PER_DAY) * SECONDS_PER_DAY
 MAX_DAYS = 100_000
 
 
+def _pack_strings(items: list[str]) -> np.ndarray:
+    """`items` as one compact JSON array in UTF-8 bytes: the store's form
+    of a string table."""
+    blob = json.dumps(items, separators=(",", ":")).encode("utf-8")
+    return np.frombuffer(blob, dtype=np.uint8)
+
+
+def _unpack_strings(arr: np.ndarray) -> list[str]:
+    """The strings of a `_pack_strings` table; ValueError when it is not a
+    JSON list of strings."""
+    items = json.loads(str(arr, "utf-8"))
+    if not isinstance(items, list) or not set(map(type, items)) <= {str}:
+        raise ValueError("string table is not a list of strings")
+    return items
+
+
+class _NameIndex(dict):
+    """The name -> id index of the table `names`.  Looking up a name it
+    lacks interns it: the name gets the next id and is appended to `names`,
+    so interning takes one lookup per name."""
+
+    __slots__ = ("names",)
+
+    def __init__(self, names: list[str]):
+        super().__init__(zip(names, range(len(names))))
+        self.names = names
+
+    def __missing__(self, name: str) -> int:
+        self[name] = new = len(self.names)
+        self.names.append(name)
+        return new
+
+
 class AddressTable:
     """Interns opaque address strings to dense integer ids.
 
@@ -58,30 +91,30 @@ class AddressTable:
     def __init__(self, names: Iterable[str] = ()):
         """A table of COINBASE and then `names`, interned in order."""
         self.names: list[str] = list(dict.fromkeys(chain((COINBASE,), names)))
-        self._index: dict[str, int] | None = None
+        self._index: _NameIndex | None = None
         self._name_rank: np.ndarray | None = None
 
-    def _ids(self) -> dict[str, int]:
+    def _ids(self) -> _NameIndex:
         """The name -> id index, built on first use."""
         if self._index is None:
-            self._index = dict(zip(self.names, range(len(self.names))))
+            self._index = _NameIndex(self.names)
         return self._index
 
-    def _add(self, names: Iterable[str]) -> None:
-        """Append the names not yet interned, in first-appearance order."""
-        index = self._ids()
-        fresh = list(filterfalse(index.__contains__, dict.fromkeys(names)))
-        index.update(zip(fresh, range(len(self.names), len(self.names) + len(fresh))))
-        self.names += fresh
+    def drop_index(self) -> None:
+        """Free the name -> id index; the next lookup rebuilds it."""
+        self._index = None
 
     def intern_all(self, names: list[str]) -> np.ndarray:
         """Intern every name of `names` in order; returns their ids."""
-        self._add(names)
-        return np.fromiter(map(self._index.__getitem__, names), dtype=np.int64,
+        return np.fromiter(map(self._ids().__getitem__, names), dtype=np.int64,
                            count=len(names))
 
     def id_of(self, name: str) -> int:
-        return self._ids()[name]
+        """The id of an interned `name`; KeyError for any other."""
+        index = self._ids()
+        if name not in index:
+            raise KeyError(name)
+        return index[name]
 
     def __len__(self) -> int:
         return len(self.names)
@@ -192,15 +225,16 @@ class Ledger:
     midnight preceding the epoch (the first transaction by default) and each
     day covers a contiguous transaction range.
 
-    `txids` is the list of transaction ids, or a function that returns it:
-    a loaded store passes one, so the ids are decoded only when something
+    `txids` is the list of transaction ids or, as ingest and a loaded store
+    pass it, their `_pack_strings` table.  The ledger keeps that table in
+    `txid_table` (packing a list once) and decodes it only when something
     reads `txids` (serialization, a BalanceError).
     """
 
     def __init__(
         self,
         addresses: AddressTable,
-        txids: list[str] | Callable[[], list[str]],
+        txids: list[str] | np.ndarray,
         times: np.ndarray,
         in_ptr: np.ndarray,
         in_addr: np.ndarray,
@@ -212,7 +246,10 @@ class Ledger:
         out_of_order: int = 0,
     ):
         self.addresses = addresses
-        self._txids = txids
+        if isinstance(txids, np.ndarray):
+            self.txid_table, self._txids = txids, None
+        else:
+            self.txid_table, self._txids = _pack_strings(txids), txids
         self.times = times
         self.in_ptr = in_ptr
         self.in_addr = in_addr
@@ -270,8 +307,8 @@ class Ledger:
 
     @property
     def txids(self) -> list[str]:
-        if callable(self._txids):
-            self._txids = self._txids()
+        if self._txids is None:
+            self._txids = _unpack_strings(self.txid_table)
         return self._txids
 
     def __len__(self) -> int:
@@ -430,16 +467,16 @@ def _segment_totals(values: np.ndarray, lens: np.ndarray) -> np.ndarray | None:
     return (high << 32) | (low & 0xFFFFFFFF)
 
 
-def _gather(lens: np.ndarray, order: np.ndarray, *cols: np.ndarray):
-    """Put the runs of `cols` (record i owns the next lens[i] entries) in
-    record order `order`; returns the new pointer array and columns."""
+def _gather_index(lens: np.ndarray, order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Put the runs of a column (record i owns the next lens[i] entries) in
+    record order `order`: returns the new pointer array and the index that
+    gathers the column's entries in that order."""
     start = np.zeros(len(lens) + 1, dtype=np.int64)
     np.cumsum(lens, out=start[1:])
     lens = lens[order]
     ptr = np.zeros(len(lens) + 1, dtype=np.int64)
     np.cumsum(lens, out=ptr[1:])
-    idx = np.repeat(start[:-1][order] - ptr[:-1], lens) + np.arange(ptr[-1])
-    return ptr, [col[idx] for col in cols]
+    return ptr, np.repeat(start[:-1][order] - ptr[:-1], lens) + np.arange(ptr[-1])
 
 
 def _time_txid_order(times: np.ndarray, txids: list[str]) -> np.ndarray:
@@ -463,13 +500,20 @@ def _concat(parts: list[np.ndarray]) -> np.ndarray:
     return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
 
 
+def _drain(parts: list[np.ndarray]) -> np.ndarray:
+    """`_concat` of `parts`, emptying `parts`."""
+    col = _concat(parts)
+    parts.clear()
+    return col
+
+
 class _Columns:
     """The records accepted so far, as flat columns in file order.
 
-    Per record: its txid and time.  Per (record, side): the count of its
-    merged entries, in then out.  Per entry: address id and value, in the
-    same record-then-side order.  `seen` and `minted` carry the checks that
-    span lines; nothing changes unless a whole chunk passes.
+    Per record: its txid and time.  Per side (in, then out) of each record:
+    the count of its merged entries; per entry: address id and value.  Each
+    column is a list of one array per chunk.  `seen` and `minted` carry the
+    checks that span lines; nothing changes unless a whole chunk passes.
     """
 
     def __init__(self):
@@ -478,9 +522,10 @@ class _Columns:
         self.minted = 0
         self.txids: list[str] = []
         self.times: list[np.ndarray] = []
-        self.lens: list[np.ndarray] = []
-        self.ids: list[np.ndarray] = []
-        self.vals: list[np.ndarray] = []
+        # Indexed by side: 0 in, 1 out.
+        self.lens: tuple[list[np.ndarray], ...] = ([], [])
+        self.ids: tuple[list[np.ndarray], ...] = ([], [])
+        self.vals: tuple[list[np.ndarray], ...] = ([], [])
 
     def take(self, raw: list) -> bool:
         """Append one chunk of lines when every record passes every check;
@@ -552,24 +597,37 @@ class _Columns:
             lens = np.bincount(side_of[keep], minlength=len(lens))
         self.txids += txids
         self.times.append(np.array(times, dtype=np.int64))
-        self.lens.append(lens)
-        self.ids.append(ids)
-        self.vals.append(values)
+        is_out = np.repeat(np.arange(len(lens)) % 2 == 1, lens)
+        for side, mask in enumerate((~is_out, is_out)):
+            self.lens[side].append(lens[side::2])
+            self.ids[side].append(ids[mask])
+            self.vals[side].append(values[mask])
         return True
 
     def ledger(self, epoch: int | None) -> Ledger:
-        """The records re-sorted by (time, txid), as a Ledger."""
-        times = _concat(self.times)
-        lens = _concat(self.lens)
-        ids = _concat(self.ids)
-        vals = _concat(self.vals)
-        is_out = np.repeat(np.arange(len(lens)) % 2 == 1, lens)
+        """The records re-sorted by (time, txid), as a Ledger.
+
+        Every line has been checked by now, so the duplicate check's txid
+        set and the name index go first.  The txids are packed, and then
+        each column is joined and gathered, one at a time, freeing its
+        chunks: beside the result, memory holds the txid strings or one
+        column in file order.  The columns are left empty.
+        """
+        self.seen.clear()
+        self.table.drop_index()
+        times = _drain(self.times)
         order = _time_txid_order(times, self.txids)
-        in_ptr, (in_addr, in_val) = _gather(lens[0::2], order, ids[~is_out], vals[~is_out])
-        out_ptr, (out_addr, out_val) = _gather(lens[1::2], order, ids[is_out], vals[is_out])
+        # An object-array gather: no Python int per record, as order.tolist() makes.
+        txid_table = _pack_strings(np.array(self.txids, dtype=object)[order].tolist())
+        self.txids.clear()
+        sides = []
+        for side in (0, 1):
+            ptr, idx = _gather_index(_drain(self.lens[side]), order)
+            sides.append((ptr, _drain(self.ids[side])[idx], _drain(self.vals[side])[idx]))
+        (in_ptr, in_addr, in_val), (out_ptr, out_addr, out_val) = sides
         return Ledger(
             addresses=self.table,
-            txids=list(map(self.txids.__getitem__, order.tolist())),
+            txids=txid_table,
             times=times[order],
             in_ptr=in_ptr,
             in_addr=in_addr,
@@ -632,7 +690,9 @@ def parse_ledger(
 
     The stream is read in chunks of a few hundred lines.  Each chunk is
     decoded and checked as flat columns and kept as int64 arrays and
-    strings, so memory beyond the result is one chunk's decoded records.
+    strings, so memory beyond the result is one chunk's decoded records
+    and the duplicate check's txid set while lines are read, and one
+    column being sorted once they are all in (`_Columns.ledger`).
     When a chunk fails a check, its lines are walked again one record at a
     time from the state before it (txids seen, supply minted), so the error
     raised is the one of the first bad line in file order.

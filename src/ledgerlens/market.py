@@ -578,11 +578,14 @@ def hhi_by_scheme(
         # address has an empty focus, and every sum is 0.0.
         total_sq = {"a1": funded_sq}
         if focus:
-            _, bal = focus[day]
-            group_sums: dict[int, int] = {}
-            for lab, b in zip(day_labels, bal.tolist()):
-                group_sums[lab] = group_sums.get(lab, 0) + b
-            comm_sq = float(sum(s * s for s in group_sums.values()))
+            ids, bal = focus[day]
+            # Each label is a focus member's id, so its position in the
+            # sorted ids numbers its group.  The sums are exact in int64
+            # (no day's holdings exceed its supply); their squares are
+            # added as Python ints.
+            group_sums = np.zeros(len(ids), dtype=np.int64)
+            np.add.at(group_sums, np.searchsorted(ids, day_labels), bal)
+            comm_sq = float(sum(s * s for s in group_sums[group_sums != 0].tolist()))
             as_float = bal.astype(np.float64)
             total_sq["a2"] = comm_sq + (funded_sq - pairwise_dot(as_float, as_float))
             vo = float(funded_total - int(bal.sum()))

@@ -11,12 +11,12 @@ Loading checks it, then the two string tables, then the arrays against
 each other (lengths, pointers, address ids, values, time order), then
 meta.json's epoch and out-of-order count, so a damaged store is a
 StoreError even when its hash was recomputed, and so is an edited
-meta.json (the hash does not cover it).  A loaded ledger keeps the txid
-table packed, decoding it when `Ledger.txids` is first read, and an
-address table whose name index is built only when a name is looked up.
+meta.json (the hash does not cover it).  A ledger, parsed or loaded,
+keeps its txid table packed, decoding it when `Ledger.txids` is first
+read, and a loaded one has an address table whose name index is built
+only when a name is looked up.
 """
 
-import functools
 import hashlib
 import json
 import os
@@ -29,24 +29,12 @@ import numpy as np
 from .balances import _apply_day
 from .errors import LedgerError, StoreError
 from .ledger import (COINBASE, MAX_VALUE, MIN_TIME, SECONDS_PER_DAY, AddressTable, Ledger,
-                     _segment_totals)
+                     _pack_strings, _segment_totals, _unpack_strings)
 
 STORE_VERSION = 1
 
 _META = "meta.json"
 _LEDGER = "ledger.npz"
-
-
-def _pack_strings(items: list[str]) -> np.ndarray:
-    blob = json.dumps(items, separators=(",", ":")).encode("utf-8")
-    return np.frombuffer(blob, dtype=np.uint8)
-
-
-def _unpack_strings(arr: np.ndarray) -> list[str]:
-    items = json.loads(str(arr, "utf-8"))
-    if not isinstance(items, list) or not set(map(type, items)) <= {str}:
-        raise ValueError("string table is not a list of strings")
-    return items
 
 
 # The arrays of ledger.npz, in the order they are written and hashed.
@@ -55,9 +43,10 @@ _ARRAYS = ("times", "in_ptr", "in_addr", "in_val", "out_ptr", "out_addr", "out_v
 
 
 def _columns(ledger: Ledger) -> dict[str, np.ndarray]:
-    """The ledger as the arrays of ledger.npz, string tables packed."""
+    """The ledger as the arrays of ledger.npz, string tables packed (the
+    txid table as the ledger holds it)."""
     cols = {name: getattr(ledger, name) for name in _ARRAYS[:-2]}
-    cols["txids"] = _pack_strings(ledger.txids)
+    cols["txids"] = ledger.txid_table
     cols["addresses"] = _pack_strings(ledger.addresses.names)
     return cols
 
@@ -228,7 +217,7 @@ def load_ledger(store_dir: str) -> Ledger:
             raise StoreError(f"store at {store_dir!r} is corrupt ({why})")
         try:
             return Ledger(addresses=addresses,
-                          txids=functools.partial(_unpack_strings, cols["txids"]),
+                          txids=cols["txids"],
                           **{name: cols[name] for name in _ARRAYS[:-2]},
                           epoch_start=epoch_start, out_of_order=out_of_order)
         except LedgerError as exc:

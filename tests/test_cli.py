@@ -916,6 +916,24 @@ class TestLongHistoryMemory:
         assert len(read_csv(out / "d_static.csv")[2]) == 2000
 
 
+class TestIngestMemory:
+    """400 000 coinbase records with 64-character txids.  Ingest frees the
+    duplicate check's txid set and the name index once every line has
+    passed, packs the txids and builds the ledger one column at a time; a
+    copy of the whole history beside that parse state does not fit."""
+
+    def test_ingest_runs_in_256_mib(self, tmp_path):
+        n = 400_000
+        export = tmp_path / "chain.jsonl"
+        with open(export, "w") as fp:
+            fp.writelines('{"txid":"%064d","time":%d,"in":[],"out":[["a%d",%d]]}\n'
+                          % (i, i // 4, i % 1000, 1000 + i) for i in range(n))
+        store = tmp_path / "store"
+        done = _run_in_256_mib(["ingest", "--input", str(export), "--out", str(store)])
+        assert done.returncode == 0, done.stderr
+        assert json.loads((store / "meta.json").read_text())["transactions"] == n
+
+
 class TestReportTieGroups:
     """20 000 equal balances: every day's top 10 is cut from a tie group of
     20 000 candidates.  Kept unordered for 500 days they would take about

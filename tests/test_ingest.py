@@ -29,7 +29,7 @@ from ledgerlens import (
 )
 from ledgerlens import ledger as ledger_mod
 from ledgerlens.cli import run
-from ledgerlens.store import content_hash
+from ledgerlens.store import _pack_strings, content_hash
 from conftest import DAY, rec
 from oracles import parse_ledger_records
 
@@ -128,6 +128,16 @@ class TestValidParity:
         lines = [json.dumps(r) for r in records]
         with chunk_lines(2):
             assert_same_outcome(lines, epoch=epoch)
+
+    @settings(max_examples=50, deadline=None)
+    @given(valid_records(), st.sampled_from([1, 3, 256]))
+    def test_txid_table_packs_the_sorted_txids(self, records, chunk):
+        with chunk_lines(chunk):
+            ledger = parse_ledger([json.dumps(r) for r in records])
+        assert ledger._txids is None
+        want = [r["txid"] for r in sorted(records, key=lambda r: (r["time"], r["txid"]))]
+        assert ledger.txid_table.tobytes() == _pack_strings(want).tobytes()
+        assert ledger.txids == want
 
     def test_file_streams_across_real_chunks(self, tmp_path):
         # Records in reverse time order with shared times, duplicate

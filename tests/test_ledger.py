@@ -11,7 +11,7 @@ from ledgerlens import (
     ParseError,
     parse_ledger,
 )
-from ledgerlens.ledger import MAX_DAYS, MIN_TIME
+from ledgerlens.ledger import MAX_DAYS, MIN_TIME, AddressTable, _Columns
 from conftest import DAY, make_ledger, rec
 from oracles import brute_force_pairs, expand_ledger
 
@@ -89,6 +89,36 @@ class TestParse:
     def test_epoch_after_first_tx_rejected(self):
         with pytest.raises(LedgerError):
             make_ledger([rec("a", 0, [], [["x", 1]])], epoch=DAY)
+
+
+class TestInterning:
+    def test_ids_in_first_appearance_order(self):
+        table = AddressTable(["b"])
+        assert table.intern_all(["c", "b", "c", "a", "d", "a"]).tolist() == [2, 1, 2, 3, 4, 3]
+        assert table.names == [COINBASE, "b", "c", "a", "d"]
+        assert table.intern_all(["d", "e"]).tolist() == [4, 5]
+
+    def test_id_of_interns_nothing(self):
+        table = AddressTable(["a"])
+        assert table.id_of("a") == 1
+        with pytest.raises(KeyError):
+            table.id_of("b")
+        assert table.names == [COINBASE, "a"]
+
+    def test_refused_chunk_interns_nothing(self):
+        # The second record's zero value refuses the whole chunk after its
+        # first record's addresses were read.
+        cols = _Columns()
+        assert not cols.take([rec("a", 0, [], [["x", 5]]), rec("b", 0, [], [["y", 0]])])
+        assert cols.table.names == [COINBASE]
+        assert cols.take([rec("a", 0, [], [["y", 5], ["x", 1]])])
+        assert cols.table.names == [COINBASE, "y", "x"]
+
+    def test_parsed_ledger_drops_its_name_index(self):
+        ledger = make_ledger([rec("a", 0, [], [["x", 5]]), rec("b", 1, [["x", 5]], [["y", 5]])])
+        table = ledger.addresses
+        assert table._index is None
+        assert table.intern_all(["y", "z"]).tolist() == [2, 3]
 
 
 class TestDaySpan:

@@ -163,14 +163,27 @@ class TestLedgerStore:
             list(compute_rankings(loaded, 5))
 
     def test_txids_decoded_on_first_read(self, ledger, tmp_path):
+        # Loaded and parsed ledgers alike hold the packed table alone.
         save_ledger(ledger, str(tmp_path / "store"))
         loaded = load_ledger(str(tmp_path / "store"))
-        assert len(loaded) == len(ledger)
-        assert loaded.times.tolist() == ledger.times.tolist()
-        list(compute_rankings(loaded, 5))
-        assert callable(loaded._txids)
-        assert loaded.txids == ledger.txids
-        assert loaded.canonical_record(3) == ledger.canonical_record(3)
+        parsed = make_ledger(ledger.canonical_bytes().decode().splitlines())
+        for held in (loaded, parsed):
+            assert len(held) == len(ledger)
+            assert held.times.tolist() == ledger.times.tolist()
+            list(compute_rankings(held, 5))
+            assert held._txids is None
+            assert held.txids == ledger.txids
+            assert held.canonical_record(3) == ledger.canonical_record(3)
+
+    def test_parsed_and_reloaded_ledgers_write_the_same_bytes(self, ledger, tmp_path):
+        # Reversed, every record is out of order and re-sorted by ingest.
+        parsed = make_ledger(ledger.canonical_bytes().decode().splitlines()[::-1])
+        assert parsed.out_of_order == len(ledger) - 1
+        save_ledger(parsed, str(tmp_path / "parsed"))
+        save_ledger(load_ledger(str(tmp_path / "parsed")), str(tmp_path / "reloaded"))
+        for name in ("ledger.npz", "meta.json"):
+            assert ((tmp_path / "parsed" / name).read_bytes()
+                    == (tmp_path / "reloaded" / name).read_bytes())
 
     def test_loaded_table_has_no_name_index(self, ledger, tmp_path):
         save_ledger(ledger, str(tmp_path / "store"))
