@@ -225,16 +225,15 @@ class Ledger:
     midnight preceding the epoch (the first transaction by default) and each
     day covers a contiguous transaction range.
 
-    `txids` is the list of transaction ids or, as ingest and a loaded store
-    pass it, their `_pack_strings` table.  The ledger keeps that table in
-    `txid_table` (packing a list once) and decodes it only when something
+    `txids` is the `_pack_strings` table of the transaction ids.  The
+    ledger keeps it in `txid_table` and decodes it only when something
     reads `txids` (serialization, a BalanceError).
     """
 
     def __init__(
         self,
         addresses: AddressTable,
-        txids: list[str] | np.ndarray,
+        txids: np.ndarray,
         times: np.ndarray,
         in_ptr: np.ndarray,
         in_addr: np.ndarray,
@@ -246,10 +245,7 @@ class Ledger:
         out_of_order: int = 0,
     ):
         self.addresses = addresses
-        if isinstance(txids, np.ndarray):
-            self.txid_table, self._txids = txids, None
-        else:
-            self.txid_table, self._txids = _pack_strings(txids), txids
+        self.txid_table, self._txids = txids, None
         self.times = times
         self.in_ptr = in_ptr
         self.in_addr = in_addr

@@ -29,11 +29,10 @@ import numpy as np
 
 # `_apply_day` and `rank_balances` are not called here; they stay
 # importable under this module's name because the benchmark's tracer
-# (bench/tracer.py) wraps them here.  It also wraps `label_propagation`,
-# which is not called in this module either (the day sweeps call
-# `_propagate`), and `_focus_pair_weights`, whose `ledger` and `day`
-# arguments it reads; that one is called through this module's globals,
-# never bound locally.
+# (bench/tracer.py) wraps them here.  It also wraps `label_propagation` and
+# `_focus_pair_weights`, whose `ledger` and `day` arguments it reads; this
+# module calls neither (the day sweeps call `_propagate` and
+# `_PairIndex.gather`), but the tests do.
 from .balances import Ranking, _apply_day, pairwise_dot, rank_balances, snapshot_at
 from .ledger import Ledger, _concat
 
@@ -255,12 +254,10 @@ def _modularity_communities(
     return out
 
 
-# Input plus output entries of the transactions one `_PairIndex` chunk
-# expands at once (a transaction with more is a chunk of its own): 5 chunks
-# for the 327k entries of 1000 days of 100 transactions, and a transient of
-# a few MB however long the history.  The same budget bounds the pair keys
-# and table slots of the days one lookup chunk gathers: about 40 days of a
-# 100-address focus over a 150-address union.
+# Input plus output entries of the transactions one `_PairIndex` build
+# chunk expands at once (a transaction with more is a chunk of its own): 5
+# chunks for the 327k entries of 1000 days of 100 transactions, and a
+# transient of a few MB however long the history.
 _CHUNK_ENTRIES = 1 << 16
 
 
@@ -274,7 +271,7 @@ class _PairIndex:
     pair keys ``lo * len(ids) + hi`` (union positions, ``lo < hi``).
     ``keys[start[i]:start[i + 1]]`` are the pairs whose lower end is union
     position i.  `counts` holds each pair's events of the days before
-    `through`; a lookup that reads later days advances it, and one that
+    `through`; a gather that reads later days advances it, and one that
     reads earlier days starts it again from day 0.
     """
 
@@ -315,49 +312,23 @@ class _PairIndex:
         np.add.at(self.counts, self.events[self.day_ptr[self.through]:self.day_ptr[day]], 1)
         self.through = day
 
-    def lookups(self, days: Iterable[int], focus_ids: Iterable[np.ndarray]
-                ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Cumulative (day 0..day) edge counts between the sorted
-        ``focus_ids[i]`` on each of the ascending `days`, which must lie
-        inside the union: ``(p, q, w)`` with positions ``p < q`` in the
-        day's focus and float counts > 0, ascending by (p, q).  Days are
-        looked up a chunk at a time: one gather of the pair keys whose
-        lower end is a focus member, a (day, union position) table that
-        places the upper ends, and the running counts read at each day's
-        end."""
-        for chunk in self._chunks(days, focus_ids):
-            p, q, w, bounds = self._gather(chunk)
-            for a, b in zip(bounds, bounds[1:]):
-                yield p[a:b], q[a:b], w[a:b]
-
-    def _chunks(self, days: Iterable[int], focus_ids: Iterable[np.ndarray]) -> Iterator[list]:
-        """Consecutive (day, union positions of its focus) lists, each a
-        day or more, up to _CHUNK_ENTRIES gathered keys and table slots."""
+    def gather(self, block: list) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Cumulative (day 0..day) edge counts between the sorted focus ids
+        of each ``(day, focus_ids)`` of `block`, each focus inside the
+        union: flat ``(graph, p, q, w)``, where entry i joins positions
+        ``p[i] < q[i]`` in the focus of ``block[graph[i]]`` with float
+        count ``w[i] > 0``, ascending by (graph, p, q).  One gather of the
+        pair keys whose lower end is a focus member, a (day, union
+        position) table that places the upper ends, and the running counts
+        read at each day's end, which only advance while days ascend."""
         u = len(self.ids)
-        chunk: list = []
-        size = 0
-        for day, ids in zip(days, focus_ids):
-            pos = np.searchsorted(self.ids, ids)
-            gathered = int(self.start[pos + 1].sum() - self.start[pos].sum())
-            if chunk and max(size + gathered, (len(chunk) + 1) * u) > _CHUNK_ENTRIES:
-                yield chunk
-                chunk, size = [], 0
-            chunk.append((day, pos))
-            size += gathered
-        if chunk:
-            yield chunk
-
-    def _gather(self, chunk: list) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
-        """The `lookups` of a chunk as flat ``p, q, w`` and the bounds of
-        each day in them."""
-        u = len(self.ids)
-        sizes = [len(pos) for _, pos in chunk]
-        pos = _concat([pos for _, pos in chunk])
-        # Each focus member's day (chunk index) and place in the day's
+        sizes = [len(ids) for _, ids in block]
+        pos = np.searchsorted(self.ids, _concat([ids for _, ids in block]))
+        # Each focus member's day (block index) and place in the day's
         # focus, and a table of those places by (day, union position).
-        member_day = np.repeat(np.arange(len(chunk)), sizes)
+        member_day = np.repeat(np.arange(len(block)), sizes)
         local = np.arange(len(pos)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
-        table = np.full(len(chunk) * u, -1, dtype=np.int64)
+        table = np.full(len(block) * u, -1, dtype=np.int64)
         table[member_day * u + pos] = local
         # Gather every key whose lower end is a member, then keep those
         # whose upper end is a member of the same day.
@@ -370,18 +341,13 @@ class _PairIndex:
         inside = q >= 0
         j, p, q, k = j[inside], np.repeat(local, length)[inside], q[inside], k[inside]
         # Each day's counts, read as the running counts reach its end.
-        bounds = np.searchsorted(j, np.arange(len(chunk) + 1)).tolist()
+        bounds = np.searchsorted(j, np.arange(len(block) + 1)).tolist()
         counts = np.empty(len(k), dtype=np.int64)
-        for (day, _), a, b in zip(chunk, bounds, bounds[1:]):
+        for (day, _), a, b in zip(block, bounds, bounds[1:]):
             self._advance(day + 1)
             counts[a:b] = self.counts[k[a:b]]
         nz = counts > 0
-        bounds = np.searchsorted(j[nz], np.arange(len(chunk) + 1)).tolist()
-        return p[nz], q[nz], counts[nz].astype(np.float64), bounds
-
-    def lookup(self, day: int, focus_ids: np.ndarray):
-        """`lookups` of one day."""
-        return next(self.lookups([day], [focus_ids]))
+        return j[nz], p[nz], q[nz], counts[nz].astype(np.float64)
 
 
 def _focus_pair_weights(
@@ -390,30 +356,18 @@ def _focus_pair_weights(
     """Multiplicity weights of cumulative (day 0..day) edges between the
     sorted `focus_ids`, folded to undirected pairs in ascending (lo, hi)
     order.  `focus_ids` must lie inside the union `pairs` was built from."""
-    p, q, w = pairs.lookup(day, focus_ids)
+    _, p, q, w = pairs.gather([(day, focus_ids)])
     return list(zip(focus_ids[p].tolist(), focus_ids[q].tolist(), w.tolist()))
 
 
-# Budget of labels (focus slots padded to the block's widest day) plus
-# voter entries (two per pair) of one block sweep; a day that would pass it
-# opens the next block.  About 85 days of 100 focus nodes and 700 pairs,
-# about 10 MB of arrays at the sweep's peak.
+# Budget of one block of HHI days: its gathered pair keys, and the slots of
+# its (day, union position) table; a day that would pass it opens the next
+# block.  About 85 days of a 100-address focus over a 150-address union, and
+# about 13 MB of arrays at the label sweep's peak.
 _BLOCK_SLOTS = 1 << 17
 
 
-def _sweep_block(block: list, width: int, seed: int) -> Iterator[list[int]]:
-    """Labels of each (sorted focus ids, (p, q, w) pairs) day of `block`,
-    swept together as graphs of `width` nodes: the positions past a day's
-    own focus have no edges and keep their own labels."""
-    p, q, w = (np.concatenate(c) for c in zip(*(found for _, found in block)))
-    graph = np.repeat(np.arange(len(block)), [len(found[0]) for _, found in block])
-    roots = _propagate(width, graph, p, q, w, len(block), seed, _MAX_ROUNDS)
-    for (ids, _), day_roots in zip(block, roots):
-        yield ids[day_roots[:len(ids)]].tolist()
-
-
 def _focus_labels(
-    ledger: Ledger,
     days: Sequence[int],
     focus_ids: Sequence[np.ndarray],
     pairs: _PairIndex,
@@ -423,31 +377,41 @@ def _focus_labels(
     """Yield the firm label of each of the sorted ``focus_ids[i]`` on day
     ``days[i]``: communities of the cumulative focus graph, each named by
     its smallest member id.  `method` has passed check_method; `days`
-    ascend.  Label propagation reads the days' focus pairs from
-    `pairs.lookups` as they are needed, and sweeps consecutive days
-    together, up to _BLOCK_SLOTS a
-    block, padded to the block's largest focus size.  The ascending sweep
-    order (seed 0) is the same for every size, but a seeded order depends
-    on it, so a seeded block holds days of one focus size."""
-    if method == "modularity":
-        for day, ids in zip(days, focus_ids):
-            nodes = ids.tolist()
-            labels = _modularity_communities(
-                nodes, _focus_pair_weights(ledger, day, ids, pairs))
-            yield [labels[i] for i in nodes]
-        return
-    block: list = []
-    width = voters = 0
-    for ids, found in zip(focus_ids, pairs.lookups(days, focus_ids)):
-        slots = max(width, len(ids)) * (len(block) + 1) + voters + 2 * len(found[0])
-        if block and ((seed and len(ids) != width) or slots > _BLOCK_SLOTS):
-            yield from _sweep_block(block, width, seed)
-            block, width, voters = [], 0, 0
-        block.append((ids, found))
-        width = max(width, len(ids))
-        voters += 2 * len(found[0])
-    if block:
-        yield from _sweep_block(block, width, seed)
+    ascend.
+
+    The days are cut into blocks of consecutive days, each a day or more,
+    up to _BLOCK_SLOTS gathered pair keys and table slots, and one
+    `pairs.gather` reads a block's focus pairs.  Label propagation sweeps a
+    block's days together, as graphs padded to its largest focus size; the
+    ascending sweep order (seed 0) is the same for every size, but a seeded
+    order depends on it, so a seeded block holds days of one focus size.
+    Modularity reads each day's pairs out of the block's."""
+    u = len(pairs.ids)
+    blocks: list[list] = []
+    size = 0
+    for day, ids in zip(days, focus_ids):
+        pos = np.searchsorted(pairs.ids, ids)
+        gathered = int((pairs.start[pos + 1] - pairs.start[pos]).sum())
+        if (not blocks or (seed and len(ids) != len(blocks[-1][0][1]))
+                or max(size + gathered, (len(blocks[-1]) + 1) * u) > _BLOCK_SLOTS):
+            blocks.append([])
+            size = 0
+        blocks[-1].append((day, ids))
+        size += gathered
+    for block in blocks:
+        graph, p, q, w = pairs.gather(block)
+        if method == "modularity":
+            bounds = np.searchsorted(graph, np.arange(len(block) + 1)).tolist()
+            for (_, ids), a, b in zip(block, bounds, bounds[1:]):
+                nodes = ids.tolist()
+                labels = _modularity_communities(nodes, list(zip(
+                    ids[p[a:b]].tolist(), ids[q[a:b]].tolist(), w[a:b].tolist())))
+                yield [labels[i] for i in nodes]
+            continue
+        width = max(len(ids) for _, ids in block)
+        roots = _propagate(width, graph, p, q, w, len(block), seed, _MAX_ROUNDS)
+        for (_, ids), day_roots in zip(block, roots):
+            yield ids[day_roots[:len(ids)]].tolist()
 
 
 def _check(schemes: Iterable[str], method: str, focus_n: int) -> list[str]:
@@ -499,8 +463,7 @@ def cluster(
         firms = dict(zip(funded, funded))
     if scheme != "a1":
         ids, _ = _focus(ranking, focus_n)
-        (labels,) = _focus_labels(ledger, [ranking.day], [ids], _PairIndex(ledger, ids),
-                                  method, seed)
+        (labels,) = _focus_labels([ranking.day], [ids], _PairIndex(ledger, ids), method, seed)
         firms.update(zip(ids.tolist(), labels))
     return firms
 
@@ -543,9 +506,9 @@ def hhi_by_scheme(
     A2 or A3 is asked for, its focus members.  Entity holdings are day-end
     balances; the share base is the total minted supply of the day.  Days
     with no minted supply are skipped.  A2 and A3 share one set of firm
-    labels: every day's focus pairs are looked up in one pair index over
-    the union of the days' focus sets, a chunk of days at a time, and label
-    propagation sweeps a block of days at once.
+    labels, from one pair index over the union of the days' focus sets and
+    one loop over blocks of days: each block's focus pairs are gathered at
+    once, and label propagation sweeps the block's days together.
     """
     schemes = _check(schemes, method, focus_n)
     communities = any(scheme != "a1" for scheme in schemes)
@@ -566,7 +529,7 @@ def hhi_by_scheme(
     labels: Iterable = itertools.repeat(None)
     if focus:
         focus_ids = [ids for ids, _ in focus]
-        labels = _focus_labels(ledger, range(len(focus)), focus_ids,
+        labels = _focus_labels(range(len(focus)), focus_ids,
                                _PairIndex(ledger, np.concatenate(focus_ids)), method, seed)
 
     values: dict[str, dict[int, float]] = {scheme: {} for scheme in schemes}

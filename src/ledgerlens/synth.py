@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ledger import MAX_VALUE, AddressTable, Ledger, SECONDS_PER_DAY
+from .ledger import MAX_VALUE, AddressTable, Ledger, SECONDS_PER_DAY, _pack_strings
 
 REGIMES = ("uniform", "preferential", "hub", "churn")
 # A payment's fee: amount * FEE_PER_1024 / 1024 rounded down, below the amount.
@@ -184,11 +184,11 @@ class _Builder:
 
     def finish(self) -> Ledger:
         n = self.n_tx
-        txids = [f"t{i:08d}" for i in range(n)]
+        txids = _pack_strings([f"t{i:08d}" for i in range(n)])
         if n == 0:
             z = np.zeros(0, dtype=np.int64)
             p = np.zeros(1, dtype=np.int64)
-            return Ledger(self.table, [], z, p, z.copy(), z.copy(),
+            return Ledger(self.table, txids, z, p, z.copy(), z.copy(),
                           p.copy(), z.copy(), z.copy(), None)
         times = np.concatenate(self.times)
         in_counts = np.concatenate(self.in_counts)

@@ -209,6 +209,72 @@ def expand_ledger(ledger, with_values: bool = False):
                            day_ptr=day_ptr, values=values)
 
 
+def reference_label_propagation(nodes, edges, seed=0, max_rounds=100):
+    """The former dict-adjacency kernel: vote sums and sweep order that the
+    position kernel must reproduce exactly."""
+    adj = {int(v): [] for v in nodes}
+    for u, v, w in edges:
+        u, v = int(u), int(v)
+        if u == v:
+            continue
+        adj[u].append((v, float(w)))
+        adj[v].append((u, float(w)))
+    labels = {v: v for v in adj}
+    order = sorted(adj)
+    if seed:
+        rng = np.random.Generator(np.random.Philox(key=seed))
+        order = [order[i] for i in rng.permutation(len(order))]
+    for _ in range(max_rounds):
+        changed = False
+        for node in order:
+            votes = {}
+            for nb, w in adj[node]:
+                lab = labels[nb]
+                votes[lab] = votes.get(lab, 0.0) + w
+            if not votes:
+                continue
+            top = max(votes.values())
+            best = min(lab for lab, w in votes.items() if w == top)
+            if best != labels[node]:
+                labels[node] = best
+                changed = True
+        if not changed:
+            break
+    groups = {}
+    for node in sorted(adj):
+        lab = labels[node]
+        if lab not in groups or node < groups[lab]:
+            groups[lab] = min(groups.get(lab, node), node)
+    return {node: groups[labels[node]] for node in adj}
+
+
+def reference_pair_weights(ledger, day, focus_ids):
+    """The former day-0 rescan: mask every edge of days 0..day to the focus
+    set, fold to undirected pairs, drop self-pairs and count with np.unique."""
+    edges = expand_ledger(ledger)
+    hi = int(edges.day_ptr[day + 1])
+    src = edges.src[:hi]
+    dst = edges.dst[:hi]
+    lut = np.zeros(len(ledger.addresses), dtype=bool)
+    lut[focus_ids] = True
+    mask = lut[src] & lut[dst]
+    src, dst = src[mask], dst[mask]
+    if not len(src):
+        return []
+    lo = np.minimum(src, dst)
+    hi_ = np.maximum(src, dst)
+    keep = lo != hi_
+    lo, hi_ = lo[keep], hi_[keep]
+    if not len(lo):
+        return []
+    span = int(hi_.max()) + 1
+    packed = lo * span + hi_
+    uniq, counts = np.unique(packed, return_counts=True)
+    return [
+        (int(p // span), int(p % span), float(c)) for p, c in zip(uniq, counts)
+    ]
+
+
 def graph_of(pairs, nodes=None):
     """A day-0 `TransactionGraph` of a list or array of (src, dst) pairs,
     built by the aggregation `build_day_graph` runs (`txgraph._aggregate`):
@@ -257,7 +323,7 @@ def parse_ledger_records(stream, epoch=None):
 
     from ledgerlens.errors import ParseError
     from ledgerlens.ledger import (
-        COINBASE, MAX_VALUE, MIN_TIME, SECONDS_PER_DAY, AddressTable, Ledger,
+        COINBASE, MAX_VALUE, MIN_TIME, SECONDS_PER_DAY, AddressTable, Ledger, _pack_strings,
         _validate_record,
     )
 
@@ -317,7 +383,7 @@ def parse_ledger_records(stream, epoch=None):
         epoch = epoch // SECONDS_PER_DAY * SECONDS_PER_DAY
     return Ledger(
         addresses=AddressTable(list(index)[1:]),
-        txids=[txids[i] for i in order],
+        txids=_pack_strings([txids[i] for i in order]),
         times=arr([times[i] for i in order]),
         in_ptr=arr(ptrs["in"]),
         in_addr=arr(cols["in"][0]),

@@ -231,9 +231,9 @@ class TestReport:
             built.append(args)
             return pair_index(*args)
 
-        def counted_labels(ledger, days, *args):
+        def counted_labels(days, *args):
             calls.append(days)
-            for labels in focus_labels(ledger, days, *args):
+            for labels in focus_labels(days, *args):
                 swept.append(labels)
                 yield labels
 

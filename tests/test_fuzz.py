@@ -1,5 +1,6 @@
-"""Every command on small random exports: each one either answers or
-refuses with one `ledgerlens:` line, and stability answers match oracles.
+"""Every command on small random exports: each one answers, or refuses
+in one `ledgerlens:` line a day the ledger lacks, and stability answers
+match oracles.
 
 An export holds at most 20 records over a few days: tied values, values of
 2**62, repeated and non-ASCII names, spends of up to an address's balance
@@ -67,13 +68,16 @@ def exports(draw):
     return draw(st.permutations(records))
 
 
-def call(argv):
+def call(argv, codes=(0,)):
+    """Run one command, which must exit with one of `codes`: 0, or a
+    refusal in one `ledgerlens:` line."""
     err = io.StringIO()
     with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
         code = run(argv)
     err = err.getvalue()
-    assert code == 0 or (code in (1, 2) and err.startswith("ledgerlens: ")
-                         and err.count("\n") == 1 and "out of memory" not in err), \
+    assert code in codes and (code == 0 or (err.startswith("ledgerlens: ")
+                                            and err.count("\n") == 1
+                                            and "out of memory" not in err)), \
         (argv, code, err)
     return code
 
@@ -130,7 +134,7 @@ def test_every_command_answers_or_refuses(records, top, interval, focus):
         export, store = os.path.join(tmp, "x.jsonl"), os.path.join(tmp, "store")
         with open(export, "w", encoding="utf-8") as fp:
             fp.writelines(json.dumps(r) + "\n" for r in records)
-        if call(["ingest", "--input", export, "--out", store]):
+        if call(["ingest", "--input", export, "--out", store], codes=(0, 1, 2)):
             return
         days = day_lists(records)
         last = str(max(len(days) - 1, 0))
@@ -139,26 +143,31 @@ def test_every_command_answers_or_refuses(records, top, interval, focus):
         for metric, mode in (("spearman", "intersection"), ("spearman", "penalized"),
                              ("retention", "intersection")):
             name = out(f"{metric}_{mode}.csv")
-            if not call(["stability", "--store", store, "--metric", metric, "--mode", mode,
-                         "--top", str(top), "--interval", str(interval),
-                         "--summary", out(f"{metric}_{mode}.json"), "--out", name]):
-                queries[(metric, mode)] = name
-        for argv in (["snapshot", "--dump-day", last, "--out", out("snapshot.csv")],
-                     ["proportions", "--tops", f"{top},{top + 2}", "--out", out("p.csv")],
-                     ["dstatic", "--top", str(top), "--svg", out("c.svg"),
-                      "--out", out("d.csv")],
-                     ["dispersion", "--value-weighted", "--focus", str(focus),
-                      "--nodes-day", last, "--nodes-out", out("n.csv"), "--out", out("s.csv")],
-                     *(["hhi", "--scheme", scheme, "--focus", str(focus),
-                        "--partition-day", last, "--partition-out", out(f"{scheme}.json"),
-                        "--out", out(f"{scheme}.csv")] for scheme in ("a1", "a2", "a3"))):
-            call(argv[:1] + ["--store", store] + argv[1:])
+            call(["stability", "--store", store, "--metric", metric, "--mode", mode,
+                  "--top", str(top), "--interval", str(interval),
+                  "--summary", out(f"{metric}_{mode}.json"), "--out", name])
+            queries[(metric, mode)] = name
+        # Only a day the ledger lacks is refused: any day of an empty
+        # ledger, and the nodes of day 0, which has no previous day's focus.
+        no_day = (1,) if not days else (0,)
+        for argv, codes in (
+                (["snapshot", "--dump-day", last, "--out", out("snapshot.csv")], no_day),
+                (["proportions", "--tops", f"{top},{top + 2}", "--out", out("p.csv")], (0,)),
+                (["dstatic", "--top", str(top), "--svg", out("c.svg"), "--out", out("d.csv")],
+                 no_day),
+                (["dispersion", "--value-weighted", "--focus", str(focus), "--nodes-day", last,
+                  "--nodes-out", out("n.csv"), "--out", out("s.csv")],
+                 (1,) if last == "0" else (0,)),
+                *((["hhi", "--scheme", scheme, "--focus", str(focus), "--partition-day", last,
+                    "--partition-out", out(f"{scheme}.json"), "--out", out(f"{scheme}.csv")],
+                   no_day) for scheme in ("a1", "a2", "a3"))):
+            call(argv[:1] + ["--store", store] + argv[1:], codes)
         reports = {}
         for mode, charts in (("intersection", []), ("penalized", ["--no-charts"])):
-            if not call(["report", "--store", store, "--out", out(mode), "--mode", mode,
-                         "--tops", f"{top},{top + 2}", "--intervals", f"1,{interval}",
-                         "--focus", str(focus), *charts]):
-                reports[mode] = os.path.join(out(mode), "stability.csv")
+            call(["report", "--store", store, "--out", out(mode), "--mode", mode,
+                  "--tops", f"{top},{top + 2}", "--intervals", f"1,{interval}",
+                  "--focus", str(focus), *charts])
+            reports[mode] = os.path.join(out(mode), "stability.csv")
 
         for (metric, mode), path in queries.items():
             header, body = rows(path)
@@ -196,7 +205,7 @@ def test_damaged_store_answers_or_refuses(records, data):
         store, npz, meta_path = out("store"), out("store", "ledger.npz"), out("store", "meta.json")
         with open(out("x.jsonl"), "w", encoding="utf-8") as fp:
             fp.writelines(json.dumps(r) + "\n" for r in records)
-        if call(["ingest", "--input", out("x.jsonl"), "--out", store]):
+        if call(["ingest", "--input", out("x.jsonl"), "--out", store], codes=(0, 1, 2)):
             return
         ingested = load_ledger(store).canonical_bytes()
         with open(meta_path) as fp:

@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -20,7 +21,7 @@ from ledgerlens import (
     label_propagation,
 )
 from ledgerlens import Ranking, market
-from ledgerlens.ledger import AddressTable, Ledger
+from ledgerlens.ledger import AddressTable, Ledger, _pack_strings
 from ledgerlens.market import (
     HHISeries,
     _focus_labels,
@@ -29,7 +30,11 @@ from ledgerlens.market import (
     _propagate,
 )
 from conftest import DAY, make_ledger, rec
-from oracles import connected_components, expand_ledger
+from oracles import (
+    connected_components,
+    reference_label_propagation,
+    reference_pair_weights,
+)
 
 
 class TestHHI:
@@ -83,45 +88,6 @@ class TestClassify:
     ])
     def test_thresholds(self, value, expected):
         assert classify(value) == expected
-
-
-def reference_label_propagation(nodes, edges, seed=0, max_rounds=100):
-    """The former dict-adjacency kernel: vote sums and sweep order that the
-    position kernel must reproduce exactly."""
-    adj = {int(v): [] for v in nodes}
-    for u, v, w in edges:
-        u, v = int(u), int(v)
-        if u == v:
-            continue
-        adj[u].append((v, float(w)))
-        adj[v].append((u, float(w)))
-    labels = {v: v for v in adj}
-    order = sorted(adj)
-    if seed:
-        rng = np.random.Generator(np.random.Philox(key=seed))
-        order = [order[i] for i in rng.permutation(len(order))]
-    for _ in range(max_rounds):
-        changed = False
-        for node in order:
-            votes = {}
-            for nb, w in adj[node]:
-                lab = labels[nb]
-                votes[lab] = votes.get(lab, 0.0) + w
-            if not votes:
-                continue
-            top = max(votes.values())
-            best = min(lab for lab, w in votes.items() if w == top)
-            if best != labels[node]:
-                labels[node] = best
-                changed = True
-        if not changed:
-            break
-    groups = {}
-    for node in sorted(adj):
-        lab = labels[node]
-        if lab not in groups or node < groups[lab]:
-            groups[lab] = min(groups.get(lab, node), node)
-    return {node: groups[labels[node]] for node in adj}
 
 
 WEIGHTS = st.one_of(st.integers(1, 5).map(float),
@@ -333,47 +299,23 @@ def star_ledger():
     return make_ledger(lines)
 
 
-def reference_pair_weights(ledger, day, focus_ids):
-    """The former day-0 rescan: mask every edge of days 0..day to the focus
-    set, fold to undirected pairs, drop self-pairs and count with np.unique."""
-    edges = expand_ledger(ledger)
-    hi = int(edges.day_ptr[day + 1])
-    src = edges.src[:hi]
-    dst = edges.dst[:hi]
-    lut = np.zeros(len(ledger.addresses), dtype=bool)
-    lut[focus_ids] = True
-    mask = lut[src] & lut[dst]
-    src, dst = src[mask], dst[mask]
-    if not len(src):
-        return []
-    lo = np.minimum(src, dst)
-    hi_ = np.maximum(src, dst)
-    keep = lo != hi_
-    lo, hi_ = lo[keep], hi_[keep]
-    if not len(lo):
-        return []
-    span = int(hi_.max()) + 1
-    packed = lo * span + hi_
-    uniq, counts = np.unique(packed, return_counts=True)
-    return [
-        (int(p // span), int(p % span), float(c)) for p, c in zip(uniq, counts)
-    ]
-
-
 ACTIVE = [f"a{i}" for i in range(6)]
 
 
 @st.composite
 def pair_ledgers(draw):
     """A few days of payments among six addresses, self-loops included; two
-    idle addresses only ever receive the day-0 coinbase."""
+    idle addresses only ever receive the day-0 coinbase, and two late ones
+    only receive payments, so the funded count can grow from day to day."""
     outs = [[x, 1000] for x in ACTIVE + ["idle0", "idle1"]]
     lines = [rec("c0", 0, [], outs)]
     n_days = draw(st.integers(1, 4))
-    side = st.lists(st.sampled_from(ACTIVE), min_size=1, max_size=3, unique=True)
+    payers = st.lists(st.sampled_from(ACTIVE), min_size=1, max_size=3, unique=True)
+    payees = st.lists(st.sampled_from(ACTIVE + ["late0", "late1"]), min_size=1, max_size=3,
+                      unique=True)
     for t in range(draw(st.integers(0, 12))):
         day = draw(st.integers(0, n_days - 1))
-        ins, outs = draw(side), draw(side)
+        ins, outs = draw(payers), draw(payees)
         lines.append(rec(f"t{t}", day * DAY + t + 1,
                          [[a, 10] for a in ins], [[b, 1] for b in outs]))
     return make_ledger(lines)
@@ -403,7 +345,7 @@ class TestFocusPairWeights:
     @given(pair_ledgers(), st.data())
     @settings(max_examples=150, deadline=None)
     def test_block_lookups_match_rescan(self, ledger, data):
-        # Each day its own focus out of the union, looked up in chunks cut
+        # Each day its own focus out of the union, gathered in blocks cut
         # inside the day range: one day, a few, or all.  A second pass
         # starts the running counts again from day 0.
         ids = st.sampled_from(range(len(ledger.addresses)))
@@ -412,14 +354,22 @@ class TestFocusPairWeights:
                                               if union else st.just([])), dtype=np.int64))
                  for _ in range(ledger.n_days)]
         pairs = _PairIndex(ledger, np.asarray(union, dtype=np.int64))
-        budget = data.draw(st.sampled_from([1, 5, 20, 1 << 16]), "budget")
-        with mock.patch.object(market, "_CHUNK_ENTRIES", budget):
-            for _ in range(2):
-                found = list(pairs.lookups(range(ledger.n_days), focus))
-                assert len(found) == ledger.n_days
-                for day, (focus_ids, (p, q, w)) in enumerate(zip(focus, found)):
-                    assert (list(zip(focus_ids[p].tolist(), focus_ids[q].tolist(), w.tolist()))
-                            == reference_pair_weights(ledger, day, focus_ids))
+        cuts = data.draw(st.lists(st.booleans(), min_size=ledger.n_days - 1,
+                                  max_size=ledger.n_days - 1), "cuts")
+        blocks = [[0]]
+        for day, cut in enumerate(cuts, start=1):
+            if cut:
+                blocks.append([])
+            blocks[-1].append(day)
+        for _ in range(2):
+            for block in blocks:
+                graph, p, q, w = pairs.gather([(day, focus[day]) for day in block])
+                assert (np.diff(graph) >= 0).all()
+                for i, day in enumerate(block):
+                    at = graph == i
+                    assert (list(zip(focus[day][p[at]].tolist(), focus[day][q[at]].tolist(),
+                                     w[at].tolist()))
+                            == reference_pair_weights(ledger, day, focus[day]))
 
     def test_chunks_expand_each_transaction_once(self, monkeypatch):
         ledger = two_clique_ledger()
@@ -449,8 +399,8 @@ class TestFocusPairWeights:
         n, names = 50_000, [f"x{i}" for i in range(1000)]
         ptr = np.arange(0, 2 * n + 1, 2, dtype=np.int64)
         in_addr, out_addr = rng.integers(4, len(names) + 1, (2, 2 * n))
-        ledger = Ledger(AddressTable(names), ["t"] * n, np.arange(n, dtype=np.int64),
-                        ptr, in_addr, np.ones(2 * n, dtype=np.int64),
+        ledger = Ledger(AddressTable(names), _pack_strings(["t"] * n),
+                        np.arange(n, dtype=np.int64), ptr, in_addr, np.ones(2 * n, dtype=np.int64),
                         ptr.copy(), out_addr, np.ones(2 * n, dtype=np.int64), None)
         entry_bytes = sum(a.nbytes for a in (ledger.in_addr, ledger.in_val,
                                              ledger.out_addr, ledger.out_val))
@@ -585,6 +535,56 @@ class TestHHISeries:
         series = hhi_series(ledger, "a1", compute_rankings(ledger, 100))
         assert {d: classify(v) for d, v in series.values.items()} == {0: "highly_concentrated"}
 
+    @pytest.mark.parametrize("small_blocks", [False, True])
+    @pytest.mark.parametrize("seed", [0, 9])
+    @given(ledger=pair_ledgers(), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_labels_and_series_match_oracles(self, seed, small_blocks, ledger, data):
+        # Each day's swept labels equal the reference label propagation of
+        # the reference rescan's pairs, and the A2/A3 values the HHI of
+        # those firms over a plain replay's balances, as an exact ratio:
+        # past the rankings, no code is shared with the series.  A small
+        # budget sweeps every day alone, or cuts the days into blocks of two.
+        focus_n = data.draw(st.integers(1, 10), "focus_n")
+        rankings = list(compute_rankings(ledger, focus_n))
+        focus = [np.sort(r.truncated(focus_n).ids) for r in rankings]
+        pairs = _PairIndex(ledger, np.concatenate(focus))
+        u = len(pairs.ids)
+        slots = data.draw(st.sampled_from([1, 2 * u]), "slots") if small_blocks else None
+        with mock.patch.object(market, "_BLOCK_SLOTS", slots or market._BLOCK_SLOTS), \
+                mock.patch.object(market, "_propagate", wraps=_propagate) as sweeps:
+            swept = list(_focus_labels(range(ledger.n_days), focus, pairs, "label_propagation",
+                                       seed))
+            series = hhi_by_scheme(ledger, ("a2", "a3"), rankings, focus_n, seed=seed)
+        graphs = [call.args[5] for call in sweeps.call_args_list]
+        if slots:
+            assert max(graphs) <= max(slots // u, 1)
+        elif not seed:
+            assert graphs == [ledger.n_days] * 2
+
+        balances = {}
+        for day, (ids, labels) in enumerate(zip(focus, swept)):
+            for tx in range(*ledger.day_range(day)):
+                for ptr, addr, val, sign in ((ledger.in_ptr, ledger.in_addr, ledger.in_val, -1),
+                                             (ledger.out_ptr, ledger.out_addr, ledger.out_val, 1)):
+                    for e in range(ptr[tx], ptr[tx + 1]):
+                        balances[int(addr[e])] = balances.get(int(addr[e]), 0) + sign * int(val[e])
+            nodes = ids.tolist()
+            alone = reference_label_propagation(nodes, reference_pair_weights(ledger, day, ids),
+                                                seed)
+            assert labels == [alone[v] for v in nodes]
+            firms = {}
+            for v in nodes:
+                firms[alone[v]] = firms.get(alone[v], 0) + balances[v]
+            funded = [b for b in balances.values() if b > 0]
+            comm = sum(h * h for h in firms.values())
+            outside = sum(b * b for b in funded) - sum(balances[v] ** 2 for v in nodes)
+            vo = sum(funded) - sum(firms.values())
+            supply = ledger.supply_at(day)
+            for scheme, sq in (("a2", comm + outside), ("a3", comm + vo * vo)):
+                assert series[scheme].values[day] == pytest.approx(
+                    float(Fraction(10000 * sq, supply * supply)), rel=1e-12)
+
     @pytest.mark.parametrize("scheme", ["a2", "a3"])
     def test_series_matches_cluster_holdings(self, scheme):
         # The series and `cluster` share one partition path: every day's
@@ -626,8 +626,8 @@ class TestHHISeries:
         pairs = _PairIndex(ledger, np.concatenate(focus))
         snaps = list(compute_snapshots(ledger))
         merged = 0
-        swept_days = _focus_labels(ledger, range(ledger.n_days), focus, pairs,
-                                   "label_propagation", seed)
+        swept_days = _focus_labels(range(ledger.n_days), focus, pairs, "label_propagation",
+                                   seed)
         for day, labels in enumerate(swept_days):
             groups = {}
             for a, lab in zip(focus[day].tolist(), labels):
@@ -663,15 +663,14 @@ class TestHHISeries:
         runs = 1 + sum(a != b for a, b in zip(sizes, sizes[1:]))
         for seed, blocks in ((0, [max(sizes)]), (9, None)):
             widths.clear()
-            swept = list(_focus_labels(ledger, range(ledger.n_days), focus, pairs,
-                                       "label_propagation", seed))
+            swept = list(_focus_labels(range(ledger.n_days), focus, pairs, "label_propagation",
+                                       seed))
             if blocks:
                 assert widths == blocks
             else:
                 assert len(widths) == runs
             for day, labels in enumerate(swept):
-                (alone,) = _focus_labels(ledger, [day], [focus[day]], pairs,
-                                         "label_propagation", seed)
+                (alone,) = _focus_labels([day], [focus[day]], pairs, "label_propagation", seed)
                 assert labels == alone
         assert any(len(set(labels)) < len(labels) for labels in swept)
 
