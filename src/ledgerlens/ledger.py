@@ -14,6 +14,7 @@ edges) rather than the sum of N x M over the ledger.  A ledger holds no
 cache of them.
 """
 
+import gc
 import json
 import sys
 from itertools import chain, islice, repeat
@@ -417,10 +418,10 @@ class Ledger:
         return EdgeArrays(np.repeat(ins, count), outs[out_pos], tx + start, values)
 
 
-# Lines decoded and checked together.  Kept small so that a chunk's decoded
-# objects die young: in chunks of thousands of lines they live long enough to
-# be promoted, and the cyclic GC's full collections then traverse them all.
-_CHUNK_LINES = 256
+# Lines decoded and checked together.  Each chunk costs a few dozen numpy
+# calls, spread over its lines; its decoded records are freed by refcounting
+# once the next chunk is read, so memory beyond the columns is one chunk's.
+_CHUNK_LINES = 1024
 
 # The scanner `json.loads` runs; it returns (value, end) and leaves the
 # whole-line check to the caller.
@@ -684,11 +685,13 @@ def parse_ledger(
     and an integer literal too long for `int`.  Records out of timestamp
     order are accepted, counted on ``Ledger.out_of_order``, and re-sorted.
 
-    The stream is read in chunks of a few hundred lines.  Each chunk is
-    decoded and checked as flat columns and kept as int64 arrays and
-    strings, so memory beyond the result is one chunk's decoded records
+    The stream is read in chunks of `_CHUNK_LINES` (1024) lines.  Each
+    chunk is decoded and checked as flat columns and kept as int64 arrays
+    and strings, so memory beyond the result is one chunk's decoded records
     and the duplicate check's txid set while lines are read, and one
-    column being sorted once they are all in (`_Columns.ledger`).
+    column being sorted once they are all in (`_Columns.ledger`).  The
+    cyclic garbage collector is paused for the whole parse, and left
+    enabled or disabled as the caller had it, on success and on error.
     When a chunk fails a check, its lines are walked again one record at a
     time from the state before it (txids seen, supply minted), so the error
     raised is the one of the first bad line in file order.
@@ -701,10 +704,19 @@ def parse_ledger(
     cols = _Columns()
     lines = iter(stream)
     line_no = 1
-    while raw := list(islice(lines, _CHUNK_LINES)):
-        if not cols.take(raw):
-            _raise_first_error(raw, line_no, cols.seen, cols.minted)
-        line_no += len(raw)
-    if epoch is not None:
-        epoch = epoch // SECONDS_PER_DAY * SECONDS_PER_DAY
-    return cols.ledger(epoch)
+    # Decoded records hold no reference cycles, so a collection here frees
+    # nothing and traverses every live container, the growing parse state
+    # included.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        while raw := list(islice(lines, _CHUNK_LINES)):
+            if not cols.take(raw):
+                _raise_first_error(raw, line_no, cols.seen, cols.minted)
+            line_no += len(raw)
+        if epoch is not None:
+            epoch = epoch // SECONDS_PER_DAY * SECONDS_PER_DAY
+        return cols.ledger(epoch)
+    finally:
+        if enabled:
+            gc.enable()

@@ -63,6 +63,19 @@ def content_hash(ledger: Ledger) -> str:
     return _digest(_columns(ledger))
 
 
+def _write_npz(fp, cols: dict[str, np.ndarray]) -> None:
+    """Write `cols` as the members of an uncompressed .npz, the bytes
+    `np.savez` writes, each array's data from its own buffer (`np.savez`
+    copies each one through `tobytes`)."""
+    with zipfile.ZipFile(fp, "w", zipfile.ZIP_STORED, allowZip64=True) as zf:
+        for name, arr in cols.items():
+            arr = np.ascontiguousarray(arr)
+            with zf.open(name + ".npy", "w", force_zip64=True) as fid:
+                np.lib.format.write_array_header_1_0(
+                    fid, np.lib.format.header_data_from_array_1_0(arr))
+                fid.write(memoryview(arr).cast("B"))
+
+
 def save_ledger(ledger: Ledger, store_dir: str) -> dict:
     """Write the binary ledger cache and meta.json; returns the meta dict.
 
@@ -86,7 +99,7 @@ def save_ledger(ledger: Ledger, store_dir: str) -> dict:
     tmp = {name: os.path.join(store_dir, f".{name}.{os.getpid()}.tmp") for name in final}
     try:
         with open(tmp[_LEDGER], "wb") as fp:
-            np.savez(fp, **cols)
+            _write_npz(fp, cols)
         with open(tmp[_META], "w") as fp:
             json.dump(meta, fp, indent=2, sort_keys=True)
             fp.write("\n")

@@ -917,12 +917,14 @@ class TestLongHistoryMemory:
 
 
 class TestIngestMemory:
-    """400 000 coinbase records with 64-character txids.  Ingest frees the
-    duplicate check's txid set and the name index once every line has
-    passed, packs the txids and builds the ledger one column at a time; a
-    copy of the whole history beside that parse state does not fit."""
+    """Ingest frees the duplicate check's txid set and the name index once
+    every line has passed, packs the txids and builds the ledger one column
+    at a time; a copy of the whole history beside that parse state does not
+    fit.  While lines are read, memory beyond the columns is one chunk's
+    decoded records."""
 
     def test_ingest_runs_in_256_mib(self, tmp_path):
+        # 400 000 coinbase records with 64-character txids.
         n = 400_000
         export = tmp_path / "chain.jsonl"
         with open(export, "w") as fp:
@@ -932,6 +934,24 @@ class TestIngestMemory:
         done = _run_in_256_mib(["ingest", "--input", str(export), "--out", str(store)])
         assert done.returncode == 0, done.stderr
         assert json.loads((store / "meta.json").read_text())["transactions"] == n
+
+    def test_wide_lines_run_in_256_mib(self, tmp_path):
+        # 6400 lines of 200 entries with 40-character addresses: seven
+        # chunks of 1024 lines.  One chunk's decoded records take about
+        # 80 MiB of the child's address space beside its 106 MiB at start,
+        # so one chunk's records fit and two would not.
+        n, width = 6400, 200
+        export = tmp_path / "chain.jsonl"
+        with open(export, "w") as fp:
+            for i in range(n):
+                outs = ",".join('["a%039d",%d]' % ((i * width + j) % 3000, 1 + j)
+                                for j in range(width))
+                fp.write('{"txid":"t%d","time":%d,"in":[],"out":[%s]}\n' % (i, i, outs))
+        store = tmp_path / "store"
+        done = _run_in_256_mib(["ingest", "--input", str(export), "--out", str(store)])
+        assert done.returncode == 0, done.stderr
+        meta = json.loads((store / "meta.json").read_text())
+        assert (meta["transactions"], meta["addresses"]) == (n, 3001)
 
 
 class TestReportTieGroups:

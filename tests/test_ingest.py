@@ -7,6 +7,7 @@ for every valid export, and the same (line, message) for every bad one,
 wherever the bad line falls against the chunk boundaries.
 """
 
+import gc
 import io
 import json
 from unittest import mock
@@ -115,7 +116,7 @@ def export_lines(draw, records):
 
 class TestValidParity:
     @settings(max_examples=150, deadline=None)
-    @given(st.data(), st.sampled_from([1, 2, 3, 256]))
+    @given(st.data(), st.sampled_from([1, 2, 3, ledger_mod._CHUNK_LINES]))
     def test_same_ledger_as_reference(self, data, chunk):
         records = data.draw(valid_records())
         lines = data.draw(export_lines(records))
@@ -130,7 +131,7 @@ class TestValidParity:
             assert_same_outcome(lines, epoch=epoch)
 
     @settings(max_examples=50, deadline=None)
-    @given(valid_records(), st.sampled_from([1, 3, 256]))
+    @given(valid_records(), st.sampled_from([1, 3, ledger_mod._CHUNK_LINES]))
     def test_txid_table_packs_the_sorted_txids(self, records, chunk):
         with chunk_lines(chunk):
             ledger = parse_ledger([json.dumps(r) for r in records])
@@ -235,10 +236,13 @@ class TestDefectParity:
             assert want[0] == pos + 1
             assert outcome(parse_ledger, lines) == want
 
+    # The lines around the ends of the first and second chunks, and around
+    # those of 256-line chunks.
     @pytest.mark.parametrize("kind", ["json", "value zero", "duplicate txid", "minted"])
-    @pytest.mark.parametrize("pos", [255, 256, 257, 511])
+    @pytest.mark.parametrize("pos", sorted({255, 256, 257, 511, *(
+        ledger_mod._CHUNK_LINES * k + d for k in (1, 2) for d in (-1, 0, 1))}))
     def test_same_error_at_real_chunk_boundaries(self, kind, pos):
-        lines = with_defect(600, pos, kind)
+        lines = with_defect(2 * ledger_mod._CHUNK_LINES + 88, pos, kind)
         want = outcome(parse_ledger_records, lines)
         assert want[0] == pos + 1
         assert outcome(parse_ledger, lines) == want
@@ -258,6 +262,45 @@ class TestDefectParity:
             want = outcome(parse_ledger_records, lines)
             assert want[0] == min(positions) + 1
             assert outcome(parse_ledger, lines) == want
+
+
+class TestCollectorState:
+    """`parse_ledger` pauses the cyclic garbage collector while it reads and
+    leaves it enabled or disabled as the caller had it."""
+
+    @pytest.fixture(params=[True, False], ids=["gc_enabled", "gc_disabled"])
+    def gc_state(self, request):
+        was = gc.isenabled()
+        (gc.enable if request.param else gc.disable)()
+        yield request.param
+        (gc.enable if was else gc.disable)()
+
+    def test_state_kept_after_a_parse(self, gc_state):
+        ledger = parse_ledger(base_lines(2 * ledger_mod._CHUNK_LINES + 5))
+        assert len(ledger) == 2 * ledger_mod._CHUNK_LINES + 5
+        assert gc.isenabled() is gc_state
+
+    @pytest.mark.parametrize("kind", ["json", "duplicate txid"])
+    def test_state_kept_after_a_parse_error(self, gc_state, kind):
+        # The bad line is in the third chunk, after two accepted ones.
+        pos = 2 * ledger_mod._CHUNK_LINES + 7
+        lines = with_defect(pos + 20, pos, kind)
+        assert outcome(parse_ledger, lines)[0] == pos + 1
+        assert gc.isenabled() is gc_state
+
+    def test_no_collection_while_parsing(self):
+        lines = base_lines(3 * ledger_mod._CHUNK_LINES)
+        phases = []
+        hook = lambda phase, info: phases.append(phase)
+        was = gc.isenabled()
+        gc.enable()
+        gc.callbacks.append(hook)
+        try:
+            parse_ledger(lines)
+        finally:
+            gc.callbacks.remove(hook)
+            (gc.enable if was else gc.disable)()
+        assert phases == []
 
 
 class TestDecoderLimits:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -14,6 +15,7 @@ from ledgerlens import (
     load_ledger,
     save_ledger,
 )
+from ledgerlens import store as store_mod
 from ledgerlens.balances import snapshot_at
 from ledgerlens.cli import run
 from ledgerlens.ledger import MAX_VALUE, MIN_TIME
@@ -202,6 +204,36 @@ class TestLedgerStore:
         assert load_ledger(str(tmp_path / "store")).canonical_bytes() == (
             three_records().canonical_bytes())
 
+    # SHA-256 of the files, taken when the store was written by `np.savez`
+    # (numpy 2.4.6): the zip container and the .npy headers, not only the
+    # array bytes that the content hash covers.
+    GOLDEN_FILES = {
+        "three_records": {
+            "ledger.npz": "474860d5ce9141d9729e130f3cdf5935e5b214ac5a736f0925e744f551a95af8",
+            "meta.json": "3e318ac8bfcc889d65db09dd9d51627f80578852cd06264085b5114729685ba3",
+        },
+        "synth_30_days": {
+            "ledger.npz": "214d35252d7504eb7e3703e87210dc494e56835b701fddc617f75e2e5b3e15fc",
+            "meta.json": "ca795bfc583df70c523d41ce407316c264339db8eae31af425466cd8a00f0855",
+        },
+    }
+
+    @staticmethod
+    def file_digests(store):
+        return {name: hashlib.sha256((store / name).read_bytes()).hexdigest()
+                for name in ("ledger.npz", "meta.json")}
+
+    def test_golden_store_files(self, tmp_path):
+        save_ledger(three_records(), str(tmp_path / "three"))
+        assert self.file_digests(tmp_path / "three") == self.GOLDEN_FILES["three_records"]
+
+    def test_golden_store_files_through_ingest(self, tmp_path):
+        # 2930 lines: three chunks of the parser.
+        export = tmp_path / "chain.jsonl"
+        assert run(["synth", "--days", "30", "--seed", "1", "--out", str(export)]) == 0
+        assert run(["ingest", "--input", str(export), "--out", str(tmp_path / "s")]) == 0
+        assert self.file_digests(tmp_path / "s") == self.GOLDEN_FILES["synth_30_days"]
+
     def test_meta_without_hash_is_corrupt(self, ledger, tmp_path):
         store = tmp_path / "store"
         save_ledger(ledger, str(store))
@@ -304,11 +336,11 @@ class TestLedgerStore:
         before = {name: (store / name).read_bytes() for name in os.listdir(store)}
         other = make_ledger([rec("c0", 0, [], [["x", 5]])])
 
-        def savez_then_fail(fp, **arrays):
+        def write_then_fail(fp, cols):
             fp.write(b"PK\x03\x04 half an archive")
             raise OSError("disk full")
 
-        monkeypatch.setattr(np, "savez", savez_then_fail)
+        monkeypatch.setattr(store_mod, "_write_npz", write_then_fail)
         with pytest.raises(OSError, match="disk full"):
             save_ledger(other, str(store))
         monkeypatch.undo()
