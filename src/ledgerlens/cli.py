@@ -10,38 +10,28 @@ parameters over an identical store.
 import argparse
 import os
 import sys
-from typing import Iterable, Iterator
 
 from . import __version__
-from .balances import Ranking, compute_rankings, snapshot_at
+# `compute_rankings`, `d_static_series`, `hhi_series`, `stability_series`,
+# `line_chart` and `dispersion_series` are not called here: every command's
+# day walk runs in `report.walk`.  They stay importable under this module's
+# name because the benchmark's tracer (bench/tracer.py) wraps them here, and
+# its self-test fails on a traced name that is missing.
+from .balances import compute_rankings, snapshot_at  # noqa: F401
 from .errors import LedgerError
 from .ledger import parse_ledger
-from .lorenz import SCALINGS, d_static_series
-from .market import METHODS, SCHEMES, cluster, d_hhi, hhi_series
+from .lorenz import SCALINGS, d_static_series  # noqa: F401
+from .market import METHODS, SCHEMES, cluster, hhi_series  # noqa: F401
 from .report import (
-    DEFAULT_INTERVALS,
-    DEFAULT_TOPS,
-    build_report,
-    check_counts,
-    check_curve_day,
-    config_hash,
-    curve_chart,
-    day_table,
-    dispersion_table,
-    hhi_table,
-    proportions_long_table,
-    proportions_table,
-    window,
-    write_csv,
-    write_json,
+    DEFAULT_INTERVALS, DEFAULT_TOPS, Plan, build_report, check_counts, check_curve_day,
+    config_hash, curve_chart, day_table, dispersion_table, hhi_table, proportions_long_table,
+    proportions_table, walk, write_csv, write_json,
 )
-from .stability import SPEARMAN_MODES, stability_series, summarize
+from .stability import SPEARMAN_MODES, stability_series, summarize  # noqa: F401
 from .store import load_ledger, load_meta, save_ledger
-# `line_chart` is not called here; it stays importable under this module's
-# name because the benchmark's tracer (bench/tracer.py) wraps it here.
 from .svg import line_chart, open_output  # noqa: F401
 from .synth import REGIMES, SynthConfig, generate
-from .txgraph import dispersion_series, build_day_graph, degree_centrality, pagerank
+from .txgraph import build_day_graph, degree_centrality, dispersion_series, pagerank  # noqa: F401
 
 STORE_ENV = "LEDGERLENS_STORE"
 
@@ -125,17 +115,6 @@ def _config(cmd: str, args, store_hash: str, **params) -> str:
     return config_hash(params)
 
 
-def _keeping(rankings: Iterable[Ranking], day: int | None,
-             kept: list[Ranking]) -> Iterator[Ranking]:
-    """Pass the day rankings on, appending the one of `day` to `kept` as it
-    passes: a command that needs one day's ranking besides its series keeps
-    that one only."""
-    for ranking in rankings:
-        if ranking.day == day:
-            kept.append(ranking)
-        yield ranking
-
-
 def _cmd_synth(args) -> int:
     cfg = SynthConfig(
         seed=args.seed,
@@ -190,26 +169,20 @@ def _cmd_snapshot(args) -> int:
 
 def _cmd_proportions(args) -> int:
     ledger, store_hash = _open_store(args)
-    tops = args.tops
-    rankings = compute_rankings(ledger, max(tops))
-    from .balances import proportion_series
-
-    supplies = [ledger.supply_at(d) for d in range(ledger.n_days)]
-    matrix = proportion_series(rankings, supplies, tops)
-    cfg = _config("proportions", args, store_hash, tops=tops)
-    days = list(window(dict.fromkeys(range(ledger.n_days)), args.day_range))
+    res = walk(ledger, Plan(tops=args.tops, day_range=args.day_range))
+    cfg = _config("proportions", args, store_hash, tops=args.tops)
     table = proportions_long_table if args.long else proportions_table
-    write_csv(args.out, *table(matrix, tops, days), cfg)
+    write_csv(args.out, *table(res.prop, args.tops, res.days), cfg)
     return 0
 
 
 def _cmd_stability(args) -> int:
     ledger, store_hash = _open_store(args)
-    rankings = compute_rankings(ledger, args.top)
-    series = stability_series(rankings, args.top, args.interval, args.metric, args.mode)
+    spec = (args.metric, args.top, args.interval)
+    res = walk(ledger, Plan(specs=[spec], mode=args.mode, day_range=args.day_range))
+    series = res.stability[spec]
     cfg = _config("stability", args, store_hash, metric=args.metric, top=args.top,
                   interval=args.interval, mode=args.mode)
-    series.values = window(series.values, args.day_range)
     write_csv(args.out, *day_table("value", series.values), cfg)
     if args.summary:
         write_json(args.summary, {
@@ -220,48 +193,40 @@ def _cmd_stability(args) -> int:
 
 
 def _cmd_dstatic(args) -> int:
+    if args.curve_day is not None and not args.svg:
+        raise ValueError("--curve-day needs --svg")
     ledger, store_hash = _open_store(args)
+    curve_day = None
     if args.svg:
         if args.curve_day is None and not ledger.n_days:
             raise ValueError("the ledger has no day to chart a curve for")
         curve_day = args.curve_day if args.curve_day is not None else ledger.n_days - 1
         check_curve_day(curve_day, ledger.n_days)
-    elif args.curve_day is not None:
-        raise ValueError("--curve-day needs --svg")
-    kept: list[Ranking] = []
-    rankings = _keeping(compute_rankings(ledger, args.top),
-                        curve_day if args.svg else None, kept)
-    series = d_static_series(rankings, args.top, args.scaling)
-    if args.svg and not len(kept[0]):
-        raise ValueError(f"curve day {curve_day} has no funded address to chart")
+    res = walk(ledger, Plan(d_static_top=args.top, scaling=args.scaling,
+                            curve_day=curve_day, day_range=args.day_range))
     cfg = _config("dstatic", args, store_hash, top=args.top, scaling=args.scaling)
-    write_csv(args.out, *day_table("d_static", window(series.values, args.day_range)), cfg)
+    write_csv(args.out, *day_table("d_static", res.d_static), cfg)
     if args.svg:
-        curve_chart(args.svg, kept[0], args.top, cfg)
+        curve_chart(args.svg, res.kept, args.top, cfg)
     return 0
 
 
 def _cmd_dispersion(args) -> int:
-    ledger, store_hash = _open_store(args)
     if (args.nodes_day is None) != (args.nodes_out is None):
         raise ValueError("--nodes-day and --nodes-out go together")
+    ledger, store_hash = _open_store(args)
     if args.nodes_day is not None and not 1 <= args.nodes_day < ledger.n_days:
         raise ValueError(f"--nodes-day {args.nodes_day} has no focus graph")
     metrics = ("degree", "pagerank") if args.metric == "both" else (args.metric,)
-    kept: list[Ranking] = []
-    nodes_focus = args.nodes_day - 1 if args.nodes_day is not None else None
-    rankings = _keeping(compute_rankings(ledger, args.focus), nodes_focus, kept)
-    series = dispersion_series(
-        ledger, rankings, metrics, args.focus,
-        value_weighted=args.value_weighted,
-    )
+    res = walk(ledger, Plan(metrics=metrics, value_weighted=args.value_weighted,
+                            focus_n=args.focus, nodes_day=args.nodes_day,
+                            day_range=args.day_range))
     cfg = _config("dispersion", args, store_hash, metrics=list(metrics), focus=args.focus,
                   value_weighted=args.value_weighted)
-    series = {m: window(vals, args.day_range) for m, vals in series.items()}
-    write_csv(args.out, *dispersion_table(series), cfg)
+    write_csv(args.out, *dispersion_table(res.dispersion), cfg)
     if args.nodes_day is not None:
         d = args.nodes_day
-        graph = build_day_graph(ledger, d, kept[0].truncated(args.focus),
+        graph = build_day_graph(ledger, d, res.kept.truncated(args.focus),
                                 value_weighted=args.value_weighted)
         rows = []
         # A day whose focus graph has no node has no row, in `--out` too.
@@ -275,25 +240,23 @@ def _cmd_dispersion(args) -> int:
 
 
 def _cmd_hhi(args) -> int:
-    ledger, store_hash = _open_store(args)
     if args.dhhi and args.scheme != "a3":
         raise ValueError("--dhhi requires --scheme a3")
     if (args.partition_day is None) != (args.partition_out is None):
         raise ValueError("--partition-day and --partition-out go together")
+    ledger, store_hash = _open_store(args)
     if args.partition_day is not None and not 0 <= args.partition_day < ledger.n_days:
         raise ValueError(f"--partition-day {args.partition_day} outside ledger range")
-    kept: list[Ranking] = []
-    rankings = _keeping(compute_rankings(ledger, args.focus), args.partition_day, kept)
-    series = hhi_series(ledger, args.scheme, rankings, focus_n=args.focus,
-                        method=args.method, seed=args.seed)
+    res = walk(ledger, Plan(schemes=[args.scheme], method=args.method, seed=args.seed,
+                            d_hhi=bool(args.dhhi), focus_n=args.focus,
+                            partition_day=args.partition_day, day_range=args.day_range))
     cfg = _config("hhi", args, store_hash, scheme=args.scheme, focus=args.focus,
                   method=args.method, seed=args.seed)
-    write_csv(args.out, *hhi_table({args.scheme: window(series.values, args.day_range)}),
-              cfg)
+    write_csv(args.out, *hhi_table(res.hhi), cfg)
     if args.dhhi:
-        write_csv(args.dhhi, *day_table("d_hhi", window(d_hhi(series), args.day_range)), cfg)
+        write_csv(args.dhhi, *day_table("d_hhi", res.d_hhi), cfg)
     if args.partition_day is not None:
-        firms = cluster(ledger, args.scheme, kept[0],
+        firms = cluster(ledger, args.scheme, res.kept,
                         focus_n=args.focus, method=args.method, seed=args.seed)
         names = ledger.addresses.names
         write_json(args.partition_out, {

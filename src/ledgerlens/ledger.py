@@ -17,9 +17,9 @@ cache of them.
 import gc
 import json
 import sys
-from itertools import chain, islice, repeat
+from itertools import chain, repeat
 from operator import itemgetter
-from typing import IO, Iterable, NamedTuple, NoReturn
+from typing import IO, Iterable, Iterator, NamedTuple, NoReturn
 
 import numpy as np
 
@@ -421,7 +421,26 @@ class Ledger:
 # Lines decoded and checked together.  Each chunk costs a few dozen numpy
 # calls, spread over its lines; its decoded records are freed by refcounting
 # once the next chunk is read, so memory beyond the columns is one chunk's.
+# A chunk ends after _CHUNK_LINES lines, or before the line that would take
+# its lines past _CHUNK_BYTES (characters, for a text stream), so that wide
+# lines do not make a wide chunk; a longer line is a chunk of its own.
 _CHUNK_LINES = 1024
+_CHUNK_BYTES = 1 << 20
+
+
+def _chunks(lines: Iterator) -> Iterator[list]:
+    """The stream's lines, a chunk at a time."""
+    chunk: list = []
+    size = 0
+    for line in lines:
+        size += len(line)
+        if size > _CHUNK_BYTES or len(chunk) == _CHUNK_LINES:
+            if chunk:
+                yield chunk
+            chunk, size = [], len(line)
+        chunk.append(line)
+    if chunk:
+        yield chunk
 
 # The scanner `json.loads` runs; it returns (value, end) and leaves the
 # whole-line check to the caller.
@@ -685,8 +704,9 @@ def parse_ledger(
     and an integer literal too long for `int`.  Records out of timestamp
     order are accepted, counted on ``Ledger.out_of_order``, and re-sorted.
 
-    The stream is read in chunks of `_CHUNK_LINES` (1024) lines.  Each
-    chunk is decoded and checked as flat columns and kept as int64 arrays
+    The stream is read in chunks of `_CHUNK_LINES` (1024) lines, or fewer
+    when they would pass `_CHUNK_BYTES` (1 MiB) together.  Each chunk is
+    decoded and checked as flat columns and kept as int64 arrays
     and strings, so memory beyond the result is one chunk's decoded records
     and the duplicate check's txid set while lines are read, and one
     column being sorted once they are all in (`_Columns.ledger`).  The
@@ -710,10 +730,11 @@ def parse_ledger(
     enabled = gc.isenabled()
     gc.disable()
     try:
-        while raw := list(islice(lines, _CHUNK_LINES)):
+        for raw in _chunks(lines):
             if not cols.take(raw):
                 _raise_first_error(raw, line_no, cols.seen, cols.minted)
             line_no += len(raw)
+        raw = None  # the last chunk's lines, freed before the ledger is built
         if epoch is not None:
             epoch = epoch // SECONDS_PER_DAY * SECONDS_PER_DAY
         return cols.ledger(epoch)

@@ -10,7 +10,9 @@ import hashlib
 import json
 import math
 import os
-from typing import Iterator, Sequence
+from collections import deque
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -18,12 +20,13 @@ from . import __version__
 from .balances import Ranking, adjacent_diff, compute_rankings, proportion_series
 from .ledger import Ledger
 from .lorenz import cumulative_curve, d_static_series
-# `hhi_series` and `stability_series` are not called here; they stay
+# `hhi_series` and `stability_series` are not called here: `walk` reads
+# every series through `hhi_by_scheme` and `stability_table`.  They stay
 # importable under this module's name because the benchmark's tracer
 # (bench/tracer.py) wraps them here, and its self-test fails on a traced
 # name that is missing.
-from .market import check_method, classify, d_hhi, hhi_by_scheme, hhi_series
-from .stability import StabilitySeries, stability_series, stability_table, summarize
+from .market import check_method, classify, d_hhi, hhi_by_scheme, hhi_series  # noqa: F401
+from .stability import StabilitySeries, stability_series, stability_table, summarize  # noqa: F401
 from .svg import box_plot, line_chart, open_output
 from .txgraph import dispersion_series
 
@@ -50,13 +53,6 @@ def check_curve_day(day: int, n_days: int) -> None:
     """Reject a cumulative-curve day that is not a day of the ledger."""
     if not 0 <= day < n_days:
         raise ValueError(f"curve day {day} is not a day of the ledger ({n_days} days)")
-
-
-def window(values: dict, day_range: tuple[int, int] | None) -> dict:
-    """The entries of a day-keyed map inside the inclusive `day_range`
-    (all of them when it is None), in day order."""
-    lo, hi = day_range if day_range is not None else (-math.inf, math.inf)
-    return {d: v for d, v in sorted(values.items()) if lo <= d <= hi}
 
 
 def _cell(v) -> str:
@@ -131,11 +127,128 @@ def curve_chart(path: str, ranking: Ranking, top: int, cfg_hash: str) -> None:
     )
 
 
-def _series_rows(series: StabilitySeries) -> list[tuple]:
-    return [
-        (d, series.metric, series.top_n, series.interval, v)
-        for d, v in sorted(series.values.items())
-    ]
+def _by_day(values: dict) -> dict:
+    """A day-keyed map as JSON keys it: by the day's decimal string."""
+    return {str(d): v for d, v in values.items()}
+
+
+@dataclass(frozen=True)
+class Plan:
+    """The products of one day walk, with their parameters; an empty or
+    None product field asks for nothing.  `report` asks for every product,
+    and each single-metric command for its own."""
+
+    tops: Sequence[int] = ()                     # top-N supply proportions
+    d_static_top: int | None = None              # D_static of the top N, at `scaling`
+    scaling: int = 2
+    specs: Sequence[tuple[str, int, int]] = ()   # stability (metric, N, interval)
+    mode: str = "intersection"                   # the Spearman mode of `specs`
+    metrics: Sequence[str] = ()                  # dispersion of the focus graphs
+    value_weighted: bool = False
+    schemes: Sequence[str] = ()                  # HHI, by clustering scheme
+    method: str = "label_propagation"
+    seed: int = 0
+    d_hhi: bool = False                          # D_HHI of the A3 series
+    focus_n: int = 100                           # dispersion and HHI focus size
+    curve_day: int | None = None                 # the day whose ranking is kept
+    nodes_day: int | None = None                 # ... whose previous day's is kept
+    partition_day: int | None = None             # ... whose ranking is kept
+    day_range: tuple[int, int] | None = None     # the inclusive output window
+
+
+@dataclass
+class Walk:
+    """The products of a `Plan`.  Every day-keyed series is cut to the
+    plan's window, whose days are `days`; `prop` holds a row for every day
+    of the ledger.  `kept` is the ranking of the day the curve, nodes or
+    partition product reads, or None."""
+
+    days: list[int]
+    prop: np.ndarray
+    stability: dict[tuple[str, int, int], StabilitySeries]
+    d_static: dict[int, float]
+    dispersion: dict[str, dict[int, float]]
+    hhi: dict[str, dict[int, float]]
+    d_hhi: dict[int, float]
+    kept: Ranking | None
+
+
+def walk(ledger: Ledger, plan: Plan) -> Walk:
+    """Compute every product of `plan` from one walk over the day rankings.
+
+    The rankings are cut at the largest N that any product reads, and only
+    the ranking of the day that the curve, nodes or partition product reads
+    is kept; a curve day with no funded address has no curve to chart and
+    is refused as the walk passes it.  Proportions and D_static take each day's row from its
+    balances as the day passes, so they order no ids.  Of stability, HHI
+    and dispersion, the first asked for (in that order: dispersion stops a
+    day short) reads the walk as it streams; only when another is asked
+    for too does the walk keep each day's top `focus_n` for the others.
+    Every metric is computed from day 0, whatever the window: balances and
+    cumulative graphs need the whole prefix, and D_HHI normalizes over the
+    whole series before it is cut.
+    """
+    focus_n = plan.focus_n if plan.metrics or plan.schemes else 1
+    depth = max([*plan.tops, plan.d_static_top or 1, *(n for _, n, _ in plan.specs), focus_n])
+    # A nodes day's focus is the previous day's top N.
+    keep = plan.nodes_day - 1 if plan.nodes_day is not None else (
+        plan.curve_day if plan.curve_day is not None else plan.partition_day)
+    readers = sum(map(bool, (plan.specs, plan.schemes, plan.metrics)))
+    prop = np.zeros((ledger.n_days, len(plan.tops)))
+    d_static: dict[int, float] = {}
+    focus: list[Ranking] = []
+    kept: list[Ranking] = []
+
+    def days() -> Iterator[Ranking]:
+        for ranking in compute_rankings(ledger, depth):
+            d = ranking.day
+            if plan.tops:
+                prop[d] = proportion_series([ranking], [ledger.supply_at(d)], plan.tops)[0]
+            if plan.d_static_top:
+                d_static.update(
+                    d_static_series([ranking], plan.d_static_top, plan.scaling).values)
+            if readers > 1:
+                focus.append(ranking.truncated(plan.focus_n))
+            if d == keep:
+                if d == plan.curve_day and not len(ranking):
+                    raise ValueError(f"curve day {d} has no funded address to chart")
+                kept.append(ranking)
+            yield ranking
+
+    stream = days()
+    rankings: Iterable[Ranking] = stream
+    stab, hhi, disp = {}, {}, {}
+    if plan.specs:
+        stab = stability_table(rankings, plan.specs, plan.mode)
+        rankings = focus
+    if plan.schemes:
+        hhi = hhi_by_scheme(ledger, plan.schemes, rankings, plan.focus_n, plan.method,
+                            plan.seed)
+        rankings = focus
+    if plan.metrics:
+        disp = dispersion_series(ledger, rankings, plan.metrics, plan.focus_n,
+                                 value_weighted=plan.value_weighted)
+    if plan.tops or plan.d_static_top:
+        deque(stream, maxlen=0)  # their rows need every day, whoever read the walk
+
+    lo, hi = plan.day_range if plan.day_range is not None else (-math.inf, math.inf)
+
+    def cut(values: dict) -> dict:
+        """The entries of a day-keyed map inside the window, in day order."""
+        return {d: v for d, v in sorted(values.items()) if lo <= d <= hi}
+
+    for s in stab.values():
+        s.values = cut(s.values)
+    return Walk(
+        days=[d for d in range(ledger.n_days) if lo <= d <= hi],
+        prop=prop,
+        stability=stab,
+        d_static=cut(d_static),
+        dispersion={m: cut(vals) for m, vals in disp.items()},
+        hhi={scheme: cut(series.values) for scheme, series in hhi.items()},
+        d_hhi=cut(d_hhi(hhi["a3"])) if plan.d_hhi else {},
+        kept=kept[0] if kept else None,
+    )
 
 
 def build_report(
@@ -156,14 +269,13 @@ def build_report(
     """Run every metric over a ledger and write the report bundle.
 
     `day_range` is an inclusive output window: metrics are still computed
-    from day 0 (balances and cumulative graphs need the full prefix, and the
-    dynamic-degree normalization spans the whole history), but only days
-    inside the window are emitted.  Returns the JSON-serializable bundle
-    that was written to report.json.  An unknown `method`, a `curve_day`
-    outside the ledger, or `tops`, `intervals` or `focus_n` that
-    `check_counts` refuses, is rejected before anything is written.  With
-    `charts`, a curve day that has no funded address is rejected after the
-    walk, before any file of the bundle is written.
+    from day 0 (see `walk`), but only days inside the window are emitted.
+    Returns the JSON-serializable bundle that was written to report.json.
+    An unknown `method`, a `curve_day` outside the ledger, or `tops`,
+    `intervals` or `focus_n` that `check_counts` refuses, is rejected
+    before anything is written.  With `charts`, a curve day that has no
+    funded address is rejected when the walk reaches it, before any file
+    of the bundle is written.
     """
     check_method(method)
     check_counts("tops", tops)
@@ -186,41 +298,46 @@ def build_report(
     }
     cfg = config_hash(params)
 
-    all_days = range(ledger.n_days)
-    supplies = [ledger.supply_at(d) for d in all_days]
-    days = list(window(dict.fromkeys(all_days), day_range))
-    # One walk over the day rankings: each day gives its proportions row
-    # and D_static value, leaves its top `focus_n` for dispersion and HHI,
-    # and passes on to stability, which holds the last max(interval) + 1.
-    prop = np.zeros((ledger.n_days, len(tops)))
-    d_static_values: dict[int, float] = {}
-    focus: list[Ranking] = []
-    curve: list[Ranking] = []
+    # Every (metric, N, interval) stability series feeds the CSV, the JSON
+    # bundle and the charts.
     curve_at = ledger.n_days - 1 if curve_day is None else curve_day
+    res = walk(ledger, Plan(
+        tops=tops, d_static_top=max(tops), scaling=scaling,
+        specs=[(metric, n, interval) for metric in ("spearman", "retention")
+               for n, interval in [(focus_n, i) for i in intervals] + [(t, 1) for t in tops]],
+        mode=spearman_mode, metrics=("degree", "pagerank"), value_weighted=value_weighted,
+        schemes=("a1", "a2", "a3"), method=method, d_hhi=True, focus_n=focus_n,
+        curve_day=curve_at if charts else None, day_range=day_range,
+    ))
+    days, prop, stab = res.days, res.prop, res.stability
+    # Column j of a difference row is the share gap between tops[j] and its
+    # predecessor (0 for the first bucket).
+    diff_xs = [0] + list(tops[:-1])
+    diff = adjacent_diff(prop)
+    keys = {spec: "{}_top{}_interval{}".format(*spec) for spec in stab}
+    summaries = {keys[spec]: summarize(s).to_dict() for spec, s in stab.items() if s.defined()}
 
-    def walk() -> Iterator[Ranking]:
-        for ranking in compute_rankings(ledger, max(max(tops), focus_n)):
-            d = ranking.day
-            prop[d] = proportion_series([ranking], [supplies[d]], tops)[0]
-            d_static_values.update(d_static_series([ranking], max(tops), scaling).values)
-            focus.append(ranking.truncated(focus_n))
-            if d == curve_at:
-                curve.append(ranking)
-            yield ranking
+    def csv(name: str, columns: Sequence[str], rows) -> None:
+        write_csv(os.path.join(out_dir, name), columns, rows, cfg)
 
-    # Ranking stability: every distinct (metric, N, interval) series comes
-    # from one stability_table call and feeds the CSV, the JSON bundle and
-    # the charts.  It reads the whole walk.
-    stab = stability_table(
-        walk(),
-        [(metric, n, interval) for metric in ("spearman", "retention")
-         for n, interval in [(focus_n, i) for i in intervals] + [(t, 1) for t in tops]],
-        spearman_mode,
-    )
-    if charts and curve and not len(curve[0]):
-        raise ValueError(f"curve day {curve_at} has no funded address to chart")
+    # The proportion matrices hold every day; their rows are emitted for
+    # the window's days, as every series was cut to it.
+    csv("proportions.csv", *proportions_table(prop, tops, days))
+    csv("proportions_long.csv", *proportions_long_table(prop, tops, days))
+    csv("proportion_diff.csv", ["day"] + [f"x{x}" for x in diff_xs],
+        [(d, *[float(diff[d, j]) for j in range(len(diff_xs))]) for d in days])
+    csv("stability.csv", ["day", "metric", "top", "interval", "value"],
+        [(d, *spec, v) for spec, s in stab.items() for d, v in s.values.items()])
+    write_json(os.path.join(out_dir, "stability_summary.json"),
+               {"meta": {"config_hash": cfg}, "summaries": summaries})
+    csv("d_static.csv", *day_table("d_static", res.d_static))
+    csv("dispersion.csv", *dispersion_table(res.dispersion))
+    csv("hhi.csv", *hhi_table(res.hhi))
+    csv("d_hhi.csv", *day_table("d_hhi", res.d_hhi))
+    if charts:
+        _write_charts(out_dir, res, tops, intervals, focus_n, diff_xs, diff, cfg)
 
-    bundle: dict = {
+    bundle = {
         "meta": {
             "tool": "ledgerlens",
             "version": __version__,
@@ -230,115 +347,33 @@ def build_report(
             "days": ledger.n_days,
             "transactions": len(ledger),
             "addresses": len(ledger.addresses) - 1,
-            "final_supply": supplies[-1] if supplies else 0,
+            "final_supply": ledger.supply_at(ledger.n_days - 1) if ledger.n_days else 0,
             # Clustering schemes anchor the cumulative graph on the top-N of
             # the evaluation day itself; membership changes day to day.
             "hhi_focus_anchor": "evaluation-day top-N",
-        }
+        },
+        "proportions": {"tops": list(tops), "days": days,
+                        "values": [[float(v) for v in prop[d]] for d in days]},
+        "proportion_diffs": {"xs": diff_xs, "days": days,
+                             "values": [[float(v) for v in diff[d]] for d in days]},
+        "stability": {"series": {keys[spec]: _by_day(s.values) for spec, s in stab.items()},
+                      "summaries": summaries},
+        "d_static": {"scaling": scaling, "top": max(tops), "values": _by_day(res.d_static)},
+        "dispersion": {m: _by_day(vals) for m, vals in res.dispersion.items()},
+        "hhi": {scheme: _by_day(vals) for scheme, vals in res.hhi.items()},
+        "d_hhi": _by_day(res.d_hhi),
     }
-
-    # Top-N supply proportions (matrix rows cover the full history; emission
-    # is windowed).
-    write_csv(os.path.join(out_dir, "proportions.csv"),
-              *proportions_table(prop, tops, days), cfg)
-    write_csv(os.path.join(out_dir, "proportions_long.csv"),
-              *proportions_long_table(prop, tops, days), cfg)
-    bundle["proportions"] = {
-        "tops": list(tops),
-        "days": days,
-        "values": [[float(v) for v in prop[d]] for d in days],
-    }
-
-    # Adjacent-bucket proportion differences; column j holds the share gap
-    # between tops[j] and its predecessor (0 for the first bucket).
-    diff_xs = [0] + list(tops[:-1])
-    diff = adjacent_diff(prop)
-    write_csv(
-        os.path.join(out_dir, "proportion_diff.csv"),
-        ["day"] + [f"x{x}" for x in diff_xs],
-        [(d, *[float(diff[d, j]) for j in range(len(diff_xs))]) for d in days],
-        cfg,
-    )
-    bundle["proportion_diffs"] = {
-        "xs": diff_xs,
-        "days": days,
-        "values": [[float(v) for v in diff[d]] for d in days],
-    }
-
-    # Ranking stability, windowed like every series.
-    for s in stab.values():
-        s.values = window(s.values, day_range)
-    stability_rows: list[tuple] = []
-    summaries: dict[str, dict] = {}
-    series_bundle: dict[str, dict] = {}
-    for (metric, n, interval), s in stab.items():
-        stability_rows.extend(_series_rows(s))
-        key = f"{metric}_top{n}_interval{interval}"
-        series_bundle[key] = {str(d): v for d, v in s.values.items()}
-        if s.defined():
-            summaries[key] = summarize(s).to_dict()
-    write_csv(
-        os.path.join(out_dir, "stability.csv"),
-        ["day", "metric", "top", "interval", "value"],
-        stability_rows,
-        cfg,
-    )
-    write_json(os.path.join(out_dir, "stability_summary.json"),
-               {"meta": {"config_hash": cfg}, "summaries": summaries})
-    bundle["stability"] = {"series": series_bundle, "summaries": summaries}
-
-    # Static decentralization degree.
-    ds = window(d_static_values, day_range)
-    write_csv(os.path.join(out_dir, "d_static.csv"), *day_table("d_static", ds), cfg)
-    bundle["d_static"] = {
-        "scaling": scaling,
-        "top": max(tops),
-        "values": {str(d): v for d, v in ds.items()},
-    }
-
-    # Dispersion of graph centralities.
-    disp = dispersion_series(
-        ledger, focus, ("degree", "pagerank"), focus_n,
-        value_weighted=value_weighted,
-    )
-    disp = {m: window(vals, day_range) for m, vals in disp.items()}
-    write_csv(os.path.join(out_dir, "dispersion.csv"), *dispersion_table(disp), cfg)
-    bundle["dispersion"] = {
-        m: {str(d): v for d, v in vals.items()} for m, vals in disp.items()
-    }
-
-    # HHI under the three clustering schemes, from one set of A2/A3 firm
-    # labels, plus the dynamic degree.  The dynamic degree normalizes over
-    # the full computed series before windowing.
-    hhi = hhi_by_scheme(ledger, ("a1", "a2", "a3"), focus, focus_n=focus_n, method=method)
-    hhi_values = {scheme: window(s.values, day_range) for scheme, s in hhi.items()}
-    write_csv(os.path.join(out_dir, "hhi.csv"), *hhi_table(hhi_values), cfg)
-    bundle["hhi"] = {
-        scheme: {str(d): v for d, v in vals.items()} for scheme, vals in hhi_values.items()
-    }
-
-    dyn = window(d_hhi(hhi["a3"]), day_range)
-    write_csv(os.path.join(out_dir, "d_hhi.csv"), *day_table("d_hhi", dyn), cfg)
-    bundle["d_hhi"] = {str(d): v for d, v in dyn.items()}
-
-    if charts:
-        _write_charts(
-            out_dir, days, tops, intervals, focus_n,
-            prop[days] if days else prop[:0], diff[days] if days else diff[:0],
-            diff_xs, stab, curve[0] if curve else None, ds, disp, hhi_values, dyn, cfg,
-        )
-
     write_json(os.path.join(out_dir, "report.json"), bundle)
     return bundle
 
 
-def _write_charts(
-    out_dir, days, tops, intervals, focus_n, prop, diff, diff_xs, stab,
-    curve, ds, disp, hhi_values, dyn, cfg,
-):
+def _write_charts(out_dir, res: Walk, tops, intervals, focus_n, diff_xs, diff, cfg):
     chart_dir = os.path.join(out_dir, "charts")
     os.makedirs(chart_dir, exist_ok=True)
     svg_meta = _svg_meta(cfg)
+    days, stab = res.days, res.stability
+    rows = days or slice(0)
+    prop, diff = res.prop[rows], diff[rows]
 
     def day_lines(series: dict[str, dict]) -> dict:
         return {label: (list(vals), list(vals.values())) for label, vals in series.items()}
@@ -378,26 +413,26 @@ def _write_charts(
             box_plot(groups, os.path.join(chart_dir, f"{metric}_{stem}_box.svg"),
                      box_title.format(metric), box_x, metric, meta=svg_meta)
 
-    if curve is not None:
-        curve_chart(os.path.join(chart_dir, "cumulative_curve.svg"), curve, max(tops), cfg)
+    if res.kept is not None:
+        curve_chart(os.path.join(chart_dir, "cumulative_curve.svg"), res.kept, max(tops), cfg)
     line_chart(
-        day_lines({"d_static": ds}),
+        day_lines({"d_static": res.d_static}),
         os.path.join(chart_dir, "d_static.svg"),
         "Static decentralization degree", "day", "d_static", meta=svg_meta,
     )
     line_chart(
-        day_lines(disp),
+        day_lines(res.dispersion),
         os.path.join(chart_dir, "dispersion.svg"),
         "Centrality dispersion of the focus graph", "day", "dispersion",
         meta=svg_meta,
     )
     line_chart(
-        day_lines({scheme.upper(): vals for scheme, vals in hhi_values.items()}),
+        day_lines({scheme.upper(): vals for scheme, vals in res.hhi.items()}),
         os.path.join(chart_dir, "hhi.svg"),
         "HHI by clustering scheme", "day", "HHI", meta=svg_meta,
     )
     line_chart(
-        day_lines({"d_hhi": dyn}),
+        day_lines({"d_hhi": res.d_hhi}),
         os.path.join(chart_dir, "d_hhi.svg"),
         "Dynamic decentralization degree", "day", "d_hhi", meta=svg_meta,
     )

@@ -213,7 +213,10 @@ def load_ledger(store_dir: str) -> Ledger:
     out_of_order = meta.get("out_of_order", 0)
     # A truncated or damaged file fails in the zip layer, in an array
     # header or in the string tables.  The hash covers the arrays as
-    # written, so it is checked before the tables are decoded.
+    # written, so it is checked before the tables are decoded.  The zip
+    # layer refuses an entry that its directory marks as encrypted, or as
+    # compressed by a method it lacks, with a RuntimeError (the latter a
+    # NotImplementedError); RecursionError is one too.
     try:
         with np.load(path) as z:
             cols = {name: z[name] for name in _ARRAYS}
@@ -235,5 +238,5 @@ def load_ledger(store_dir: str) -> Ledger:
                           epoch_start=epoch_start, out_of_order=out_of_order)
         except LedgerError as exc:
             raise StoreError(f"store at {store_dir!r} is corrupt ({exc})") from exc
-    except (zipfile.BadZipFile, EOFError, KeyError, OSError, ValueError, RecursionError) as exc:
+    except (zipfile.BadZipFile, EOFError, KeyError, OSError, ValueError, RuntimeError) as exc:
         raise StoreError(f"store at {store_dir!r} has an unreadable {_LEDGER} ({exc})") from exc

@@ -9,7 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ledgerlens import compute_snapshots, hhi, load_ledger, parse_ledger, save_ledger
+from ledgerlens import (
+    compute_snapshots, hhi, load_ledger, parse_ledger, save_ledger, summarize,
+)
 from ledgerlens import cli
 from ledgerlens.cli import run
 from ledgerlens.report import build_report
@@ -658,6 +660,24 @@ class TestExitCodes:
         assert "standard output" in captured.err and captured.out == ""
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("command", [
+        ["hhi", "--scheme", "a1", "--dhhi", "x.csv"],
+        ["hhi", "--partition-day", "3"],
+        ["hhi", "--partition-out", "p.json"],
+        ["dispersion", "--nodes-day", "3"],
+        ["dispersion", "--nodes-out", "n.csv"],
+        ["dstatic", "--curve-day", "3"],
+    ], ids=["dhhi_a1", "partition_day", "partition_out", "nodes_day", "nodes_out",
+            "curve_day"])
+    def test_flag_pairing_is_usage_error_before_the_store_is_read(
+            self, tmp_path, monkeypatch, capsys, command):
+        # Decided from the command line alone: a missing store would be exit 2.
+        monkeypatch.chdir(tmp_path)
+        assert run([*command, "--store", "nowhere"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ledgerlens: --") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("seed", ["-1", str(2**128)])
     def test_hhi_seed_outside_philox_keys(self, store, tmp_path, monkeypatch, capsys,
                                           seed):
@@ -775,6 +795,69 @@ class TestDayRange:
     def test_invalid_range_is_usage_error(self, store, tmp_path):
         assert run(["dstatic", "--store", store, "--day-range", "9:5",
                     "--out", str(tmp_path / "d.csv")]) == 1
+
+    @pytest.mark.parametrize("command", [
+        ["proportions", "--tops", "5,10"],
+        ["proportions", "--tops", "5,10", "--long"],
+        ["stability", "--top", "10", "--interval", "2", "--summary", "summary.json"],
+        ["stability", "--metric", "retention", "--mode", "penalized",
+         "--summary", "summary.json"],
+        ["dstatic", "--top", "10"],
+        ["dispersion", "--focus", "10"],
+        ["hhi", "--scheme", "a1"],
+        ["hhi", "--scheme", "a2", "--focus", "10"],
+        ["hhi", "--scheme", "a3", "--focus", "10", "--dhhi", "d_hhi.csv"],
+        ["report", "--tops", "5,10", "--intervals", "1,3", "--focus", "10", "--no-charts"],
+    ], ids=["proportions", "proportions_long", "stability_summary", "retention_summary",
+            "dstatic", "dispersion", "hhi_a1", "hhi_a2", "hhi_a3_dhhi", "report"])
+    def test_window_of_full_run(self, store, tmp_path, monkeypatch, command):
+        # Every CSV row of a windowed run is the full run's row of that day,
+        # and every summary is the one of the full series cut to the window.
+        lo, hi = 6, 17
+        for name, window in (("full", []), ("part", ["--day-range", f"{lo}:{hi}"])):
+            (tmp_path / name).mkdir()
+            monkeypatch.chdir(tmp_path / name)
+            assert run([*command, "--store", store, "--out", "out", *window]) == 0
+        full, part = tmp_path / "full", tmp_path / "part"
+        files = sorted(p.relative_to(full) for p in full.rglob("*") if p.is_file())
+        assert files == sorted(p.relative_to(part) for p in part.rglob("*") if p.is_file())
+
+        def cut(by_day: dict) -> dict:
+            # In day order: report.json sorts its day keys as strings.
+            return {d: by_day[d] for d in sorted(by_day, key=int) if lo <= int(d) <= hi}
+
+        def summary(values) -> dict | None:
+            defined = [v for v in values if v is not None and v == v]
+            return summarize(defined).to_dict() if defined else None
+
+        for name in files:
+            if name.suffix == ".json":
+                continue
+            _, header, rows = read_csv(full / name)
+            assert read_csv(part / name)[1:] == (header, [r for r in rows
+                                                          if lo <= int(r[0]) <= hi]), name
+        if command[0] == "stability":
+            _, _, rows = read_csv(full / "out")
+            want = summary(float(r[1]) for r in rows if lo <= int(r[0]) <= hi)
+            assert json.loads((part / "summary.json").read_text())["summary"] == want
+        if command[0] == "report":
+            want, got = (json.loads((d / "out" / "report.json").read_text())
+                         for d in (full, part))
+            days = [d for d in want["proportions"]["days"] if lo <= d <= hi]
+            assert got["proportions"]["days"] == got["proportion_diffs"]["days"] == days
+            for key in ("proportions", "proportion_diffs"):
+                assert got[key]["values"] == [want[key]["values"][d] for d in days]
+            series = {k: cut(v) for k, v in want["stability"]["series"].items()}
+            summaries = {k: summary(v.values()) for k, v in series.items()}
+            summaries = {k: v for k, v in summaries.items() if v is not None}
+            assert got["stability"] == {"series": series, "summaries": summaries}
+            assert json.loads((part / "out" / "stability_summary.json").read_text())[
+                "summaries"] == summaries
+            assert got["d_static"]["values"] == cut(want["d_static"]["values"])
+            assert got["d_hhi"] == cut(want["d_hhi"])
+            for key in ("dispersion", "hhi"):
+                assert got[key] == {k: cut(v) for k, v in want[key].items()}
+            assert got["meta"]["params"]["day_range"] == [lo, hi]
 
 
 class TestOnePathPerTable:
@@ -941,6 +1024,23 @@ class TestIngestMemory:
         # 80 MiB of the child's address space beside its 106 MiB at start,
         # so one chunk's records fit and two would not.
         n, width = 6400, 200
+        export = tmp_path / "chain.jsonl"
+        with open(export, "w") as fp:
+            for i in range(n):
+                outs = ",".join('["a%039d",%d]' % ((i * width + j) % 3000, 1 + j)
+                                for j in range(width))
+                fp.write('{"txid":"t%d","time":%d,"in":[],"out":[%s]}\n' % (i, i, outs))
+        store = tmp_path / "store"
+        done = _run_in_256_mib(["ingest", "--input", str(export), "--out", str(store)])
+        assert done.returncode == 0, done.stderr
+        meta = json.loads((store / "meta.json").read_text())
+        assert (meta["transactions"], meta["addresses"]) == (n, 3001)
+
+    def test_lines_ten_times_wider_run_in_256_mib(self, tmp_path):
+        # 400 lines of 2000 entries, about 99 kB each.  Cut by lines alone,
+        # the 400 lines are one chunk, whose decoded records do not fit;
+        # a chunk ends before its lines pass 1 MiB, so each holds 10 lines.
+        n, width = 400, 2000
         export = tmp_path / "chain.jsonl"
         with open(export, "w") as fp:
             for i in range(n):

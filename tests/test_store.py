@@ -81,6 +81,21 @@ class TestLedgerStore:
         with pytest.raises(StoreError, match="unreadable"):
             load_ledger(str(store))
 
+    @pytest.mark.parametrize("offset, value", [(8, 1), (10, 99)],
+                             ids=["encrypted", "unknown_compression"])
+    def test_zip_entry_the_zip_layer_cannot_read(self, ledger, tmp_path, offset, value):
+        # A byte of the zip directory marks the first entry as encrypted
+        # (flag bit 0) or compressed by method 99: the zip layer raises
+        # RuntimeError or NotImplementedError for these, not BadZipFile.
+        store = tmp_path / "store"
+        save_ledger(ledger, str(store))
+        npz = store / "ledger.npz"
+        data = bytearray(npz.read_bytes())
+        data[data.index(b"PK\x01\x02") + offset] = value
+        npz.write_bytes(data)
+        with pytest.raises(StoreError, match="unreadable"):
+            load_ledger(str(store))
+
     @pytest.mark.parametrize("names,match", [
         (lambda names: names + [names[1]], "corrupt"),       # a repeated name
         (lambda names: names[:-1] + [5], "unreadable"),      # not a string
