@@ -178,8 +178,8 @@ def walk(ledger: Ledger, plan: Plan) -> Walk:
 
     The rankings are cut at the largest N that any product reads, and only
     the ranking of the day that the curve, nodes or partition product reads
-    is kept; a curve day with no funded address has no curve to chart and
-    is refused as the walk passes it.  Proportions and D_static take each day's row from its
+    is kept (a curve day with no funded address is refused as the walk
+    passes it).  Proportions and D_static take each day's row from its
     balances as the day passes, so they order no ids.  Of stability, HHI
     and dispersion, the first asked for (in that order: dispersion stops a
     day short) reads the walk as it streams; only when another is asked

@@ -1,9 +1,10 @@
 """The output contract: the SHA-256 of every file, stdout and stderr that
 the CLI writes over a fixed set of small chains and command lines.
 
-The chains are two small exports of the benchmark's own generator
+The chains are small exports of the benchmark's own generator
 (``bench/gen.py``, which uses only Python's ``random`` and so writes the
-same bytes on every platform) and one ``synth`` chain per regime.  Each
+same bytes on every platform), two shapes at seeds 1 and 3, and one
+``synth`` chain per regime.  Each
 chain is ingested, and each store is run through every command with the
 variants below; every command runs in-process, from inside the case
 directory, so no path enters an output.  ``tests/test_output_manifest.py``
